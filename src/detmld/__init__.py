@@ -1,6 +1,7 @@
 """Exact minimal log discrepancies of determinantal pairs of square matrices,
 with independent brute-force verification oracles."""
 
+from . import forms, polynomials, tableaux
 from .core import (
     INF,
     DeterminantalPair,
@@ -66,5 +67,18 @@ from .tableaux import (
     subalgebra_membership,
     tableau_leq,
 )
+
+
+def clear_caches() -> None:
+    """Empty the module-level caches (minor polynomials, content blocks, division
+    solvers, d-minors), so that the next computation starts cold."""
+    for cache in (
+        polynomials._MINOR_CACHE,
+        tableaux._BLOCK_CACHE,
+        forms._DIVISION_CACHE,
+        forms._D_MINOR_CACHE,
+    ):
+        cache.clear()
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

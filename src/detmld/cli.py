@@ -48,6 +48,10 @@ from .orbits import (
 from .tableaux import DoubleTableau, straighten
 
 
+class _InputError(Exception):
+    """Malformed command-line input; reported as one error line, exit code 2."""
+
+
 def _parse_alphas(text: str) -> tuple:
     text = text.strip()
     if not text:
@@ -56,11 +60,10 @@ def _parse_alphas(text: str) -> tuple:
 
 
 def _parse_lambda(text: str) -> tuple:
-    entries = []
-    for part in text.split(","):
-        part = part.strip()
-        entries.append(INF if part.lower() == "inf" else int(part))
-    return tuple(entries)
+    try:
+        return tuple(INF if part.strip().lower() == "inf" else int(part) for part in text.split(","))
+    except ValueError:
+        raise _InputError(f"--lambda takes comma-separated integers or inf, got {text!r}") from None
 
 
 def _entry_json(value):
@@ -218,12 +221,19 @@ def _cmd_straighten(args) -> dict:
         with open(args.file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    dt = DoubleTableau.from_json(data)
+        raise _InputError(f"cannot read {args.file}: {exc}") from None
+    try:
+        dt = DoubleTableau.from_json(data)
+    except (KeyError, TypeError):
+        raise _InputError(
+            f'{args.file} is not a double tableau: need an object with "left" and "right", '
+            'each an object with "rows"'
+        ) from None
     m = data.get("m")
     if m is None:
         m = max(dt.left.max_entry, dt.right.max_entry, 1)
+    elif type(m) is not int:
+        raise _InputError(f'{args.file}: "m" must be an integer, got {m!r}')
     expansion = straighten(dt, m, k_bound=args.kbound)
     return {
         "m": m,
@@ -349,6 +359,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

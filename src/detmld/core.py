@@ -7,9 +7,10 @@ form: positive denominator, reduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
+from itertools import accumulate
 from typing import Iterable, Iterator, Union
 
 
@@ -159,6 +160,7 @@ class DeterminantalPair:
     m: int
     k: int
     alphas: tuple
+    _prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -173,10 +175,13 @@ class DeterminantalPair:
                 f"need exactly k={self.k} coefficients, got {len(alphas)}"
             )
         object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "_prefix", tuple(accumulate(alphas, initial=Fraction(0))))
 
     def alpha_prefix(self, j: int) -> Fraction:
-        """Sum of the first j coefficients."""
-        return sum(self.alphas[:j], Fraction(0))
+        """Sum of the first j >= 0 coefficients (all of them when j > k), in O(1)."""
+        if j < 0:
+            raise PreconditionError(f"prefix length must be >= 0, got {j}")
+        return self._prefix[min(j, self.k)]
 
 
 def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:

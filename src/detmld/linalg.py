@@ -1,59 +1,74 @@
 """Exact linear solves over the rationals for the straightening machinery.
 
-Systems here are tall and thin (a few dozen unknowns) and get reused with
-many right-hand sides, so the solver precomputes the inverse of a pivot
-square once and then answers each solve with a matrix-vector product plus a
-full residual check.
+The systems (change of basis between monomials and standard bideterminants)
+are sparse and reused with many right-hand sides.  A build is one sparse,
+fraction-free Gauss-Jordan elimination on the integer-scaled rows of [A | I],
+pivoting on the shortest live row; the identity half turns the pivot rows
+into a sparse integer left inverse.  A solve multiplies it with the nonzero
+entries of b, then checks A x == b on every sparse row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class PreparedSolver:
     """Solve A x = b exactly for a fixed full-column-rank A and many b."""
 
     def __init__(self, columns: Sequence[Sequence[Fraction]]):
-        if not columns:
-            self.ncols = 0
-            self.nrows = 0
-            self.pivot_rows: List[int] = []
-            self.inverse: List[List[Fraction]] = []
-            self.rows: List[List[Fraction]] = []
-            return
-        self.ncols = len(columns)
-        self.nrows = len(columns[0])
+        n = self.ncols = len(columns)
+        self.nrows = len(columns[0]) if columns else 0
         if any(len(col) != self.nrows for col in columns):
             raise ValueError("ragged column list")
-        self.rows = [
-            [Fraction(columns[c][r]) for c in range(self.ncols)] for r in range(self.nrows)
-        ]
-        self.pivot_rows = self._find_pivot_rows()
-        square = [self.rows[r][:] for r in self.pivot_rows]
-        self.inverse = _invert(square)
-
-    def _find_pivot_rows(self) -> List[int]:
-        work = [row[:] for row in self.rows]
+        rows: List[Dict[int, Fraction]] = [{} for _ in range(self.nrows)]
+        for c, col in enumerate(columns):
+            for r, v in enumerate(col):
+                if v:
+                    rows[r][c] = Fraction(v)
+        # sparse_rows[r]: (s, nonzero entries of s * A[r]) for the least s making them integers.
+        scales = [lcm(*(v.denominator for v in row.values())) for row in rows]
+        self.sparse_rows = [(s, [(c, int(s * v)) for c, v in r.items()]) for s, r in zip(scales, rows)]
+        # work[r] is row r of s_r * [A | I]; key n + i is column i of I.
+        work = [dict(entries + [(n + r, s)]) for r, (s, entries) in enumerate(self.sparse_rows)]
+        free = list(range(self.nrows))
         pivots: List[int] = []
-        used = set()
-        for col in range(self.ncols):
-            pivot = next(
-                (r for r in range(self.nrows) if r not in used and work[r][col] != 0),
-                None,
-            )
-            if pivot is None:
+        for col in range(n):
+            p = min((r for r in free if col in work[r]), key=lambda r: len(work[r]), default=None)
+            if p is None:
                 raise ArithmeticError("columns are linearly dependent")
-            pivots.append(pivot)
-            used.add(pivot)
-            inv = Fraction(1, 1) / work[pivot][col]
-            work[pivot] = [v * inv for v in work[pivot]]
-            for r in range(self.nrows):
-                if r != pivot and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[pivot])]
-        return pivots
+            free.remove(p)
+            pivots.append(p)
+            prow = work[p]
+            for row in work:
+                if row is prow or col not in row:
+                    continue
+                g = gcd(prow[col], row[col])
+                scale, f = prow[col] // g, row[col] // g
+                if scale != 1:
+                    for key in row:
+                        row[key] *= scale
+                for key, v in prow.items():
+                    new = row.get(key, 0) - f * v
+                    if new:
+                        row[key] = new
+                    else:
+                        del row[key]
+                content = gcd(*row.values())
+                if content > 1:
+                    for key in row:
+                        row[key] //= content
+        # x = L b / denominator, with left_inverse[i] the nonzero
+        # (column, coefficient) entries of column i of the integer matrix L.
+        self.denominator = lcm(*(work[p][col] for col, p in enumerate(pivots)))
+        self.left_inverse: List[List[Tuple[int, int]]] = [[] for _ in range(self.nrows)]
+        for col, p in enumerate(pivots):
+            unit = self.denominator // work[p][col]
+            for key, v in work[p].items():
+                if key >= n:
+                    self.left_inverse[key - n].append((col, v * unit))
 
     def solve(self, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Exact solution vector, or None when the system is inconsistent."""
@@ -61,30 +76,15 @@ class PreparedSolver:
             return [] if all(v == 0 for v in rhs) else None
         if len(rhs) != self.nrows:
             raise ValueError(f"rhs length {len(rhs)}, expected {self.nrows}")
-        sub = [rhs[r] for r in self.pivot_rows]
-        x = [
-            sum((self.inverse[i][j] * sub[j] for j in range(self.ncols)), Fraction(0))
-            for i in range(self.ncols)
-        ]
-        for r in range(self.nrows):
-            acc = sum((self.rows[r][c] * x[c] for c in range(self.ncols)), Fraction(0))
-            if acc != rhs[r]:
+        # In integers: b = B / scale and x = X / (denominator * scale).
+        scale = lcm(*(b.denominator for b in rhs if b))
+        B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
+        X = [0] * self.ncols
+        for i, b in enumerate(B):
+            if b:
+                for col, coef in self.left_inverse[i]:
+                    X[col] += coef * b
+        for (s, row), b in zip(self.sparse_rows, B):
+            if sum(v * X[c] for c, v in row) != s * b * self.denominator:
                 return None
-        return x
-
-
-def _invert(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(matrix)
-    aug = [row[:] + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular pivot square")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        return [Fraction(v, self.denominator * scale) for v in X]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,35 @@ class TestCliContract:
     def test_argument_error_exit_code(self, run_cli):
         code, _, _ = run_cli(["mld", "point", "--m", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, content",
+        [
+            (["orbit", "codim", "--m", "3", "--k", "2", "--lambda", "abc"], None),
+            (["ord", "--m", "3", "--s", "2", "--N", "4", "--lambda", "2,x"], None),
+            (["straighten", "--file"], {"left": {"rows": [[1]]}}),
+            (["straighten", "--file"], [[1], [2]]),
+            (["straighten", "--file"], {"left": {"rows": [[1]]}, "right": {"rows": [[1]]}, "m": "x"}),
+        ],
+        ids=["orbit-lambda", "ord-lambda", "straighten-no-right", "straighten-list", "straighten-m"],
+    )
+    def test_malformed_input_is_argument_error(self, run_cli, tmp_path, args, content):
+        if content is not None:
+            path = tmp_path / "dt.json"
+            path.write_text(json.dumps(content))
+            args = args + [str(path)]
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_large_k_point_is_linear(self, run_cli):
+        started = time.perf_counter()
+        code, out, _ = run_cli(["mld", "point", "--m", "10000", "--k", "10000", "--alphas", "0", "--q", "0"])
+        assert code == 0
+        assert json.loads(out)["mld"] == str(10000 * 10000)
+        assert time.perf_counter() - started < 5
 
     def test_unknown_command_exit_code(self, run_cli):
         code, _, _ = run_cli(["frobnicate"])

@@ -67,6 +67,22 @@ class TestPair:
     def test_negative_alphas_allowed(self):
         assert new_pair(2, 1, [-1]).alphas == (Fraction(-1),)
 
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=8))
+    def test_alpha_prefix_is_the_prefix_sum(self, alphas):
+        pair = new_pair(len(alphas), len(alphas), alphas)
+        for j in range(len(alphas) + 3):
+            assert pair.alpha_prefix(j) == sum(alphas[:j], Fraction(0))
+
+    def test_alpha_prefix_rejects_negative_length(self):
+        with pytest.raises(PreconditionError):
+            new_pair(3, 2, [1, 1]).alpha_prefix(-1)
+
+    def test_prefix_cache_is_not_part_of_identity(self):
+        pair = new_pair(3, 2, [1, 0])
+        assert pair == DeterminantalPair(3, 2, (1, 0))
+        assert hash(pair) == hash(DeterminantalPair(3, 2, (1, 0)))
+        assert "_prefix" not in repr(pair)
+
 
 class TestPartition:
     def test_valid(self):

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from detmld import clear_caches, forms, polynomials, tableaux
 from detmld.core import PreconditionError
 from detmld.forms import (
     ExteriorForm,
@@ -255,6 +257,29 @@ class TestVerifyNash:
     def test_guard(self):
         with pytest.raises(PreconditionError):
             verify_nash(4, 2)
+
+    def test_cold_run_after_clear_caches_matches_warm_run(self):
+        def strip(report):
+            data = report.to_json()
+            data.pop("elapsed_seconds")
+            data["subsets"] = [
+                {key: value for key, value in entry.items() if key != "seconds"}
+                for entry in data["subsets"]
+            ]
+            return json.dumps(data, sort_keys=True)
+
+        verify_nash(3, 1)
+        warm = strip(verify_nash(3, 1))
+        clear_caches()
+        caches = (
+            polynomials._MINOR_CACHE,
+            tableaux._BLOCK_CACHE,
+            forms._DIVISION_CACHE,
+            forms._D_MINOR_CACHE,
+        )
+        assert all(not cache for cache in caches)
+        assert strip(verify_nash(3, 1)) == warm
+        assert all(caches)
 
     def test_threads_do_not_change_values(self):
         serial = verify_nash(2, 1, threads=1)

@@ -1,0 +1,142 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from detmld.linalg import PreparedSolver
+
+
+def reference_solve(columns, rhs):
+    """Independent dense Gauss-Jordan over Fractions on [A | b].
+
+    Returns the solution, or None when the system is inconsistent; raises
+    ArithmeticError when the columns are dependent.
+    """
+    ncols = len(columns)
+    aug = [[Fraction(col[r]) for col in columns] + [Fraction(rhs[r])] for r in range(len(rhs))]
+    top = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(top, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("dependent columns")
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        aug[top] = [v / aug[top][col] for v in aug[top]]
+        for r in range(len(aug)):
+            if r != top and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[top])]
+        top += 1
+    if any(row[ncols] != 0 for row in aug[ncols:]):
+        return None
+    return [aug[i][ncols] for i in range(ncols)]
+
+
+def apply(columns, x):
+    nrows = len(columns[0])
+    return [sum((Fraction(col[r]) * v for col, v in zip(columns, x)), Fraction(0)) for r in range(nrows)]
+
+
+@st.composite
+def full_rank_systems(draw):
+    """Sparse integer matrices of full column rank, as column lists.
+
+    An upper-triangular block with a nonzero diagonal, stacked on sparse
+    extra rows; then a few integer column operations (rank-preserving) and a
+    row shuffle hide the triangular structure.
+    """
+    ncols = draw(st.integers(1, 7))
+    nrows = ncols + draw(st.integers(0, 5))
+    sparse = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+    nonzero = st.integers(1, 5).flatmap(lambda v: st.sampled_from([v, -v]))
+    rows = []
+    for r in range(nrows):
+        if r < ncols:
+            rows.append([0] * r + [draw(nonzero)] + [draw(sparse) for _ in range(ncols - r - 1)])
+        else:
+            rows.append([draw(sparse) for _ in range(ncols)])
+    columns = [[row[c] for row in rows] for c in range(ncols)]
+    for _ in range(draw(st.integers(0, 3)) if ncols > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(st.integers(-2, 2))
+        columns[j] = [a + factor * b for a, b in zip(columns[j], columns[i])]
+    order = draw(st.permutations(range(nrows)))
+    return [[col[r] for r in order] for col in columns]
+
+
+rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+
+
+@given(full_rank_systems(), st.data())
+def test_solve_recovers_x(columns, data):
+    x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+    solution = PreparedSolver(columns).solve(apply(columns, x))
+    assert solution == x
+    assert all(isinstance(v, Fraction) for v in solution)
+
+
+@given(full_rank_systems(), st.data())
+def test_solve_matches_reference_on_arbitrary_rhs(columns, data):
+    nrows = len(columns[0])
+    rhs = data.draw(st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=nrows, max_size=nrows))
+    assert PreparedSolver(columns).solve(rhs) == reference_solve(columns, rhs)
+
+
+def test_rational_entries():
+    columns = [[Fraction(1, 2), Fraction(0), Fraction(2, 3)], [Fraction(0), Fraction(-3, 4), Fraction(1)]]
+    x = [Fraction(5, 7), Fraction(-2, 3)]
+    assert PreparedSolver(columns).solve(apply(columns, x)) == x
+
+
+def test_inconsistent_only_in_a_non_pivot_row():
+    # Rows 0 and 1 are the pivots; only the residual of row 2 sees the clash.
+    solver = PreparedSolver([[1, 0, 1], [0, 1, 1]])
+    assert solver.solve([1, 2, 3]) == [1, 2]
+    assert solver.solve([1, 2, 4]) is None
+    assert reference_solve([[1, 0, 1], [0, 1, 1]], [1, 2, 4]) is None
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1, 2, 3], [2, 4, 6]],
+        [[1, 0], [0, 0]],
+        [[1, 1, 0], [0, 1, 1], [1, 2, 1]],
+        [[1], [2]],
+        [[], []],
+    ],
+)
+def test_dependent_columns_raise(columns):
+    with pytest.raises(ArithmeticError):
+        PreparedSolver(columns)
+
+
+def test_ragged_columns_raise():
+    with pytest.raises(ValueError):
+        PreparedSolver([[1, 2], [1]])
+
+
+def test_wrong_rhs_length_raises():
+    solver = PreparedSolver([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        solver.solve([1])
+    with pytest.raises(ValueError):
+        solver.solve([1, 2, 3])
+
+
+def test_empty_system():
+    solver = PreparedSolver([])
+    assert solver.solve([]) == []
+    assert solver.solve([0, 0]) == []
+    assert solver.solve([0, 1]) is None
+
+
+def test_one_solver_many_right_hand_sides():
+    columns = [[2, 0, 1, 0, 3], [0, 1, 0, 0, 1], [1, 0, 0, 5, 0], [0, 0, 7, 1, 0]]
+    solver = PreparedSolver(columns)
+    for t in range(60):
+        x = [Fraction(t - 30, 1 + t % 4), Fraction(t % 7), Fraction(-t, 3), Fraction(1, t + 1)]
+        assert solver.solve(apply(columns, x)) == x
+        rhs = apply(columns, x)
+        rhs[t % 5] += 1
+        assert solver.solve(rhs) == reference_solve(columns, rhs)
