@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .core import (
@@ -26,8 +27,6 @@ from .forms import verify_nash
 from .mld import (
     beta_coefficients,
     first_lc_violation,
-    is_lc_along,
-    is_lc_at_rank,
     mld_along,
     mld_at_rank,
     semicontinuity_profile,
@@ -56,7 +55,10 @@ def _parse_alphas(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_rational(part) for part in text.split(","))
+    try:
+        return tuple(parse_rational(part) for part in text.split(","))
+    except PreconditionError:
+        raise _InputError(f"--alphas takes comma-separated rationals p or p/q, got {text!r}") from None
 
 
 def _parse_lambda(text: str) -> tuple:
@@ -112,46 +114,46 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_mld_point(args) -> dict:
+def _mld_report(args, target) -> dict:
+    """The closed-form mld at a point or locus target, with the oracle search
+    when --oracle is given.
+
+    The mld is negative infinity exactly when the pair is not log canonical
+    there, so "lc" is read off it and the prefix inequalities are scanned once.
+    """
     pair = new_pair(args.m, args.k, _parse_alphas(args.alphas))
-    value = mld_at_rank(pair, args.q)
-    betas = beta_coefficients(pair, pair.k - args.q)
+    point = isinstance(target, PointTarget)
+    comparison = None
+    if args.oracle is not None:
+        comparison = compare_with_closed_form(pair, target, args.oracle)
+        value = comparison.closed_form
+    elif point:
+        value = mld_at_rank(pair, target.q)
+    else:
+        value = mld_along(pair, target.j)
+    betas = beta_coefficients(pair, pair.k - target.q if point else pair.k)
     out = {
         "m": pair.m,
         "k": pair.k,
         "alphas": [format_rational(a) for a in pair.alphas],
-        "q": args.q,
-        "lc": is_lc_at_rank(pair, args.q),
+        **({"q": target.q} if point else {"j": target.j}),
+        "lc": value.is_finite,
         "mld": str(value),
         "beta": [format_rational(b) for b in betas],
     }
-    if args.oracle is not None:
-        comparison = compare_with_closed_form(pair, PointTarget(args.q), args.oracle)
+    if comparison is not None:
         out["oracle"] = comparison.oracle.to_json()
         out["oracle"]["L"] = args.oracle
         out["agree"] = comparison.agree
     return out
+
+
+def _cmd_mld_point(args) -> dict:
+    return _mld_report(args, PointTarget(args.q))
 
 
 def _cmd_mld_locus(args) -> dict:
-    pair = new_pair(args.m, args.k, _parse_alphas(args.alphas))
-    value = mld_along(pair, args.j)
-    betas = beta_coefficients(pair, pair.k)
-    out = {
-        "m": pair.m,
-        "k": pair.k,
-        "alphas": [format_rational(a) for a in pair.alphas],
-        "j": args.j,
-        "lc": is_lc_along(pair, args.j),
-        "mld": str(value),
-        "beta": [format_rational(b) for b in betas],
-    }
-    if args.oracle is not None:
-        comparison = compare_with_closed_form(pair, LocusTarget(args.j), args.oracle)
-        out["oracle"] = comparison.oracle.to_json()
-        out["oracle"]["L"] = args.oracle
-        out["agree"] = comparison.agree
-    return out
+    return _mld_report(args, LocusTarget(args.j))
 
 
 def _cmd_lc_check(args) -> dict:
@@ -162,16 +164,14 @@ def _cmd_lc_check(args) -> dict:
         if not 0 <= args.q <= pair.k:
             raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={args.q}")
         count = pair.k - args.q
-        ok = is_lc_at_rank(pair, args.q)
         where = {"q": args.q}
     else:
         if not 1 <= args.j <= pair.k:
             raise PreconditionError(f"need 1 <= j <= k={pair.k}, got j={args.j}")
         count = pair.k
-        ok = is_lc_along(pair, args.j)
         where = {"j": args.j}
     violation = first_lc_violation(pair, count)
-    out = {"m": pair.m, "k": pair.k, **where, "lc": ok, "violated": None}
+    out = {"m": pair.m, "k": pair.k, **where, "lc": violation is None, "violated": None}
     if violation is not None:
         j, lhs, rhs = violation
         out["violated"] = {
@@ -272,7 +272,15 @@ def _cmd_semicontinuity(args) -> dict:
     }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand.
+
+    It is built once per process, on the first call, and then reused:
+    building it costs milliseconds, more than most queries.  Reuse is safe
+    because ``parse_args`` returns a fresh namespace on every call.  It is
+    not built at import time, so that importing the package stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="detmld",
         description="Exact minimal log discrepancies of determinantal pairs, with verification oracles.",
@@ -354,10 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_empty_values(args) -> None:
+    # argparse before Python 3.12 parses `--opt=--` to an empty list.
+    for name, value in vars(args).items():
+        if value == []:
+            raise _InputError(f"option {name!r} needs a value, got '--'")
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_empty_values(args)
         out = args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

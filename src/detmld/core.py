@@ -185,15 +185,18 @@ class DeterminantalPair:
 
 
 def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
-    """Build a pair; coefficient lists shorter than k are right-padded with zeros."""
-    alphas = tuple(Fraction(a) for a in alphas)
+    """Build a pair; coefficient lists shorter than k are right-padded with zeros.
+
+    The pair's constructor converts the coefficients to Fraction.
+    """
+    alphas = tuple(alphas)
     if not isinstance(k, int) or not isinstance(m, int):
         raise PreconditionError("m and k must be integers")
     if k < 1 or k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if len(alphas) > k:
         raise PreconditionError(f"at most k={k} coefficients allowed, got {len(alphas)}")
-    return DeterminantalPair(m, k, alphas + (Fraction(0),) * (k - len(alphas)))
+    return DeterminantalPair(m, k, alphas + (0,) * (k - len(alphas)))
 
 
 @total_ordering

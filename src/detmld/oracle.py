@@ -29,12 +29,12 @@ from typing import Iterator, Optional, Union
 from .core import INF, DeterminantalPair, ExtendedPartition, MldValue, PreconditionError
 from .mld import beta_coefficients, mld_along, mld_at_rank
 from .orbits import (
-    contact_order_subvariety,
-    nash_contact_order,
-    orbit_codim,
-    orbit_codim_point,
+    _codim,
+    _codim_point,
+    _contact_order,
+    _meets_point_fiber,
+    _nash_contact_order,
     orbit_has_finite_codim,
-    orbit_meets_point_fiber,
 )
 from .polynomials import MinorIndex, TruncatedSeries, minor_poly, substitute_series
 
@@ -139,7 +139,8 @@ def discrepancy_objective(
     The codimension is taken relative to the target: through a rank-q point
     for a point target, plain orbit codimension for a locus target.  The
     orbit must satisfy the target's membership conditions with finite
-    codimension.
+    codimension.  Each condition is checked once here; the orbit formulas
+    are then evaluated unchecked.
     """
     _validate_target(pair, target)
     if not orbit_has_finite_codim(lam, pair):
@@ -147,22 +148,22 @@ def discrepancy_objective(
             f"orbit {lam.entries} has infinite codimension; objective undefined"
         )
     if isinstance(target, PointTarget):
-        if not orbit_meets_point_fiber(lam, pair, target.q):
+        if not _meets_point_fiber(lam, pair, target.q):
             raise PreconditionError(
                 f"orbit {lam.entries} misses the fiber over a rank-{target.q} point"
             )
-        cod = orbit_codim_point(lam, pair, target.q)
+        cod = _codim_point(lam, pair, target.q)
     else:
         m, k = pair.m, pair.k
         if any(lam[m - k + i] <= 0 for i in range(target.j)):
             raise PreconditionError(
                 f"orbit {lam.entries} is not centered in the rank <= {k - target.j} sublocus"
             )
-        cod = orbit_codim(lam, pair)
-    nash = nash_contact_order(lam, pair)
+        cod = _codim(lam, pair)
+    nash = _nash_contact_order(lam, pair)
     weighted = sum(
         (
-            pair.alphas[i - 1] * contact_order_subvariety(lam, pair, i)
+            pair.alphas[i - 1] * _contact_order(lam, pair, i)
             for i in range(1, pair.k + 1)
         ),
         Fraction(0),

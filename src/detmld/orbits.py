@@ -8,6 +8,11 @@ determinantal subvarieties, and orbit codimensions.
 
 Indices follow the 1-based conventions of the underlying geometry; the
 docstrings state them explicitly.
+
+Each formula lives in one private body that assumes the orbit lies in the jet
+space and its index is in range; the public function checks that and then
+calls the body.  The oracle's objective checks each orbit once and calls the
+bodies directly.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ def orbit_has_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> b
     return lam[pair.m - pair.k] is not INF
 
 
+def _meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
+    m = pair.m
+    head = all(lam[i] > 0 for i in range(m - q))
+    tail = all(lam[i] == 0 for i in range(m - q, m))
+    return head and tail
+
+
 def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
     """True iff the orbit meets the arcs through a fixed rank-q base point.
 
@@ -53,10 +65,11 @@ def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: 
     _require_in_jet_space(lam, pair)
     if not 0 <= q <= pair.k:
         raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={q}")
-    m = pair.m
-    head = all(lam[i] > 0 for i in range(m - q))
-    tail = all(lam[i] == 0 for i in range(m - q, m))
-    return head and tail
+    return _meets_point_fiber(lam, pair, q)
+
+
+def _contact_order(lam: ExtendedPartition, pair: DeterminantalPair, i: int):
+    return sum(lam[pair.m - pair.k + i - 1:])
 
 
 def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i: int):
@@ -68,7 +81,13 @@ def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i:
     _require_in_jet_space(lam, pair)
     if not 1 <= i <= pair.k:
         raise PreconditionError(f"need 1 <= i <= k={pair.k}, got i={i}")
-    return sum(lam[pair.m - pair.k + i - 1:])
+    return _contact_order(lam, pair, i)
+
+
+def _nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
+    if pair.k == pair.m:
+        return 0
+    return (pair.m - pair.k) * sum(lam[pair.m - pair.k:])
 
 
 def nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
@@ -79,9 +98,19 @@ def nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
     order is 0.
     """
     _require_in_jet_space(lam, pair)
-    if pair.k == pair.m:
-        return 0
-    return (pair.m - pair.k) * sum(lam[pair.m - pair.k:])
+    return _nash_contact_order(lam, pair)
+
+
+def _require_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> None:
+    if not orbit_has_finite_codim(lam, pair):
+        raise PreconditionError(
+            f"orbit {lam.entries} has infinite codimension for k={pair.k}"
+        )
+
+
+def _codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
+    m, k = pair.m, pair.k
+    return sum((2 * i - 1) * lam[i - 1] for i in range(m - k + 1, m + 1))
 
 
 def orbit_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
@@ -90,12 +119,12 @@ def orbit_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
     Equals sum over i = m-k+1, ..., m of (2i - 1) * lam_i; requires finite
     codimension.
     """
-    if not orbit_has_finite_codim(lam, pair):
-        raise PreconditionError(
-            f"orbit {lam.entries} has infinite codimension for k={pair.k}"
-        )
-    m, k = pair.m, pair.k
-    return sum((2 * i - 1) * lam[i - 1] for i in range(m - k + 1, m + 1))
+    _require_finite_codim(lam, pair)
+    return _codim(lam, pair)
+
+
+def _codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> int:
+    return q * (2 * pair.m - q) + _codim(lam, pair)
 
 
 def orbit_codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> int:
@@ -108,4 +137,5 @@ def orbit_codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -
         raise PreconditionError(
             f"orbit {lam.entries} misses the fiber over a rank-{q} point"
         )
-    return q * (2 * pair.m - q) + orbit_codim(lam, pair)
+    _require_finite_codim(lam, pair)
+    return _codim_point(lam, pair, q)

@@ -1,7 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import detmld
+from detmld.cli import build_parser
+from detmld.core import new_pair
+from detmld.mld import is_lc_along, is_lc_at_rank
 
 
 class TestMldCommands:
@@ -165,8 +177,13 @@ class TestCliContract:
             (["straighten", "--file"], {"left": {"rows": [[1]]}}),
             (["straighten", "--file"], [[1], [2]]),
             (["straighten", "--file"], {"left": {"rows": [[1]]}, "right": {"rows": [[1]]}, "m": "x"}),
+            (["nash", "verify", "--m=--", "--k", "1"], None),
+            (["mld", "point", "--m", "3", "--k", "2", "--alphas=--", "--q", "0"], None),
         ],
-        ids=["orbit-lambda", "ord-lambda", "straighten-no-right", "straighten-list", "straighten-m"],
+        ids=[
+            "orbit-lambda", "ord-lambda", "straighten-no-right", "straighten-list", "straighten-m",
+            "int-option-dashes", "str-option-dashes",
+        ],
     )
     def test_malformed_input_is_argument_error(self, run_cli, tmp_path, args, content):
         if content is not None:
@@ -177,6 +194,23 @@ class TestCliContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("alphas", ["abc", "1/0", "1,,2"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mld", "point", "--m", "3", "--k", "2", "--q", "0"],
+            ["lc", "check", "--m", "3", "--k", "2", "--q", "0"],
+            ["semicontinuity", "--m", "3", "--k", "2"],
+        ],
+        ids=["mld-point", "lc-check", "semicontinuity"],
+    )
+    def test_malformed_alphas_is_argument_error(self, run_cli, args, alphas):
+        code, out, err = run_cli(args + ["--alphas", alphas])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --alphas")
         assert len(err.splitlines()) == 1
 
     def test_large_k_point_is_linear(self, run_cli):
@@ -216,6 +250,173 @@ class TestCliContract:
         assert "profile" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leak into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_argument_error_then_valid_call(self, run_cli, run_cli_json):
+        code, out, err = run_cli(["mld", "point", "--m", "3", "--k", "x"])
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err
+        assert run_cli_json(["mld", "point", "--m", "3", "--k", "2", "--alphas", "0,0", "--q", "0"])["mld"] == "6"
+
+    def test_pretty_then_plain(self, run_cli, run_cli_json):
+        args = ["semicontinuity", "--m", "3", "--k", "2", "--alphas", "0,0"]
+        code, pretty, _ = run_cli(args + ["--pretty"])
+        assert code == 0
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(pretty)
+        assert run_cli_json(args)["profile"] == ["6", "7", "8"]
+
+    def test_oracle_then_plain(self, run_cli_json):
+        args = ["mld", "locus", "--m", "3", "--k", "2", "--alphas", "0,0", "--j", "1"]
+        assert "oracle" in run_cli_json(args + ["--oracle", "3"])
+        plain = run_cli_json(args)
+        assert "oracle" not in plain
+        assert "agree" not in plain
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mld", "point", "--m", "4", "--k", "3", "--alphas", "1/2,0,1", "--q", "1", "--oracle", "3"],
+            ["mld", "locus", "--m", "5", "--k", "2", "--alphas", "3,1/2", "--j", "2"],
+            ["lc", "check", "--m", "3", "--k", "2", "--alphas", "5/2,0", "--q", "0"],
+            ["orbit", "codim", "--m", "3", "--k", "2", "--lambda", "inf,1,0", "--q", "1"],
+            ["ord", "--lambda", "3,2,1", "--m", "3", "--s", "2", "--N", "6", "--seed", "5"],
+            ["semicontinuity", "--m", "4", "--k", "3", "--alphas", "1,0,1/2"],
+        ],
+        ids=["mld-point", "mld-locus", "lc-check", "orbit-codim", "ord", "semicontinuity"],
+    )
+    def test_in_process_matches_fresh_process(self, run_cli_json, args):
+        # run every case in-process after the others have reused the parser
+        in_process = run_cli_json(args)
+        env = dict(os.environ, PYTHONPATH=str(Path(detmld.__file__).resolve().parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "detmld.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert json.loads(fresh.stdout) == in_process
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_lc_matches_criterion(self, run_cli_json, data):
+        # "lc" is read off the mld; it must equal the prefix-inequality criterion
+        m = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, m))
+        alphas = [Fraction(data.draw(st.integers(0, 12)), 2) for _ in range(k)]
+        pair = new_pair(m, k, alphas)
+        text = ",".join(str(a) for a in alphas)
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(0, k))
+            out = run_cli_json(["mld", "point", "--m", str(m), "--k", str(k), "--alphas", text, "--q", str(q)])
+            assert out["lc"] is is_lc_at_rank(pair, q)
+        else:
+            j = data.draw(st.integers(1, k))
+            out = run_cli_json(["mld", "locus", "--m", str(m), "--k", str(k), "--alphas", text, "--j", str(j)])
+            assert out["lc"] is is_lc_along(pair, j)
+
+
+# Argv fuzzing: a well-formed call of each subcommand, then up to three
+# mutations (drop a flag, replace a value with junk or an out-of-range integer,
+# insert a stray token).  Values are capped (m, k <= 6, --oracle <= 4,
+# --N <= 12) so that no run is slow; `nash verify` with m >= 3 and
+# `straighten --file` are left out.
+_COMMANDS = [  # (command, required flags, optional flags)
+    (["mld", "point"], ["--m", "--k", "--alphas", "--q"], ["--oracle"]),
+    (["mld", "locus"], ["--m", "--k", "--alphas", "--j"], ["--oracle"]),
+    (["lc", "check"], ["--m", "--k", "--alphas", "--q"], []),
+    (["lc", "check"], ["--m", "--k", "--alphas", "--j"], []),
+    (["orbit", "codim"], ["--m", "--k", "--lambda"], ["--q"]),
+    (["ord"], ["--m", "--lambda", "--s", "--N"], ["--seed"]),
+    (["nash", "verify"], ["--m", "--k"], ["--threads"]),
+    (["semicontinuity"], ["--m", "--k", "--alphas"], []),
+    (["straighten"], [], ["--kbound"]),
+    (["frobnicate"], [], []),
+]
+_FLAGS = sorted({flag for _, req, opt in _COMMANDS for flag in req + opt} | {"--pretty"})
+_JUNK = st.sampled_from(["abc", "", "inf", "-", "--", "1/0", "1,,2", "2,x", "0.5", "1e2", "mld", "--q"])
+_OUT_OF_RANGE = st.integers(-2, 9).map(str)
+_RATIONALS = st.lists(
+    st.builds(Fraction, st.integers(-2, 8), st.integers(1, 4)).map(str), max_size=6
+).map(",".join)
+
+
+@st.composite
+def _lambda(draw, m):
+    """Comma-separated entries, usually m of them and nonincreasing, INF first."""
+    length = m if draw(st.sampled_from([True] * 4 + [False])) else draw(st.integers(0, 7))
+    entries = draw(st.lists(st.integers(-1, 7), min_size=length, max_size=length))
+    if draw(st.sampled_from([True] * 3 + [False])):
+        entries.sort(reverse=True)
+    return ",".join("inf" if e == 7 else str(e) for e in entries)
+
+
+def _pairs(flag: str, value: str) -> list:
+    # argparse reads a separate value starting with "-" as an option
+    return [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+
+
+@st.composite
+def _argv(draw):
+    command, required, optional = draw(st.sampled_from(_COMMANDS))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, m))
+    valid = {
+        "--m": m, "--k": k, "--q": draw(st.integers(0, k)), "--j": draw(st.integers(1, k)),
+        "--s": draw(st.integers(1, m)), "--N": draw(st.integers(0, 12)),
+        "--seed": draw(st.integers(0, 99)), "--oracle": draw(st.integers(1, 4)),
+        "--threads": draw(st.integers(1, 2)), "--kbound": draw(st.integers(0, 3)),
+        "--alphas": draw(_RATIONALS), "--lambda": draw(_lambda(m)),
+    }
+    flags = required + [flag for flag in optional if draw(st.booleans())]
+    pairs = [_pairs(flag, str(valid[flag])) for flag in flags]
+    if draw(st.booleans()):
+        pairs.append(["--pretty"])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "replace", "insert"]))
+        if kind == "insert" or not pairs:
+            flag = draw(st.sampled_from(_FLAGS))
+            token = [flag] if flag == "--pretty" else _pairs(flag, draw(st.one_of(_JUNK, _OUT_OF_RANGE)))
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.one_of(st.just(token), _JUNK.map(lambda j: [j]))))
+        elif kind == "drop":
+            pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        else:
+            i = draw(st.integers(0, len(pairs) - 1))
+            flag = pairs[i][0].partition("=")[0]
+            if flag != "--pretty":
+                pairs[i] = _pairs(flag, draw(st.one_of(_JUNK, _OUT_OF_RANGE)))
+    return command + [token for pair in pairs for token in pair]
+
+
+def _slow(argv) -> bool:
+    """nash verify with some --m of 3 or more: exhaustive reductions."""
+    if argv[:2] != ["nash", "verify"]:
+        return False
+    values = [b for a, b in zip(argv, argv[1:]) if a == "--m"]
+    values += [a[len("--m="):] for a in argv if a.startswith("--m=")]
+    return any(v.isdigit() and int(v) >= 3 for v in values)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_argv_fuzz_exits_cleanly(run_cli, argv):
+    if _slow(argv):
+        return
+    code, out, err = run_cli(argv)
+    assert "Traceback" not in err
+    if code == 0:
+        if "--pretty" in argv:
+            assert out
+        else:
+            json.loads(out)
+    else:
+        assert code in (1, 2), (code, err)
+        assert err
 
 
 def _strip_timing(data):

@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 
 from detmld.core import INF, MldValue, PreconditionError, new_pair, new_partition
 from detmld.mld import beta_coefficients, mld_at_rank
+from detmld.orbits import (
+    contact_order_subvariety,
+    nash_contact_order,
+    orbit_codim,
+    orbit_codim_point,
+)
 from detmld.oracle import (
     ABOVE_TRUNCATION,
     LocusTarget,
@@ -99,6 +105,97 @@ class TestObjective:
         betas = beta_coefficients(pair, k)
         linear = sum((b * t for b, t in zip(betas, tail)), Fraction(0))
         assert value == linear
+
+
+@st.composite
+def objective_case(draw, max_m=6, max_entry=4):
+    """A pair with coefficients in (1/2)Z>=0, a target, and a valid tail for it."""
+    m = draw(st.integers(1, max_m))
+    k = draw(st.integers(1, m))
+    pair = new_pair(m, k, [Fraction(draw(st.integers(0, 8)), 2) for _ in range(k)])
+    if draw(st.booleans()):
+        target = PointTarget(draw(st.integers(0, k)))
+        free = k - target.q
+        floors = (1,) * free + (0,) * target.q
+        ceilings = (max_entry,) * free + (0,) * target.q
+    else:
+        target = LocusTarget(draw(st.integers(1, k)))
+        floors = (1,) * target.j + (0,) * (k - target.j)
+        ceilings = (max_entry,) * k
+    tail = []
+    for lo, hi in zip(floors, ceilings):
+        hi = min(hi, tail[-1]) if tail else hi
+        tail.append(draw(st.integers(lo, hi)))
+    return pair, target, tuple(tail)
+
+
+def checked_objective(pair, lam, target):
+    """The objective assembled from the public, individually checked orbit functions."""
+    if isinstance(target, PointTarget):
+        cod = orbit_codim_point(lam, pair, target.q)
+    else:
+        cod = orbit_codim(lam, pair)
+    weighted = sum(
+        (pair.alphas[i - 1] * contact_order_subvariety(lam, pair, i) for i in range(1, pair.k + 1)),
+        Fraction(0),
+    )
+    return cod - nash_contact_order(lam, pair) - weighted
+
+
+class TestObjectiveChecksOnce:
+    """discrepancy_objective checks each orbit once and then evaluates the
+    unchecked formula bodies; it must agree with the checked public functions
+    and still reject every invalid orbit."""
+
+    @settings(max_examples=150)
+    @given(objective_case())
+    def test_matches_checked_functions(self, case):
+        pair, target, tail = case
+        lam = full_partition(pair, tail)
+        assert discrepancy_objective(pair, lam, target) == checked_objective(pair, lam, target)
+
+    @settings(max_examples=60)
+    @given(objective_case())
+    def test_outside_jet_space_rejected(self, case):
+        pair, target, tail = case
+        if pair.k == pair.m:
+            return  # every orbit lies in the jet space when k = m
+        lam = new_partition((tail[0] + 1,) * (pair.m - pair.k) + tail)
+        with pytest.raises(PreconditionError, match="does not lie in the jet space"):
+            discrepancy_objective(pair, lam, target)
+
+    @settings(max_examples=60)
+    @given(objective_case())
+    def test_infinite_codim_rejected(self, case):
+        pair, target, tail = case
+        lam = new_partition((INF,) * (pair.m - pair.k + 1) + tail[1:])
+        with pytest.raises(PreconditionError, match="infinite codimension"):
+            discrepancy_objective(pair, lam, target)
+
+    @settings(max_examples=60)
+    @given(objective_case(), st.data())
+    def test_missing_point_fiber_rejected(self, case, data):
+        pair, _, _ = case
+        k = pair.k
+        q = data.draw(st.integers(0, k))
+        # a zero inside the first k - q entries, or a nonzero among the last q
+        if q < k and (q == 0 or data.draw(st.booleans())):
+            tail = (1,) * (k - q - 1) + (0,) * (q + 1)
+        else:
+            tail = (1,) * (k - q + 1) + (0,) * (q - 1)
+        lam = full_partition(pair, tail)
+        with pytest.raises(PreconditionError, match="misses the fiber"):
+            discrepancy_objective(pair, lam, PointTarget(q))
+
+    @settings(max_examples=60)
+    @given(objective_case(), st.data())
+    def test_not_centred_on_locus_rejected(self, case, data):
+        pair, _, _ = case
+        j = data.draw(st.integers(1, pair.k))
+        ones = data.draw(st.integers(0, j - 1))
+        lam = full_partition(pair, (1,) * ones + (0,) * (pair.k - ones))
+        with pytest.raises(PreconditionError, match="not centered"):
+            discrepancy_objective(pair, lam, LocusTarget(j))
 
 
 class TestMinimize:

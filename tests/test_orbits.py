@@ -123,6 +123,27 @@ class TestCodim:
         with pytest.raises(PreconditionError):
             orbit_codim_point(new_partition([INF, 1, 1]), new_pair(3, 2, []), 1)
 
+    def test_codim_point_infinite_rejected(self):
+        # meets the fiber over a rank-0 point, but lam_{m-k+1} is INF
+        with pytest.raises(PreconditionError, match="infinite codimension"):
+            orbit_codim_point(new_partition([INF, INF, 1]), new_pair(3, 2, []), 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lam, pair: orbit_has_finite_codim(lam, pair),
+            lambda lam, pair: orbit_meets_point_fiber(lam, pair, 0),
+            lambda lam, pair: contact_order_subvariety(lam, pair, 1),
+            lambda lam, pair: nash_contact_order(lam, pair),
+            lambda lam, pair: orbit_codim(lam, pair),
+            lambda lam, pair: orbit_codim_point(lam, pair, 0),
+        ],
+        ids=["finite_codim", "point_fiber", "contact_order", "nash", "codim", "codim_point"],
+    )
+    def test_every_public_function_checks_jet_space(self, call):
+        with pytest.raises(PreconditionError, match="does not lie in the jet space"):
+            call(new_partition([2, 1, 1]), new_pair(3, 2, []))
+
 
 class TestInvariants:
     @given(pair_with_finite_tail())
