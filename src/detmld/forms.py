@@ -486,24 +486,27 @@ def verify_chart_transition(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
     rows2, cols2 = _validate_chart(rows2, cols2, m, k)
     if rows1 == rows2 and cols1 == cols2:
         return True
-    row_swap = _swap_data(rows1, rows2)
-    col_swap = _swap_data(cols1, cols2)
-    if row_swap and cols1 == cols2 and col_swap is None:
-        if not _transition_identity(rows1, cols1, row_swap, m, k, transpose=False):
-            return False
-    elif col_swap and rows1 == rows2 and row_swap is None:
-        if not _transition_identity(cols1, rows1, col_swap, m, k, transpose=True):
-            return False
-    else:
-        raise PreconditionError(
-            "charts must differ by exactly one row swap or one column swap"
-        )
+    if not _swap_identity(rows1, cols1, rows2, cols2, m, k):
+        return False
     for rows, cols in ((rows1, cols1), (rows2, cols2)):
         try:
             _chart_sign(rows, cols, m, k)
         except RuntimeError:
             return False
     return True
+
+
+def _swap_identity(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
+    """The structural half of a transition check, for distinct valid charts."""
+    row_swap = _swap_data(rows1, rows2)
+    col_swap = _swap_data(cols1, cols2)
+    if row_swap and cols1 == cols2 and col_swap is None:
+        return _transition_identity(rows1, cols1, row_swap, m, k, transpose=False)
+    if col_swap and rows1 == rows2 and row_swap is None:
+        return _transition_identity(cols1, rows1, col_swap, m, k, transpose=True)
+    raise PreconditionError(
+        "charts must differ by exactly one row swap or one column swap"
+    )
 
 
 def _transition_identity(
@@ -669,6 +672,9 @@ def verify_nash(m: int, k: int, threads: Optional[int] = None) -> NashReport:
     realized_all = True
     index_range = range(1, m + 1)
     chart_indices = list(combinations(index_range, k))
+    # Each chart's sign comes from the lex reduction of its own variable wedge
+    # in the reference chart: the same reduction _chart_sign would repeat.
+    signs: Dict[tuple, int] = {}
     for rows_sel in chart_indices:
         for cols_sel in chart_indices:
             expected = canonical_mod_minors(
@@ -683,14 +689,16 @@ def verify_nash(m: int, k: int, threads: Optional[int] = None) -> NashReport:
             else:
                 sign = 0
                 realized_all = False
+            signs[rows_sel, cols_sel] = sign
             report.charts.append(
                 {"rows": list(rows_sel), "cols": list(cols_sel), "sign": sign, "realized": sign != 0}
             )
 
-    transitions_ok = True
-    for rows_a, cols_a, rows_b, cols_b in _single_swap_pairs(chart_indices):
-        if not verify_chart_transition(rows_a, cols_a, rows_b, cols_b, m, k):
-            transitions_ok = False
+    transitions_ok = all(
+        signs[rows_a, cols_a] and signs[rows_b, cols_b]
+        and _swap_identity(rows_a, cols_a, rows_b, cols_b, m, k)
+        for rows_a, cols_a, rows_b, cols_b in _single_swap_pairs(chart_indices)
+    )
 
     report.all_member = all_member
     report.order_independent = order_ok

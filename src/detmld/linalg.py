@@ -16,21 +16,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class PreparedSolver:
-    """Solve A x = b exactly for a fixed full-column-rank A and many b."""
+    """Solve A x = b exactly for a fixed full-column-rank A and many b.
 
-    def __init__(self, columns: Sequence[Sequence[Fraction]]):
+    Entries of A and b are `int` or `Fraction`; solutions are `Fraction`s.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[int | Fraction]]):
         n = self.ncols = len(columns)
         self.nrows = len(columns[0]) if columns else 0
         if any(len(col) != self.nrows for col in columns):
             raise ValueError("ragged column list")
-        rows: List[Dict[int, Fraction]] = [{} for _ in range(self.nrows)]
+        rows: List[Dict[int, int | Fraction]] = [{} for _ in range(self.nrows)]
         for c, col in enumerate(columns):
             for r, v in enumerate(col):
                 if v:
-                    rows[r][c] = Fraction(v)
+                    rows[r][c] = v
         # sparse_rows[r]: (s, nonzero entries of s * A[r]) for the least s making them integers.
         scales = [lcm(*(v.denominator for v in row.values())) for row in rows]
-        self.sparse_rows = [(s, [(c, int(s * v)) for c, v in r.items()]) for s, r in zip(scales, rows)]
+        self.sparse_rows = [
+            (s, [(c, v.numerator * (s // v.denominator)) for c, v in r.items()])
+            for s, r in zip(scales, rows)
+        ]
         # work[r] is row r of s_r * [A | I]; key n + i is column i of I.
         work = [dict(entries + [(n + r, s)]) for r, (s, entries) in enumerate(self.sparse_rows)]
         free = list(range(self.nrows))
@@ -70,7 +76,7 @@ class PreparedSolver:
                 if key >= n:
                     self.left_inverse[key - n].append((col, v * unit))
 
-    def solve(self, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    def solve(self, rhs: Sequence[int | Fraction]) -> Optional[List[Fraction]]:
         """Exact solution vector, or None when the system is inconsistent."""
         if self.ncols == 0:
             return [] if all(v == 0 for v in rhs) else None

@@ -2,16 +2,21 @@
 
 The variable layout is fixed and row-major: x_ij sits at index (i-1)*m + (j-1)
 of the exponent vector, so monomial-basis linear algebra downstream is stable.
-Also provides determinant polynomials of submatrices (memoized cofactor
+Also provides determinant polynomials of submatrices (memoized Leibniz
 expansion, no division) and exact truncated power series for the valuation
-oracle.
+oracle.  Products are computed in integers over a common denominator;
+coefficients are `Fraction`s at the public boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from functools import cache
+from itertools import permutations
+from math import lcm
+from operator import add
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .core import PreconditionError, format_rational, parse_rational
 
@@ -126,17 +131,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_layout(other)
-        terms: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exp, 0) + c1 * c2
-                if acc:
-                    terms[exp] = acc
-                else:
-                    terms.pop(exp, None)
+        den1, ints1 = _integer_terms(self.terms)
+        den2, ints2 = _integer_terms(other.terms)
+        acc: Dict[Exponents, int] = {}
+        get = acc.get
+        for e1, c1 in ints1:
+            for e2, c2 in ints2:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+        den = den1 * den2
         out = MultiPoly(self.m)
-        out.terms = terms
+        out.terms = {exp: Fraction(c, den) for exp, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -232,6 +237,12 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+def _integer_terms(terms: Dict[Exponents, Fraction]) -> Tuple[int, List[Tuple[Exponents, int]]]:
+    """(d, [(exponents, d * coefficient)]) with d the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(exp, c.numerator * (den // c.denominator)) for exp, c in terms.items()]
+
+
 @dataclass(frozen=True)
 class MinorIndex:
     """Row and column index sets of a square submatrix, sorted and 1-based."""
@@ -261,7 +272,7 @@ _MINOR_CACHE: Dict[Tuple[int, tuple, tuple], MultiPoly] = {}
 
 
 def minor_poly(idx: MinorIndex, m: int) -> MultiPoly:
-    """Determinant of the selected submatrix, by memoized cofactor expansion."""
+    """Determinant of the selected submatrix, by memoized Leibniz expansion."""
     if idx.size == 0:
         raise PreconditionError("empty minor")
     if idx.rows[-1] > m or idx.cols[-1] > m:
@@ -274,20 +285,31 @@ def _minor_poly(m: int, rows: tuple, cols: tuple) -> MultiPoly:
     cached = _MINOR_CACHE.get(key)
     if cached is not None:
         return cached
-    if len(rows) == 1:
-        result = MultiPoly.variable(m, rows[0], cols[0])
-    else:
-        i = rows[0]
-        rest = rows[1:]
-        result = MultiPoly.zero(m)
-        sign = 1
-        for pos, j in enumerate(cols):
-            sub = _minor_poly(m, rest, cols[:pos] + cols[pos + 1:])
-            term = MultiPoly.variable(m, i, j) * sub
-            result = result + (term if sign > 0 else -term)
-            sign = -sign
+    # One signed monomial per permutation: distinct permutations never share one.
+    n = m * m
+    offsets = [(i - 1) * m - 1 for i in rows]
+    terms: Dict[Exponents, Fraction] = {}
+    for perm, sign in _signed_permutations(len(rows)):
+        exp = [0] * n
+        for offset, p in zip(offsets, perm):
+            exp[offset + cols[p]] = 1
+        terms[tuple(exp)] = sign
+    result = MultiPoly(m)
+    result.terms = terms
     _MINOR_CACHE[key] = result
     return result
+
+
+@cache
+def _signed_permutations(size: int) -> tuple:
+    """(permutation of range(size), its sign as a Fraction) for every permutation.
+
+    Cached, so all minors of one size share their +1 and -1 coefficients."""
+    out = []
+    for perm in permutations(range(size)):
+        inversions = sum(a > b for pos, a in enumerate(perm) for b in perm[pos + 1:])
+        out.append((perm, Fraction((-1) ** inversions)))
+    return tuple(out)
 
 
 class TruncatedSeries:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional
 
 from .core import PreconditionError
@@ -157,7 +158,7 @@ class DoubleTableau:
     right: Tableau
 
     def __post_init__(self):
-        if self.left.shape != self.right.shape:
+        if list(map(len, self.left.rows)) != list(map(len, self.right.rows)):
             raise PreconditionError(
                 f"sides have different shapes: {self.left.shape.rows} vs {self.right.shape.rows}"
             )
@@ -227,14 +228,15 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
     Rows are read as index sets, so the value is insensitive to the order of
     entries within a row; repeated entries within a row are rejected.
     """
-    result = MultiPoly.one(m)
+    result = None
     for lrow, rrow in zip(dt.left.rows, dt.right.rows):
         if len(set(lrow)) != len(lrow) or len(set(rrow)) != len(rrow):
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
         if max(lrow) > m or max(rrow) > m:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
-        result = result * minor_poly(MinorIndex(tuple(lrow), tuple(rrow)), m)
-    return result
+        minor = minor_poly(MinorIndex(tuple(lrow), tuple(rrow)), m)
+        result = minor if result is None else result * minor
+    return MultiPoly.one(m) if result is None else result
 
 
 def _partitions(total: int, max_part: int) -> Iterable[tuple]:
@@ -256,43 +258,43 @@ def enumerate_standard_tableaux(
     content are produced.  Order is lexicographic on the rows.
     """
     shape = tuple(shape)
-    if not shape:
-        if content is not None and any(content):
-            return []
-        return [Tableau(())]
-    results: List[Tableau] = []
-    remaining = list(content) if content is not None else None
+    # The tableau is filled one value at a time.  The entries <= v form a
+    # partition inside the shape, and the entries equal to v add at most one
+    # box to each row, so a step chooses the rows that take v.
+    values = [v for v in range(1, m + 1) if content is None or content[v - 1]]
+    if max(shape, default=0) > len(values):
+        return []
+    filled: List[List[int]] = [[] for _ in shape]
+    results: List[tuple] = []
 
-    def rows_for(length: int, lower: tuple) -> Iterable[tuple]:
-        # strictly increasing rows, entrywise >= the row above
-        def extend(prefix: tuple, start: int) -> Iterable[tuple]:
-            pos = len(prefix)
-            if pos == length:
-                yield prefix
-                return
-            floor = max(start, lower[pos] if pos < len(lower) else 1)
-            for v in range(floor, m + 1):
-                if remaining is not None and remaining[v - 1] == 0:
-                    continue
-                if remaining is not None:
-                    remaining[v - 1] -= 1
-                yield from extend(prefix + (v,), v + 1)
-                if remaining is not None:
-                    remaining[v - 1] += 1
-
-        yield from extend((), 1)
-
-    def build(row_idx: int, rows: tuple) -> None:
-        if row_idx == len(shape):
-            if remaining is None or all(c == 0 for c in remaining):
-                results.append(Tableau(rows))
+    def place(i: int) -> None:
+        # Invariant: no row misses more boxes than there are values from values[i] on.
+        if i == len(values):
+            results.append(tuple(map(tuple, filled)))
             return
-        lower = rows[-1] if rows else ()
-        for row in rows_for(shape[row_idx], lower):
-            build(row_idx + 1, rows + (row,))
+        v = values[i]
+        later = len(values) - i - 1
+        lengths = [len(row) for row in filled]
+        open_rows = [r for r, length in enumerate(lengths) if length < shape[r]]
+        needed = {r for r in open_rows if shape[r] - lengths[r] > later}
+        # A row as long as the one above may take v only together with it.
+        blocked = [r for r in open_rows if r and lengths[r - 1] == lengths[r]]
+        sizes = range(len(needed), len(open_rows) + 1) if content is None else (content[v - 1],)
+        for size in sizes:
+            for chosen in combinations(open_rows, size):
+                if needed and not needed.issubset(chosen):
+                    continue
+                if blocked and any(r in chosen and r - 1 not in chosen for r in blocked):
+                    continue
+                for r in chosen:
+                    filled[r].append(v)
+                place(i + 1)
+                for r in chosen:
+                    filled[r].pop()
 
-    build(0, ())
-    return results
+    place(0)
+    results.sort()
+    return [Tableau(rows) for rows in results]
 
 
 def enumerate_standard_basis(
@@ -353,11 +355,12 @@ class _ContentBlock:
                 "standard basis size does not match the monomial count for content "
                 f"{row_content} | {col_content}: this contradicts the straightening law"
             )
+        # Bideterminants have integer coefficients, so the columns are integers.
         columns = []
         for dt in self.tableaux:
-            vec = [Fraction(0)] * len(self.monomials)
+            vec = [0] * len(self.monomials)
             for exp, coef in bideterminant(dt, m).terms.items():
-                vec[self.index[exp]] = coef
+                vec[self.index[exp]] = coef.numerator
             columns.append(vec)
         try:
             self.solver = PreparedSolver(columns)

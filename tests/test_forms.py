@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -258,6 +260,42 @@ class TestVerifyNash:
         with pytest.raises(PreconditionError):
             verify_nash(4, 2)
 
+    def test_transitions_agree_with_the_public_check(self):
+        for m, k in ((2, 1), (3, 1), (3, 2)):
+            charts = list(combinations(range(1, m + 1), k))
+            expected = all(
+                verify_chart_transition(rows_a, cols_a, rows_b, cols_b, m, k)
+                for rows_a, cols_a, rows_b, cols_b in forms._single_swap_pairs(charts)
+            )
+            assert expected
+            assert verify_nash(m, k).transitions_ok == expected
+
+    def test_unrealized_chart_fails_its_transitions(self, monkeypatch):
+        # A chart whose own wedge does not reduce to +-(its minor)^(m-k) has
+        # sign 0, and every transition through it fails.
+        broken = chart_variable_set((2,), (1,), 2)
+        real = forms.reduce_top_form
+
+        def reduce_breaking_one_chart(positions, chart, elimination_order="lex"):
+            result = real(positions, chart, elimination_order)
+            if tuple(sorted(positions)) == broken:
+                return dataclasses.replace(result, coefficient=MultiPoly.zero(2))
+            return result
+
+        monkeypatch.setattr(forms, "reduce_top_form", reduce_breaking_one_chart)
+        report = verify_nash(2, 1)
+        signs = {(tuple(c["rows"]), tuple(c["cols"])): c["sign"] for c in report.charts}
+        assert signs[(2,), (1,)] == 0
+        assert all(sign != 0 for key, sign in signs.items() if key != ((2,), (1,)))
+        assert not report.minors_realized
+        assert not report.transitions_ok
+
+    def test_failed_swap_identity_fails_transitions(self, monkeypatch):
+        monkeypatch.setattr(forms, "_transition_identity", lambda *args, **kwargs: False)
+        report = verify_nash(2, 1)
+        assert report.minors_realized
+        assert not report.transitions_ok
+
     def test_cold_run_after_clear_caches_matches_warm_run(self):
         def strip(report):
             data = report.to_json()
@@ -303,6 +341,22 @@ class TestVerifyNash:
         monkeypatch.setenv("DETMLD_THREADS", "0")
         with pytest.raises(PreconditionError):
             default_thread_count()
+
+
+class TestFrontier:
+    def test_rank_one_in_four_reduction_is_pinned(self):
+        # A (4,1) top-form with B = 5 > m - k, so it takes the division path.
+        # The digest is of the coefficient JSON as first computed.
+        chart = chart_form((1,), (1,), 4, 1)
+        positions = [(1, 3), (2, 1), (2, 4), (3, 3), (3, 4), (4, 2), (4, 3)]
+        for order in ("lex", "revlex"):
+            result = reduce_top_form(positions, chart, elimination_order=order)
+            text = json.dumps(result.coefficient.to_json())
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "0c63e788f7e35cbab7babf21ba50c39ac8fcdc399ef5d3d1bab2890bad84b5d2"
+            )
+            assert result.denominator_power == 5
+            assert result.certificate.is_member
 
 
 class TestSubstitutionOracle:

@@ -140,3 +140,16 @@ def test_one_solver_many_right_hand_sides():
         rhs = apply(columns, x)
         rhs[t % 5] += 1
         assert solver.solve(rhs) == reference_solve(columns, rhs)
+
+
+@given(full_rank_systems(), st.data())
+def test_integer_columns_match_fraction_columns(columns, data):
+    as_fractions = [[Fraction(v) for v in col] for col in columns]
+    ints, fracs = PreparedSolver(columns), PreparedSolver(as_fractions)
+    assert ints.denominator == fracs.denominator
+    assert ints.left_inverse == fracs.left_inverse
+    x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+    rhs = apply(columns, x)
+    assert ints.solve(rhs) == fracs.solve(rhs) == x
+    rhs[0] += 1
+    assert ints.solve(rhs) == fracs.solve(rhs)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -20,7 +21,7 @@ def x(m, i, j):
 
 
 def leibniz_minor(rows, cols, m):
-    """Independent oracle: the determinant by direct permutation expansion."""
+    """The determinant by direct permutation expansion, through MultiPoly products."""
     total = MultiPoly.zero(m)
     n = len(rows)
     for perm in permutations(range(n)):
@@ -114,7 +115,9 @@ class TestMinors:
             MinorIndex((1, 2), (1,))
 
     def test_cofactor_consistency(self):
-        # against the independent permutation expansion, all sizes <= 4 in m = 4
+        # against the permutation expansion through MultiPoly products, all sizes
+        # <= 4 in m = 4; the library expands minors the same way, so the
+        # independent oracle is the elimination test below
         m = 4
         for size in range(1, 5):
             for rows in combinations(range(1, 5), size):
@@ -122,6 +125,74 @@ class TestMinors:
                     assert minor_poly(MinorIndex(rows, cols), m) == leibniz_minor(
                         rows, cols, m
                     )
+
+
+def elimination_determinant(matrix):
+    """Independent oracle: the determinant by exact Fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+class TestMinorsAgainstElimination:
+    def test_every_minor_up_to_m5_at_random_points(self):
+        rng = random.Random(4)
+        for m in range(1, 6):
+            points = [[rng.randint(-9, 9) for _ in range(m * m)] for _ in range(3)]
+            for size in range(1, m + 1):
+                for rows in combinations(range(1, m + 1), size):
+                    for cols in combinations(range(1, m + 1), size):
+                        poly = minor_poly(MinorIndex(rows, cols), m)
+                        for point in points:
+                            sub = [[point[(i - 1) * m + j - 1] for j in cols] for i in rows]
+                            assert poly.evaluate(point) == elimination_determinant(sub)
+
+
+def naive_product(p, q):
+    """Independent oracle: pairwise Fraction products, summed term by term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+_coefficients = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+_exponents = st.tuples(*[st.integers(0, 2)] * 4)
+polys_m2 = st.one_of(
+    st.just(MultiPoly.zero(2)),
+    _coefficients.map(lambda c: MultiPoly.constant(2, c)),
+    st.dictionaries(_exponents, _coefficients, max_size=6).map(lambda t: MultiPoly(2, t)),
+)
+
+
+class TestProductAgainstNaive:
+    @given(polys_m2, polys_m2)
+    def test_matches_naive_product(self, p, q):
+        product = p * q
+        assert product.terms == naive_product(p, q)
+        assert all(isinstance(c, Fraction) and c != 0 for c in product.terms.values())
+
+    @given(polys_m2, polys_m2)
+    def test_cancelling_cross_terms(self, p, q):
+        # (p + q)(p - q): the cross terms p*q and q*p cancel inside the product.
+        f, g = p + q, p - q
+        assert (f * g).terms == naive_product(f, g)
+        assert f * g == p * p - q * q
 
 
 class TestSeries:

@@ -44,6 +44,21 @@ def all_double_tableaux(m, degree):
     return out
 
 
+def brute_force_tableaux(m, shape):
+    """Independent oracle: every filling with entries 1..m that is_standard
+    accepts.  Rows have fixed lengths, so the product order is row-lexicographic."""
+    out = []
+    for values in product(range(1, m + 1), repeat=sum(shape)):
+        rows, start = [], 0
+        for length in shape:
+            rows.append(values[start:start + length])
+            start += length
+        tableau = Tableau(tuple(rows))
+        if is_standard(tableau):
+            out.append(tableau)
+    return out
+
+
 def _shapes(total, max_part):
     if total == 0:
         yield ()
@@ -141,6 +156,10 @@ class TestBideterminant:
         with pytest.raises(PreconditionError):
             bideterminant(dt(((1, 1),), ((1, 2),)), 2)
 
+    def test_empty_double_tableau_is_one(self):
+        for m in (1, 2, 3):
+            assert bideterminant(dt((), ()), m) == MultiPoly.one(m)
+
 
 class TestEnumeration:
     def test_degree_one(self):
@@ -168,6 +187,19 @@ class TestEnumeration:
         # hook content (1,1,0): fillings of shape (2) with entries {1,2}: [1,2]
         got = enumerate_standard_tableaux(3, (2,), (1, 1, 0))
         assert [t.rows for t in got] == [((1, 2),)]
+
+    def test_matches_brute_force_filter(self):
+        # every shape of size <= 5 (rows longer than m, or more rows than m,
+        # included), m <= 4, without content and with every content
+        for m in range(1, 5):
+            for size in range(6):
+                contents = [c for c in product(range(size + 1), repeat=m) if sum(c) == size]
+                for shape in _shapes(size, size):
+                    fillings = brute_force_tableaux(m, shape)
+                    assert enumerate_standard_tableaux(m, shape) == fillings
+                    for content in contents:
+                        expected = [t for t in fillings if t.content(m) == content]
+                        assert enumerate_standard_tableaux(m, shape, content) == expected
 
 
 class TestStraighten:
