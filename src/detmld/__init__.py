@@ -1,6 +1,8 @@
 """Exact minimal log discrepancies of determinantal pairs of square matrices,
 with independent brute-force verification oracles."""
 
+from types import ModuleType as _ModuleType
+
 from . import forms, polynomials, tableaux
 from .core import (
     INF,
@@ -81,4 +83,9 @@ def clear_caches() -> None:
         cache.clear()
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules stay reachable as attributes (detmld.forms) but are not exported.
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

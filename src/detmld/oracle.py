@@ -24,6 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Iterator, Optional, Union
 
 from .core import INF, DeterminantalPair, ExtendedPartition, MldValue, PreconditionError
@@ -31,7 +33,7 @@ from .mld import beta_coefficients, mld_along, mld_at_rank
 from .orbits import (
     _codim,
     _codim_point,
-    _contact_order,
+    _contact_orders,
     _meets_point_fiber,
     _nash_contact_order,
     orbit_has_finite_codim,
@@ -131,18 +133,23 @@ def full_partition(pair: DeterminantalPair, tail) -> ExtendedPartition:
     return ExtendedPartition((INF,) * (pair.m - pair.k) + tail)
 
 
-def discrepancy_objective(
-    pair: DeterminantalPair, lam: ExtendedPartition, target: Target
-) -> Fraction:
-    """codim - (Nash contact order) - sum_i alpha_i * w_i for one orbit.
+def _scaled_alphas(pair: DeterminantalPair) -> tuple:
+    """The lcm D of the coefficient denominators and the integers D * alpha_i."""
+    denominator = lcm(*(a.denominator for a in pair.alphas))
+    return denominator, tuple(a.numerator * (denominator // a.denominator) for a in pair.alphas)
 
-    The codimension is taken relative to the target: through a rank-q point
-    for a point target, plain orbit codimension for a locus target.  The
-    orbit must satisfy the target's membership conditions with finite
-    codimension.  Each condition is checked once here; the orbit formulas
-    are then evaluated unchecked.
+
+def _scaled_objective(
+    pair: DeterminantalPair,
+    lam: ExtendedPartition,
+    target: Target,
+    denominator: int,
+    scaled_alphas: tuple,
+) -> int:
+    """`denominator` times the objective of one orbit, in integers.
+
+    Checks the orbit's membership conditions, not the target itself.
     """
-    _validate_target(pair, target)
     if not orbit_has_finite_codim(lam, pair):
         raise PreconditionError(
             f"orbit {lam.entries} has infinite codimension; objective undefined"
@@ -160,15 +167,27 @@ def discrepancy_objective(
                 f"orbit {lam.entries} is not centered in the rank <= {k - target.j} sublocus"
             )
         cod = _codim(lam, pair)
-    nash = _nash_contact_order(lam, pair)
-    weighted = sum(
-        (
-            pair.alphas[i - 1] * _contact_order(lam, pair, i)
-            for i in range(1, pair.k + 1)
-        ),
-        Fraction(0),
+    weighted = sum(map(mul, scaled_alphas, _contact_orders(lam, pair)))
+    return denominator * (cod - _nash_contact_order(lam, pair)) - weighted
+
+
+def discrepancy_objective(
+    pair: DeterminantalPair, lam: ExtendedPartition, target: Target
+) -> Fraction:
+    """codim - (Nash contact order) - sum_i alpha_i * w_i for one orbit.
+
+    The codimension is taken relative to the target: through a rank-q point
+    for a point target, plain orbit codimension for a locus target.  The
+    orbit must satisfy the target's membership conditions with finite
+    codimension.  Each condition is checked once here; the orbit formulas
+    are then evaluated unchecked, in integers over the common denominator
+    of the coefficients.
+    """
+    _validate_target(pair, target)
+    denominator, scaled_alphas = _scaled_alphas(pair)
+    return Fraction(
+        _scaled_objective(pair, lam, target, denominator, scaled_alphas), denominator
     )
-    return Fraction(cod - nash) - weighted
 
 
 def _descending_tails(length: int, hi: int, floors: tuple) -> Iterator[tuple]:
@@ -219,18 +238,22 @@ def minimize_objective(
             at_boundary=False,
             prefix_unbounded=True,
         )
-    searched = count
-    best: Optional[Fraction] = None
+    # Values are compared scaled by the positive common denominator, which
+    # keeps their order, so the search runs on integers.
+    denominator, scaled_alphas = _scaled_alphas(pair)
+    best: Optional[int] = None
     best_tail: Optional[tuple] = None
     for tail in iter_tails(pair, target, bound):
-        value = discrepancy_objective(pair, full_partition(pair, tail), target)
+        value = _scaled_objective(
+            pair, full_partition(pair, tail), target, denominator, scaled_alphas
+        )
         if best is None or value < best or (value == best and tail < best_tail):
             best, best_tail = value, tail
     if best is None:
         raise PreconditionError("empty search domain")
-    at_boundary = any(v == bound for v in best_tail[:searched])
+    at_boundary = any(v == bound for v in best_tail[:count])
     return OracleResult(
-        minimum=MldValue.finite(best),
+        minimum=MldValue.finite(Fraction(best, denominator)),
         argmin=best_tail,
         at_boundary=at_boundary,
         prefix_unbounded=False,

@@ -17,6 +17,8 @@ bodies directly.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .core import INF, DeterminantalPair, ExtendedPartition, PreconditionError
 
 
@@ -68,8 +70,9 @@ def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: 
     return _meets_point_fiber(lam, pair, q)
 
 
-def _contact_order(lam: ExtendedPartition, pair: DeterminantalPair, i: int):
-    return sum(lam[pair.m - pair.k + i - 1:])
+def _contact_orders(lam: ExtendedPartition, pair: DeterminantalPair) -> tuple:
+    # w_i = lam_{m-k+i} + ... + lam_m for i = 1..k: one running sum from the right
+    return tuple(accumulate(reversed(lam.entries[pair.m - pair.k:])))[::-1]
 
 
 def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i: int):
@@ -81,7 +84,7 @@ def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i:
     _require_in_jet_space(lam, pair)
     if not 1 <= i <= pair.k:
         raise PreconditionError(f"need 1 <= i <= k={pair.k}, got i={i}")
-    return _contact_order(lam, pair, i)
+    return _contact_orders(lam, pair)[i - 1]
 
 
 def _nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,18 @@ class TestObjectiveChecksOnce:
         lam = full_partition(pair, tail)
         assert discrepancy_objective(pair, lam, target) == checked_objective(pair, lam, target)
 
+    def test_coprime_denominators(self):
+        # the coefficients' common denominator is 3 * 5 * 7 = 105
+        pair = new_pair(4, 3, [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)])
+        denominators = set()
+        for target in (PointTarget(0), PointTarget(1), LocusTarget(1), LocusTarget(3)):
+            for tail in iter_tails(pair, target, 3):
+                lam = full_partition(pair, tail)
+                value = discrepancy_objective(pair, lam, target)
+                assert value == checked_objective(pair, lam, target)
+                denominators.add(value.denominator)
+        assert {15, 21, 35, 105} <= denominators
+
     @settings(max_examples=60)
     @given(objective_case())
     def test_outside_jet_space_rejected(self, case):
@@ -196,6 +209,31 @@ class TestObjectiveChecksOnce:
         lam = full_partition(pair, (1,) * ones + (0,) * (pair.k - ones))
         with pytest.raises(PreconditionError, match="not centered"):
             discrepancy_objective(pair, lam, LocusTarget(j))
+
+
+@st.composite
+def small_rational(draw):
+    """p/q in [-4, 4] with q in {1, 2, 3, 5, 7}."""
+    q = draw(st.sampled_from((1, 2, 3, 5, 7)))
+    return Fraction(draw(st.integers(-4 * q, 4 * q)), q)
+
+
+def reference_search(pair, target, bound):
+    """The bounded search redone in Fraction arithmetic from the checked public
+    orbit functions, with the prefix-sum certificate taken from the alphas.
+    Returns (minimum, argmin, at_boundary, prefix_unbounded)."""
+    m, k = pair.m, pair.k
+    count = k - target.q if isinstance(target, PointTarget) else k
+    prefix = Fraction(0)
+    for j in range(1, count + 1):
+        prefix += (m - k) + (2 * j - 1) - sum(pair.alphas[:j])
+        if prefix < 0:
+            return MldValue.NEG_INFINITY, None, False, True
+    value, tail = min(
+        (checked_objective(pair, full_partition(pair, tail), target), tail)
+        for tail in iter_tails(pair, target, bound)
+    )
+    return MldValue.finite(value), tail, any(v == bound for v in tail[:count]), False
 
 
 class TestMinimize:
@@ -241,6 +279,25 @@ class TestMinimize:
         assert result.argmin == (1, 1)
         assert not result.at_boundary
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        m = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, m))
+        pair = new_pair(m, k, [data.draw(small_rational()) for _ in range(k)])
+        if data.draw(st.booleans()):
+            target = PointTarget(data.draw(st.integers(0, k)))
+        else:
+            target = LocusTarget(data.draw(st.integers(1, k)))
+        bound = data.draw(st.integers(1, 3))
+        result = minimize_objective(pair, target, bound)
+        assert (
+            result.minimum,
+            result.argmin,
+            result.at_boundary,
+            result.prefix_unbounded,
+        ) == reference_search(pair, target, bound)
+
     @settings(max_examples=40)
     @given(st.data())
     def test_enumeration_count_matches_recursion(self, data):
@@ -275,6 +332,43 @@ class TestComparison:
         assert comp.oracle.argmin == (1, 1)
         assert not comp.oracle.at_boundary
         assert not comp.agree
+
+    def test_divergence_characterisation(self):
+        # Exhaustive over m <= 3, alpha in {0, 1/2, ..., 4}^k, every point and
+        # locus target, bound 6: the search and the closed form disagree
+        # exactly when some beta is negative while every beta prefix sum stays
+        # nonnegative.  At a point the search then returns the closed-form
+        # expression without its lc gate.
+        grid = [Fraction(i, 2) for i in range(9)]
+        cases = divergent = divergent_points = 0
+        for m in range(1, 4):
+            for k in range(1, m + 1):
+                targets = [PointTarget(q) for q in range(k + 1)]
+                targets += [LocusTarget(j) for j in range(1, k + 1)]
+                for alphas in product(grid, repeat=k):
+                    pair = new_pair(m, k, alphas)
+                    for target in targets:
+                        cases += 1
+                        comp = compare_with_closed_form(pair, target, 6)
+                        point = isinstance(target, PointTarget)
+                        betas = beta_coefficients(pair, k - target.q if point else k)
+                        gap = any(b < 0 for b in betas) and all(
+                            s >= 0 for s in betas.prefix_sums()
+                        )
+                        assert comp.agree != gap, (m, k, alphas, target)
+                        if comp.agree:
+                            continue
+                        divergent += 1
+                        if point:
+                            divergent_points += 1
+                            q = target.q
+                            ungated = q * (m - k) + k * m - sum(
+                                (k - q - i + 1) * alphas[i - 1] for i in range(1, k - q + 1)
+                            )
+                            assert comp.oracle.minimum == MldValue.finite(ungated), (
+                                m, k, alphas, target,
+                            )
+        assert (cases, divergent, divergent_points) == (5994, 168, 64)
 
     def test_smooth_ambient(self):
         comp = compare_with_closed_form(new_pair(2, 2, []), PointTarget(0), 2)
