@@ -16,7 +16,6 @@ from typing import Optional
 
 from .core import (
     INF,
-    MldValue,
     PreconditionError,
     format_rational,
     new_pair,
@@ -109,9 +108,6 @@ def _emit(data: dict, pretty: bool) -> None:
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretty", action="store_true", help="render aligned tables")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="cap internal parallelism (values never change)"
-    )
 
 
 def _mld_report(args, target) -> dict:
@@ -227,7 +223,7 @@ def _cmd_straighten(args) -> dict:
     except (KeyError, TypeError):
         raise _InputError(
             f'{args.file} is not a double tableau: need an object with "left" and "right", '
-            'each an object with "rows"'
+            'each an object with "rows", a list of lists of integers'
         ) from None
     m = data.get("m")
     if m is None:
@@ -244,7 +240,7 @@ def _cmd_straighten(args) -> dict:
 
 
 def _cmd_nash_verify(args) -> dict:
-    report = verify_nash(args.m, args.k, threads=args.threads)
+    report = verify_nash(args.m, args.k)
     return report.to_json()
 
 

@@ -131,10 +131,6 @@ class ExtendedPartition:
     def __getitem__(self, i):
         return self.entries[i]
 
-    @property
-    def finite_entries(self) -> tuple:
-        return tuple(e for e in self.entries if e is not INF)
-
     def to_json(self) -> list:
         return ["inf" if e is INF else e for e in self.entries]
 
@@ -164,9 +160,9 @@ class DeterminantalPair:
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
-            raise PreconditionError(f"matrix size m must be a positive integer, got {self.m}")
+            raise PreconditionError(f"matrix size m must be a positive integer, got {self.m!r}")
         if not isinstance(self.k, int) or self.k < 1:
-            raise PreconditionError(f"rank bound k must be >= 1, got {self.k}")
+            raise PreconditionError(f"rank bound k must be a positive integer, got {self.k!r}")
         if self.k > self.m:
             raise PreconditionError(f"rank bound k={self.k} exceeds matrix size m={self.m}")
         alphas = tuple(Fraction(a) for a in self.alphas)
@@ -187,16 +183,13 @@ class DeterminantalPair:
 def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     """Build a pair; coefficient lists shorter than k are right-padded with zeros.
 
-    The pair's constructor converts the coefficients to Fraction.
+    The pair's constructor converts the coefficients to Fraction and makes
+    every check.
     """
     alphas = tuple(alphas)
-    if not isinstance(k, int) or not isinstance(m, int):
-        raise PreconditionError("m and k must be integers")
-    if k < 1 or k > m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if len(alphas) > k:
-        raise PreconditionError(f"at most k={k} coefficients allowed, got {len(alphas)}")
-    return DeterminantalPair(m, k, alphas + (0,) * (k - len(alphas)))
+    if isinstance(k, int):
+        alphas += (0,) * (k - len(alphas))
+    return DeterminantalPair(m, k, alphas)
 
 
 @total_ordering

@@ -20,9 +20,7 @@ the standard-basis projection; no fraction fields appear anywhere.
 from __future__ import annotations
 
 import bisect
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +31,6 @@ from .polynomials import MinorIndex, MultiPoly, minor_poly
 from .tableaux import (
     DoubleTableau,
     Membership,
-    StandardExpansion,
     bideterminant,
     canonical_mod_minors,
     enumerate_standard_basis,
@@ -96,9 +93,6 @@ class ExteriorForm:
 
     def __neg__(self) -> "ExteriorForm":
         return ExteriorForm(self.m, self.degree, {w: -p for w, p in self.terms.items()})
-
-    def scale(self, poly: MultiPoly) -> "ExteriorForm":
-        return ExteriorForm(self.m, self.degree, {w: poly * p for w, p in self.terms.items()})
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.m != other.m:
@@ -238,10 +232,6 @@ class ChartForm:
     @property
     def exponent(self) -> int:
         return self.m - self.k
-
-    @property
-    def minor_index(self) -> MinorIndex:
-        return MinorIndex(self.rows, self.cols)
 
     @property
     def variables(self) -> Wedge:
@@ -563,19 +553,6 @@ def _minor_positions(idx: MinorIndex) -> list:
     return [(i, j) for i in idx.rows for j in idx.cols]
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("DETMLD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"DETMLD_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise PreconditionError(f"DETMLD_THREADS must be >= 1, got {n}")
-    return n
-
-
 @dataclass
 class NashReport:
     """Exhaustive reduction report for one (m, k)."""
@@ -614,7 +591,7 @@ class NashReport:
         }
 
 
-def verify_nash(m: int, k: int, threads: Optional[int] = None) -> NashReport:
+def verify_nash(m: int, k: int) -> NashReport:
     """Reduce every top-form of the right degree and certify the Nash-ideal
     containment: each coefficient F lies in the subalgebra of k x k minors
     in degree m-k, every chart minor power is realized by its own chart
@@ -626,32 +603,20 @@ def verify_nash(m: int, k: int, threads: Optional[int] = None) -> NashReport:
         raise PreconditionError(
             f"exhaustive verification is guarded to m <= {VERIFY_GUARD_M}, got m={m}"
         )
-    threads = default_thread_count() if threads is None else threads
-    if threads < 1:
-        raise PreconditionError(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
     chart = chart_form(reference_chart_indices(k), reference_chart_indices(k), m, k)
     positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     size = k * (2 * m - k)
-    subsets = list(combinations(positions, size))
-
-    def reduce_both(subset):
-        t0 = time.perf_counter()
-        first = reduce_top_form(subset, chart, elimination_order="lex")
-        second = reduce_top_form(subset, chart, elimination_order="revlex")
-        return subset, first, second, time.perf_counter() - t0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(reduce_both, subsets))
-    else:
-        rows = [reduce_both(s) for s in subsets]
 
     report = NashReport(m=m, k=k)
     by_subset: Dict[Wedge, MultiPoly] = {}
     all_member = True
     order_ok = True
-    for subset, first, second, seconds in rows:
+    for subset in combinations(positions, size):
+        t0 = time.perf_counter()
+        first = reduce_top_form(subset, chart, elimination_order="lex")
+        second = reduce_top_form(subset, chart, elimination_order="revlex")
+        seconds = time.perf_counter() - t0
         matches = first.coefficient == second.coefficient
         order_ok = order_ok and matches
         all_member = all_member and first.certificate.is_member

@@ -20,6 +20,7 @@ reported and flagged rather than reconciled.
 
 from __future__ import annotations
 
+import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,20 +59,14 @@ class LocusTarget:
 Target = Union[PointTarget, LocusTarget]
 
 
-class _AboveTruncation:
-    __slots__ = ()
-    _instance = None
+class _AboveTruncation(enum.Enum):
+    """Every minor vanishes beyond the truncation.  An enum member, so it
+    stays one object under copy and pickle and callers test it with `is`."""
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ABOVE_TRUNCATION"
+    ABOVE_TRUNCATION = enum.auto()
 
 
-ABOVE_TRUNCATION = _AboveTruncation()
+ABOVE_TRUNCATION = _AboveTruncation.ABOVE_TRUNCATION
 
 
 @dataclass(frozen=True)

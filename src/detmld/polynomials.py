@@ -186,10 +186,6 @@ class MultiPoly:
             total += term
         return total
 
-    def total_degree(self) -> int:
-        """Largest total degree among terms; 0 for the zero polynomial."""
-        return max((sum(exp) for exp in self.terms), default=0)
-
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if inhomogeneous or zero."""
         degs = {sum(exp) for exp in self.terms}

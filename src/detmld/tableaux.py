@@ -111,10 +111,16 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tableau":
-        t = cls(tuple(tuple(r) for r in data["rows"]))
+        """Read outside input: "rows" must be a list of lists of JSON integers."""
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+        ):
+            raise TypeError(f"tableau rows must be lists of integers, got {rows!r}")
+        t = cls(tuple(map(tuple, rows)))
         if "shape" in data and tuple(data["shape"]) != t.shape.rows:
             raise PreconditionError(
-                f"declared shape {data['shape']} does not match rows {t.shape.rows}"
+                f"declared shape {data['shape']!r} does not match rows {t.shape.rows}"
             )
         return t
 
@@ -197,9 +203,6 @@ class StandardExpansion:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def shapes(self) -> list:
-        return [dt.shape for _, dt in self.terms]
 
     def restrict_rows(self, k_bound: int) -> "StandardExpansion":
         """Drop terms with any row longer than k_bound (these vanish modulo
@@ -303,7 +306,6 @@ def enumerate_standard_basis(
     content: Optional[tuple] = None,
     k_bound: Optional[int] = None,
     max_degree: int = MAX_DEGREE,
-    max_basis: int = MAX_BASIS,
 ) -> List[DoubleTableau]:
     """All standard double tableaux of the given total degree or content.
 
@@ -332,9 +334,9 @@ def enumerate_standard_basis(
         for lt in lefts:
             for rt in rights:
                 out.append(DoubleTableau(lt, rt))
-                if len(out) > max_basis:
+                if len(out) > MAX_BASIS:
                     raise PreconditionError(
-                        f"standard basis exceeds enumeration guard {max_basis}"
+                        f"standard basis exceeds enumeration guard {MAX_BASIS}"
                     )
     out.sort(key=DoubleTableau.sort_key)
     return out
@@ -457,7 +459,6 @@ def straighten(
     dt: DoubleTableau,
     m: int,
     k_bound: Optional[int] = None,
-    max_degree: int = MAX_DEGREE,
 ) -> StandardExpansion:
     """Expand the bideterminant of dt in the standard basis.
 
@@ -465,9 +466,9 @@ def straighten(
     preserved.  With k_bound, the expansion is taken modulo the ideal of
     (k_bound+1)-minors by dropping terms with rows longer than k_bound.
     """
-    if dt.shape.size > max_degree:
+    if dt.shape.size > MAX_DEGREE:
         raise PreconditionError(
-            f"degree {dt.shape.size} exceeds straightening guard {max_degree}"
+            f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
         )
     p = bideterminant(dt, m)
     return standard_coordinates(p, m, k_bound=k_bound)

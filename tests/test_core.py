@@ -53,6 +53,12 @@ class TestPair:
         with pytest.raises(PreconditionError):
             new_pair(2, 0, [])
 
+    @pytest.mark.parametrize("m, k", [(3, 2.0), (3, "2"), (3.0, 2), ("3", 2)])
+    def test_non_integer_size_or_rank_rejected(self, m, k):
+        with pytest.raises(PreconditionError) as info:
+            new_pair(m, k, [1])
+        assert "must be a positive integer" in str(info.value)
+
     def test_zero_padding(self):
         pair = new_pair(4, 2, [Fraction(1, 2)])
         assert pair.alphas == (Fraction(1, 2), Fraction(0))

@@ -319,29 +319,6 @@ class TestVerifyNash:
         assert strip(verify_nash(3, 1)) == warm
         assert all(caches)
 
-    def test_threads_do_not_change_values(self):
-        serial = verify_nash(2, 1, threads=1)
-        threaded = verify_nash(2, 1, threads=4)
-        strip = lambda rep: [
-            {k: v for k, v in entry.items() if k != "seconds"} for entry in rep.subsets
-        ]
-        assert strip(serial) == strip(threaded)
-        assert serial.passed and threaded.passed
-
-    def test_thread_count_from_environment(self, monkeypatch):
-        from detmld.forms import default_thread_count
-
-        monkeypatch.delenv("DETMLD_THREADS", raising=False)
-        assert default_thread_count() == 1
-        monkeypatch.setenv("DETMLD_THREADS", "3")
-        assert default_thread_count() == 3
-        monkeypatch.setenv("DETMLD_THREADS", "zero")
-        with pytest.raises(PreconditionError):
-            default_thread_count()
-        monkeypatch.setenv("DETMLD_THREADS", "0")
-        with pytest.raises(PreconditionError):
-            default_thread_count()
-
 
 class TestFrontier:
     def test_rank_one_in_four_reduction_is_pinned(self):

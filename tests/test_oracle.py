@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -399,6 +401,11 @@ class TestSeriesOracle:
     def test_above_truncation(self):
         # exponents N+1 stand for infinite entries
         assert series_minor_order((7, 1), 2, 2, 6) is ABOVE_TRUNCATION
+
+    def test_above_truncation_survives_copy_and_pickle(self):
+        assert copy.copy(ABOVE_TRUNCATION) is ABOVE_TRUNCATION
+        assert copy.deepcopy(ABOVE_TRUNCATION) is ABOVE_TRUNCATION
+        assert pickle.loads(pickle.dumps(ABOVE_TRUNCATION)) is ABOVE_TRUNCATION
 
     def test_invalid_size_rejected(self):
         with pytest.raises(PreconditionError):
