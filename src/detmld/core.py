@@ -184,10 +184,11 @@ def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     """Build a pair; coefficient lists shorter than k are right-padded with zeros.
 
     The pair's constructor converts the coefficients to Fraction and makes
-    every check.
+    every check; padding waits until k is known to be at most m, so an
+    out-of-range k is rejected before any allocation of size k.
     """
     alphas = tuple(alphas)
-    if isinstance(k, int):
+    if isinstance(k, int) and isinstance(m, int) and k <= m:
         alphas += (0,) * (k - len(alphas))
     return DeterminantalPair(m, k, alphas)
 

@@ -240,6 +240,22 @@ class TestCliContract:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mld", "point", "--alphas", "0", "--q", "0"],
+            ["mld", "locus", "--alphas", "0", "--j", "0"],
+            ["lc", "check", "--alphas", "0"],
+            ["orbit", "codim", "--lambda", "1"],
+            ["semicontinuity", "--alphas", "0"],
+        ],
+    )
+    def test_huge_rank_is_precondition_error(self, run_cli, args):
+        code, out, err = run_cli(args + ["--m", "3", "--k", str(10**20)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_deterministic_output(self, run_cli):
         args = ["mld", "point", "--m", "4", "--k", "3", "--alphas", "1/2,0,1", "--q", "1", "--oracle", "2"]
         first = run_cli(args)

@@ -59,6 +59,13 @@ class TestPair:
             new_pair(m, k, [1])
         assert "must be a positive integer" in str(info.value)
 
+    def test_huge_rank_rejected_before_padding(self):
+        # 10**20 zeros cannot be allocated, so padding first would raise
+        # OverflowError instead of the precondition error.
+        with pytest.raises(PreconditionError) as info:
+            new_pair(3, 10**20, [1])
+        assert "exceeds matrix size" in str(info.value)
+
     def test_zero_padding(self):
         pair = new_pair(4, 2, [Fraction(1, 2)])
         assert pair.alphas == (Fraction(1, 2), Fraction(0))
