@@ -1,5 +1,5 @@
-"""Run the exhaustive Nash-ideal verification for every feasible (m, k) and
-write the JSON reports.
+"""Run the exhaustive Nash-ideal verification for every (m, k) the guard
+admits, m >= 2, and write the JSON reports.
 
 Usage: python scripts/nash_survey.py [--out DIR]
 """
@@ -9,8 +9,10 @@ import json
 import pathlib
 
 from detmld import verify_nash
+from detmld.forms import VERIFY_GUARD_M
 
-CASES = ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
+# Every 1 <= k <= m up to the guard, leaving out the trivial 1 x 1 matrix.
+CASES = tuple((m, k) for m in range(2, VERIFY_GUARD_M + 1) for k in range(1, m + 1))
 
 
 def main() -> None:

@@ -72,12 +72,11 @@ from .tableaux import (
 
 
 def clear_caches() -> None:
-    """Empty the module-level caches (minor polynomials, content blocks, division
-    solvers, d-minors), so that the next computation starts cold."""
+    """Empty the module-level caches (minor polynomials, content blocks and
+    d-minors), so that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._BLOCK_CACHE,
-        forms._DIVISION_CACHE,
         forms._D_MINOR_CACHE,
     ):
         cache.clear()

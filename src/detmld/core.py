@@ -144,6 +144,10 @@ def new_partition(entries: Iterable) -> ExtendedPartition:
     return ExtendedPartition(tuple(entries))
 
 
+# Largest rank bound k a pair accepts: a pair stores k coefficients.
+MAX_RANK = 100_000
+
+
 @dataclass(frozen=True)
 class DeterminantalPair:
     """The data (m, k, alphas) of a pair: the rank <= k locus of m x m matrices,
@@ -165,6 +169,8 @@ class DeterminantalPair:
             raise PreconditionError(f"rank bound k must be a positive integer, got {self.k!r}")
         if self.k > self.m:
             raise PreconditionError(f"rank bound k={self.k} exceeds matrix size m={self.m}")
+        if self.k > MAX_RANK:
+            raise PreconditionError(f"rank bound k={self.k} exceeds the supported {MAX_RANK}")
         alphas = tuple(Fraction(a) for a in self.alphas)
         if len(alphas) != self.k:
             raise PreconditionError(
@@ -184,11 +190,11 @@ def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     """Build a pair; coefficient lists shorter than k are right-padded with zeros.
 
     The pair's constructor converts the coefficients to Fraction and makes
-    every check; padding waits until k is known to be at most m, so an
-    out-of-range k is rejected before any allocation of size k.
+    every check; padding waits until k is known to be at most m and
+    MAX_RANK, so an out-of-range k is rejected before any allocation of size k.
     """
     alphas = tuple(alphas)
-    if isinstance(k, int) and isinstance(m, int) and k <= m:
+    if isinstance(k, int) and isinstance(m, int) and k <= min(m, MAX_RANK):
         alphas += (0,) * (k - len(alphas))
     return DeterminantalPair(m, k, alphas)
 

@@ -11,10 +11,12 @@ of the top differential forms is (up to sign) D**-(m-k) times the wedge of
 their differentials in lexicographic order.  Any top-form on the ambient
 space restricts to F times that generator; F is found by repeatedly
 eliminating differentials dx_ij with both indices outside the chart, using
-the vanishing of d(minor) for each (k+1) x (k+1) minor.  Every identity is
-verified in the polynomial ring after clearing the exact power of D the
-elimination produced, with equality tested modulo the (k+1)-minor ideal via
-the standard-basis projection; no fraction fields appear anywhere.
+the vanishing of d(minor) for each (k+1) x (k+1) minor.  The elimination
+leaves N / D**B; the power of D is cleared on N's standard coordinates modulo
+the (k+1)-minor ideal: with the chart rows and columns relabelled first, D is
+the leading minor, and multiplying or dividing by it adds or strips the top
+row (1..k | 1..k) of each standard double tableau, so the division needs no
+solver of its own.  No fraction fields appear anywhere.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .core import PreconditionError
-from .linalg import PreparedSolver
 from .polynomials import MinorIndex, MultiPoly, minor_poly
 from .tableaux import (
     DoubleTableau,
     Membership,
-    bideterminant,
+    StandardExpansion,
+    Tableau,
     canonical_mod_minors,
-    enumerate_standard_basis,
     standard_coordinates,
     subalgebra_membership,
 )
@@ -353,68 +354,58 @@ def _reduce_positions(
     return total, top
 
 
-_DIVISION_CACHE: Dict[tuple, tuple] = {}
+def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:
+    """Exponent positions read by the relabelling that puts the chart rows and
+    columns first, each keeping its order: entry n of a relabelled exponent
+    vector is entry perm[n] of the original.  It carries the chart minor to
+    the leading minor [1..k | 1..k] with sign +1."""
+
+    def order(chosen: tuple) -> tuple:
+        return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
+
+    return tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
 
 
-def _division_solver(m: int, k: int, rows: tuple, cols: tuple, power: int):
-    """Prepared solve of  delta**power * F == N  (mod the (k+1)-minor ideal)
-    for F in the span of standard bideterminants of degree k(m-k), rows <= k."""
-    key = (m, k, rows, cols, power)
-    cached = _DIVISION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    basis = enumerate_standard_basis(m, degree=k * (m - k), k_bound=k)
-    delta_pow = minor_poly(MinorIndex(rows, cols), m) ** power
-    col_dicts = []
-    keys: Dict[DoubleTableau, int] = {}
-    for dt in basis:
-        coords = {
-            tab: coef
-            for coef, tab in standard_coordinates(delta_pow * bideterminant(dt, m), m, k_bound=k)
-        }
-        col_dicts.append(coords)
-        for tab in coords:
-            keys.setdefault(tab, len(keys))
-    ordered = sorted(keys, key=DoubleTableau.sort_key)
-    index = {tab: i for i, tab in enumerate(ordered)}
-    columns = []
-    for coords in col_dicts:
-        vec = [0] * len(ordered)
-        for tab, coef in coords.items():
-            vec[index[tab]] = coef
-        columns.append(vec)
-    solver = PreparedSolver(columns)
-    result = (ordered, index, basis, solver)
-    _DIVISION_CACHE[key] = result
-    return result
+def _relabel(p: MultiPoly, perm: tuple) -> MultiPoly:
+    out = MultiPoly(p.m)
+    out.terms = {tuple(exp[i] for i in perm): coef for exp, coef in p.terms.items()}
+    return out
 
 
 def _resolve_coefficient(
     numerator: MultiPoly, bpow: int, rows: tuple, cols: tuple, m: int, k: int
 ) -> MultiPoly:
     """Clear the collected denominator: the canonical representative of
-    numerator * delta**(m - k - bpow) modulo the (k+1)-minor ideal."""
-    if numerator.is_zero:
-        return MultiPoly.zero(m)
+    numerator * delta**(m - k - bpow) modulo the (k+1)-minor ideal.
+
+    After relabelling, delta is the leading minor [1..k | 1..k], and times a
+    standard bideterminant with rows <= k it only puts the row 1..k on top of
+    both sides, which stays standard.  So the power of delta is applied, or
+    divided out, on the numerator's standard coordinates: each term gains or
+    loses that many top rows (1..k | 1..k).  A term that lacks a row to strip
+    means delta does not divide the numerator modulo the ideal.
+    """
+    perm = _chart_first(rows, cols, m)
+    identity = perm == tuple(range(m * m))
+    if not identity:
+        numerator = _relabel(numerator, perm)
     spare = (m - k) - bpow
-    delta = minor_poly(MinorIndex(rows, cols), m)
-    if spare >= 0:
-        return canonical_mod_minors(numerator * (delta ** spare), m, k)
-    ordered, index, basis, solver = _division_solver(m, k, rows, cols, -spare)
-    rhs = [0] * len(ordered)
-    for coef, tab in standard_coordinates(numerator, m, k_bound=k):
-        slot = index.get(tab)
-        if slot is None:
-            raise RuntimeError("numerator escapes the divisible span; reduction is unsound")
-        rhs[slot] = coef
-    solution = solver.solve(rhs)
-    if solution is None:
-        raise RuntimeError("division by the chart minor failed; reduction is unsound")
-    out = MultiPoly.zero(m)
-    for coef, dt in zip(solution, basis):
-        if coef:
-            out = out + coef * bideterminant(dt, m)
-    return out
+    lead = (tuple(range(1, k + 1)),) * abs(spare)
+    terms = []
+    for coef, dt in standard_coordinates(numerator, m, k_bound=k):
+        left, right = dt.left.rows, dt.right.rows
+        if spare >= 0:
+            left, right = lead + left, lead + right
+        elif left[: -spare] == lead and right[: -spare] == lead:
+            left, right = left[-spare:], right[-spare:]
+        else:
+            raise RuntimeError("division by the chart minor failed; reduction is unsound")
+        terms.append((coef, DoubleTableau(Tableau(left), Tableau(right))))
+    out = StandardExpansion(tuple(terms)).to_poly(m)
+    if identity:
+        return out
+    inverse = tuple(sorted(range(m * m), key=perm.__getitem__))
+    return canonical_mod_minors(_relabel(out, inverse), m, k)
 
 
 def reduce_top_form(

@@ -30,7 +30,9 @@ from .linalg import PreparedSolver
 from .polynomials import Exponents, MinorIndex, MultiPoly, minor_poly
 
 MAX_DEGREE = 6
-MAX_BASIS = 50_000
+# Matrix sizes straighten accepts: monomials are dense exponent vectors of
+# length m * m, and content blocks are enumerated to depth m * m.
+MAX_M = 16
 
 
 @dataclass(frozen=True)
@@ -331,13 +333,7 @@ def enumerate_standard_basis(
     for shape in _partitions(degree, max_part):
         lefts = enumerate_standard_tableaux(m, shape, left_content)
         rights = enumerate_standard_tableaux(m, shape, right_content)
-        for lt in lefts:
-            for rt in rights:
-                out.append(DoubleTableau(lt, rt))
-                if len(out) > MAX_BASIS:
-                    raise PreconditionError(
-                        f"standard basis exceeds enumeration guard {MAX_BASIS}"
-                    )
+        out.extend(DoubleTableau(lt, rt) for lt in lefts for rt in rights)
     out.sort(key=DoubleTableau.sort_key)
     return out
 
@@ -470,6 +466,8 @@ def straighten(
         raise PreconditionError(
             f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
         )
+    if m > MAX_M:
+        raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
     p = bideterminant(dt, m)
     return standard_coordinates(p, m, k_bound=k_bound)
 

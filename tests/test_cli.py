@@ -135,6 +135,25 @@ class TestStraightenCommand:
         out = run_cli_json(["straighten", "--file", str(path), "--kbound", "1"])
         assert len(out["terms"]) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"left": {"rows": [[1]]}, "right": {"rows": [[10**30]]}},
+            {"left": {"rows": [[1]]}, "right": {"rows": [[1]]}, "m": 10**30},
+            {"left": {"rows": [[1]]}, "right": {"rows": [[1]]}, "m": 17},
+        ],
+        ids=["huge-entry", "huge-m", "m-above-guard"],
+    )
+    def test_huge_matrix_size_is_precondition_error(self, run_cli, tmp_path, doc):
+        # rejected before any exponent vector of length m * m is built; the
+        # huge cases fail at once without the guard, so none allocates much
+        path = tmp_path / "dt.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["straighten", "--file", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_is_argument_error(self, run_cli):
         code, _, err = run_cli(["straighten", "--file", "/nonexistent/dt.json"])
         assert code == 2
@@ -251,10 +270,12 @@ class TestCliContract:
         ],
     )
     def test_huge_rank_is_precondition_error(self, run_cli, args):
-        code, out, err = run_cli(args + ["--m", "3", "--k", str(10**20)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        # k > m, and a valid pair too large to pad
+        for m in (3, 10**20):
+            code, out, err = run_cli(args + ["--m", str(m), "--k", str(10**20)])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deterministic_output(self, run_cli):
         args = ["mld", "point", "--m", "4", "--k", "3", "--alphas", "1/2,0,1", "--q", "1", "--oracle", "2"]

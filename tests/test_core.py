@@ -66,6 +66,11 @@ class TestPair:
             new_pair(3, 10**20, [1])
         assert "exceeds matrix size" in str(info.value)
 
+    def test_huge_valid_pair_rejected_before_padding(self):
+        with pytest.raises(PreconditionError) as info:
+            new_pair(10**20, 10**20)
+        assert "exceeds the supported" in str(info.value)
+
     def test_zero_padding(self):
         pair = new_pair(4, 2, [Fraction(1, 2)])
         assert pair.alphas == (Fraction(1, 2), Fraction(0))

@@ -42,6 +42,17 @@ def partial_derivative(p, m, i, j):
     return MultiPoly(m, out)
 
 
+def _untimed_json(report):
+    """The report JSON with sorted keys and without its timing fields."""
+    data = report.to_json()
+    data.pop("elapsed_seconds")
+    data["subsets"] = [
+        {key: value for key, value in entry.items() if key != "seconds"}
+        for entry in data["subsets"]
+    ]
+    return json.dumps(data, sort_keys=True)
+
+
 class TestWedgeAlgebra:
     def test_anticommutativity(self):
         m = 2
@@ -171,6 +182,32 @@ class TestReduceTopForm:
         degree = result.coefficient.homogeneous_degree()
         assert degree in (None, 2)  # zero polynomial reports no degree
 
+    @pytest.mark.parametrize("rows, cols", [((1,), (1,)), ((2,), (2,))])
+    def test_indivisible_numerator_is_rejected(self, rows, cols):
+        # x12 / delta**2 with m - k = 1 would need delta to divide x12
+        with pytest.raises(RuntimeError):
+            forms._resolve_coefficient(x(2, 1, 2), 2, rows, cols, 2, 1)
+
+    def test_division_residual_in_every_chart(self):
+        # F * delta**(B - (m - k)) is the chart sign times N, modulo the ideal:
+        # the residual check of every division, in all nine (3,1) charts
+        m, k = 3, 1
+        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+        divisions = 0
+        for rows, cols in [((i,), (j,)) for i in range(1, m + 1) for j in range(1, m + 1)]:
+            chart = chart_form(rows, cols, m, k)
+            delta = minor_poly(MinorIndex(rows, cols), m)
+            for subset in combinations(positions, k * (2 * m - k)):
+                numerator, bpow = forms._reduce_positions(subset, rows, cols, m, k, "lex")
+                if bpow <= m - k:
+                    continue
+                divisions += 1
+                coeff = reduce_top_form(subset, chart).coefficient
+                assert canonical_mod_minors(
+                    coeff * delta ** (bpow - (m - k)), m, k
+                ) == chart.sign * canonical_mod_minors(numerator, m, k), (rows, cols, subset)
+        assert divisions
+
     def test_nonreference_chart_reduces_its_own_set(self):
         chart = chart_form((2,), (1,), 2, 1)
         result = reduce_top_form([(1, 1), (2, 1), (2, 2)], chart)
@@ -297,26 +334,16 @@ class TestVerifyNash:
         assert not report.transitions_ok
 
     def test_cold_run_after_clear_caches_matches_warm_run(self):
-        def strip(report):
-            data = report.to_json()
-            data.pop("elapsed_seconds")
-            data["subsets"] = [
-                {key: value for key, value in entry.items() if key != "seconds"}
-                for entry in data["subsets"]
-            ]
-            return json.dumps(data, sort_keys=True)
-
         verify_nash(3, 1)
-        warm = strip(verify_nash(3, 1))
+        warm = _untimed_json(verify_nash(3, 1))
         clear_caches()
         caches = (
             polynomials._MINOR_CACHE,
             tableaux._BLOCK_CACHE,
-            forms._DIVISION_CACHE,
             forms._D_MINOR_CACHE,
         )
         assert all(not cache for cache in caches)
-        assert strip(verify_nash(3, 1)) == warm
+        assert _untimed_json(verify_nash(3, 1)) == warm
         assert all(caches)
 
 
@@ -334,6 +361,19 @@ class TestFrontier:
             )
             assert result.denominator_power == 5
             assert result.certificate.is_member
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (3, "d6eda88fa7139c10b9c0953b54188ed58faa5af1d74775da536ff7f5c4212da1"),
+            (4, "dfd6805906558773c7274974f8122e4f2c631a6444df37b6a01a65205af6a3e6"),
+        ],
+    )
+    def test_cheap_rank_in_four_reports_are_pinned(self, monkeypatch, k, expected):
+        monkeypatch.setattr(forms, "VERIFY_GUARD_M", 4)
+        report = verify_nash(4, k)
+        assert report.passed
+        assert hashlib.sha256(_untimed_json(report).encode()).hexdigest() == expected
 
 
 class TestSubstitutionOracle:

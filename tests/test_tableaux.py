@@ -268,6 +268,22 @@ class TestStraighten:
                 assert reprojected == exp
 
 
+class TestRowShift:
+    def test_leading_row_on_top_multiplies_by_the_leading_minor(self):
+        # the law that divides by a chart minor: (1..k | 1..k) on top of a
+        # standard double tableau with rows <= k stays standard and
+        # multiplies its bideterminant by the leading k x k minor
+        for m in range(1, 5):
+            for k in range(1, m):
+                lead = tuple(range(1, k + 1))
+                delta = minor_poly(MinorIndex(lead, lead), m)
+                for degree in range(5):
+                    for d in enumerate_standard_basis(m, degree=degree, k_bound=k):
+                        shifted = dt((lead,) + d.left.rows, (lead,) + d.right.rows)
+                        assert shifted.is_standard, d
+                        assert bideterminant(shifted, m) == delta * bideterminant(d, m), d
+
+
 class TestBasisProperty:
     def test_independence_and_span(self):
         # standard bideterminants of each degree <= 3 are independent and span
