@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .core import DeterminantalPair, MldValue, PreconditionError
@@ -141,7 +142,22 @@ def semicontinuity_profile(pair: DeterminantalPair) -> list:
 
     Wherever two consecutive values are finite, the profile increases by
     exactly (m - k) + alpha_1 + ... + alpha_{k-q+1} from rank q-1 to rank q.
+    Equal to mld_at_rank at every q, built in one pass over the prefix sums.
     """
     if any(a < 0 for a in pair.alphas):
         raise PreconditionError("semicontinuity profile requires nonnegative coefficients")
-    return [mld_at_rank(pair, q) for q in range(pair.k + 1)]
+    m, k = pair.m, pair.k
+    # Log canonical at rank q exactly when r = k - q is below the first
+    # violated prefix; the correction at r is the sum of the first r prefix
+    # sums, so one running sum serves every rank.
+    violation = first_lc_violation(pair, k)
+    lc_limit = k if violation is None else violation[0] - 1
+    corrections = list(
+        accumulate((pair.alpha_prefix(j) for j in range(1, lc_limit + 1)), initial=Fraction(0))
+    )
+    return [
+        MldValue.finite(Fraction(q * (m - k) + k * m) - corrections[k - q])
+        if k - q <= lc_limit
+        else MldValue.NEG_INFINITY
+        for q in range(k + 1)
+    ]

@@ -8,8 +8,12 @@ Two oracles:
   analytic certificate of unboundedness from the beta prefix sums;
 
 * a truncated-power-series computation of contact orders, evaluating every
-  minor of a matrix of monomial series directly (optionally conjugated by
+  minor of a matrix of monomial series exactly (optionally conjugated by
   random invertible constant matrices, which leaves the orders unchanged).
+  The minors are built by row-by-row Laplace expansion on integer
+  coefficient lists, each from the shared minors of one row fewer, so the
+  oracle needs no polynomial layer.  It accepts matrices up to 8 x 8 and
+  truncations up to t**64.
 
 The search runs over nonincreasing tails only: orbits are indexed by
 extended partitions, so unsorted tuples label no orbit.  Where that domain
@@ -24,7 +28,6 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Iterator, Optional, Union
@@ -39,7 +42,6 @@ from .orbits import (
     _nash_contact_order,
     orbit_has_finite_codim,
 )
-from .polynomials import MinorIndex, TruncatedSeries, minor_poly, substitute_series
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,11 @@ class _AboveTruncation(enum.Enum):
 
 
 ABOVE_TRUNCATION = _AboveTruncation.ABOVE_TRUNCATION
+
+# Bounds of the series oracle: the number of minors grows as C(m, s)**2 and
+# each series has truncation + 1 coefficients.
+MAX_SERIES_SIZE = 8
+MAX_TRUNCATION = 64
 
 
 @dataclass(frozen=True)
@@ -287,6 +294,30 @@ def _int_det(mat: list) -> int:
     return total
 
 
+def _series_rows(exponents: tuple, m: int, truncation: int, seed: Optional[int]) -> list:
+    """The nonzero entries of the series matrix, row by row, as pairs
+    (column, terms) with terms the nonzero (exponent, coefficient) pairs in
+    increasing exponent; exponents above the truncation contribute nothing."""
+    if seed is None:
+        return [[(i, ((e, 1),))] if e <= truncation else [] for i, e in enumerate(exponents)]
+    rng = random.Random(seed)
+    left = _random_invertible(m, rng)
+    right = _random_invertible(m, rng)
+    finite = [(c, e) for c, e in enumerate(exponents) if e <= truncation]
+    rows = []
+    for a in range(m):
+        row = []
+        for b in range(m):
+            coeffs: dict = {}
+            for c, e in finite:
+                coeffs[e] = coeffs.get(e, 0) + left[a][c] * right[c][b]
+            terms = tuple(sorted((e, x) for e, x in coeffs.items() if x))
+            if terms:
+                row.append((b, terms))
+        rows.append(row)
+    return rows
+
+
 def series_minor_order(
     exponents, m: int, size: int, truncation: int, seed: Optional[int] = None
 ):
@@ -298,8 +329,20 @@ def series_minor_order(
     invertible integer matrices before evaluating; the orders are invariant
     under this.  Returns ABOVE_TRUNCATION when every minor vanishes to order
     beyond the truncation.
+
+    Every minor is evaluated exactly, by row-by-row Laplace expansion: the
+    minor (r, R | C + {c}) collects sign * a[r][c] * (R | C) over the rows
+    r < min(R), so each minor is computed once from shared sub-minors.  A
+    product whose two orders sum past the truncation vanishes and is skipped.
+    Needs m <= MAX_SERIES_SIZE and truncation <= MAX_TRUNCATION.
     """
     exponents = tuple(exponents)
+    if m > MAX_SERIES_SIZE:
+        raise PreconditionError(f"matrix size m={m} exceeds the supported {MAX_SERIES_SIZE}")
+    if truncation > MAX_TRUNCATION:
+        raise PreconditionError(
+            f"truncation {truncation} exceeds the supported {MAX_TRUNCATION}"
+        )
     if len(exponents) != m:
         raise PreconditionError(f"need m={m} exponents, got {len(exponents)}")
     if any(not isinstance(e, int) or e < 0 for e in exponents):
@@ -313,39 +356,41 @@ def series_minor_order(
         raise PreconditionError(
             f"truncation {truncation} below the sum {finite_total} of finite exponents"
         )
-    if seed is None:
-        assignment = [
-            [
-                TruncatedSeries.monomial(exponents[i], truncation)
-                if i == j
-                else TruncatedSeries.zero(truncation)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-    else:
-        rng = random.Random(seed)
-        left = _random_invertible(m, rng)
-        right = _random_invertible(m, rng)
-        assignment = []
-        for a in range(m):
-            row = []
-            for b in range(m):
-                coeffs = [0] * (truncation + 1)
-                for c in range(m):
-                    if exponents[c] <= truncation:
-                        coeffs[exponents[c]] += left[a][c] * right[c][b]
-                row.append(TruncatedSeries(coeffs))
-            assignment.append(row)
-
-    best = None
-    indices = range(1, m + 1)
-    for rows in combinations(indices, size):
-        for cols in combinations(indices, size):
-            poly = minor_poly(MinorIndex(rows, cols), m)
-            order = substitute_series(poly, assignment, truncation).order()
-            if order is not None and (best is None or order < best):
-                best = order
-                if best == 0:
-                    return 0
-    return best if best is not None else ABOVE_TRUNCATION
+    matrix = _series_rows(exponents, m, truncation, seed)
+    # level[R][C] = (order, coefficients) of the nonzero minor (R | C), with
+    # R a tuple of rows and C a bitmask of columns; the empty minor is 1.
+    level = {(): {0: (0, [1] + [0] * truncation)}}
+    for depth in range(size):
+        grown = {}
+        for rows, minors in level.items():
+            # keep only row sets that still leave room for size - depth - 1 rows above
+            for r in range(size - depth - 1, rows[0] if rows else m):
+                acc: dict = {}
+                for c, terms in matrix[r]:
+                    bit = 1 << c
+                    for cols, (order, coeffs) in minors.items():
+                        if cols & bit or terms[0][0] + order > truncation:
+                            continue
+                        odd = (cols & (bit - 1)).bit_count() & 1
+                        target = acc.get(cols | bit)
+                        if target is None:
+                            target = acc[cols | bit] = [0] * (truncation + 1)
+                        for e, x in terms:
+                            lo = e + order
+                            if lo > truncation:
+                                break
+                            x = -x if odd else x
+                            target[lo:] = [
+                                u + x * v
+                                for u, v in zip(target[lo:], coeffs[order:truncation + 1 - e])
+                            ]
+                nonzero = {}
+                for cols, coeffs in acc.items():
+                    order = next((i for i, v in enumerate(coeffs) if v), None)
+                    if order is not None:
+                        nonzero[cols] = (order, coeffs)
+                if nonzero:
+                    grown[(r,) + rows] = nonzero
+        level = grown
+    orders = [order for minors in level.values() for order, _ in minors.values()]
+    return min(orders) if orders else ABOVE_TRUNCATION

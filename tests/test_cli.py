@@ -106,6 +106,28 @@ class TestOrdCommand:
         )
         assert out["order"] == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "1", "--m", "1", "--s", "1", "--N", "100000000000000000000"],
+            ["--lambda", "1", "--m", "1", "--s", "1", "--N", "65"],
+            ["--lambda", ",".join(["0"] * 9), "--m", "9", "--s", "1", "--N", "3"],
+        ],
+        ids=["huge-N", "N-above-64", "m-above-8"],
+    )
+    def test_bounds_exit_one(self, run_cli, args):
+        code, out, err = run_cli(["ord"] + args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds the supported" in err
+
+    def test_largest_bounds_accepted(self, run_cli_json):
+        out = run_cli_json(
+            ["ord", "--lambda", ",".join(["1"] * 8), "--m", "8", "--s", "8", "--N", "64"]
+        )
+        assert out["order"] == 8
+
 
 class TestStraightenCommand:
     def test_expansion(self, run_cli_json, tmp_path):

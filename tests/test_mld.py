@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,31 @@ class TestSemicontinuity:
             if not upper.is_finite:
                 # minus infinity propagates downward in rank
                 assert not lower.is_finite
+
+    def test_equals_rank_by_rank_on_criterion_6_grid(self):
+        # the one-pass profile against mld_at_rank at every rank, on the grid
+        # of acceptance criterion 6 (m <= 5, every k, quarter coefficients)
+        rng = random.Random(17)
+        quarters = [Fraction(i, 4) for i in range(13)]
+        for m in range(1, 6):
+            for k in range(1, m + 1):
+                for _ in range(50):
+                    pair = new_pair(m, k, [rng.choice(quarters) for _ in range(k)])
+                    expected = [mld_at_rank(pair, q) for q in range(k + 1)]
+                    assert semicontinuity_profile(pair) == expected, (m, k, pair.alphas)
+
+    @pytest.mark.parametrize("violated_at", [None, 10_001])
+    def test_large_k_is_linear(self, violated_at):
+        # k = 20,000 is out of reach of a rank-by-rank profile; alpha_i = 1
+        # keeps every prefix inside the criterion until a large coefficient
+        k = 20_000
+        alphas = [1] * k
+        if violated_at is not None:
+            alphas[violated_at - 1] = 3 * k
+        pair = new_pair(k, k, alphas)
+        profile = semicontinuity_profile(pair)
+        assert len(profile) == k + 1
+        for q in (0, 1, k // 2, k - 1, k):
+            assert profile[q] == mld_at_rank(pair, q), q
+        assert profile[k // 2].is_finite
+        assert profile[0].is_finite is (violated_at is None)

@@ -1,7 +1,8 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from detmld.orbits import (
     orbit_codim,
     orbit_codim_point,
 )
+from detmld import oracle
 from detmld.oracle import (
     ABOVE_TRUNCATION,
+    MAX_SERIES_SIZE,
+    MAX_TRUNCATION,
     LocusTarget,
     PointTarget,
     compare_with_closed_form,
@@ -26,6 +30,7 @@ from detmld.oracle import (
     minimize_objective,
     series_minor_order,
 )
+from detmld.polynomials import MinorIndex, TruncatedSeries, minor_poly, substitute_series
 
 
 def naive_tail_count(pair, target, bound):
@@ -461,3 +466,94 @@ class TestSeriesOracle:
                         assert got is ABOVE_TRUNCATION, (entries, s)
                     else:
                         assert got == expected, (entries, s)
+
+
+def minor_by_minor_order(exponents, m, size, truncation, seed=None):
+    """The series oracle's previous route: every size x size minor as a
+    Leibniz polynomial, evaluated on the (conjugated) series matrix."""
+    if seed is None:
+        assignment = [
+            [
+                TruncatedSeries.monomial(exponents[i], truncation)
+                if i == j
+                else TruncatedSeries.zero(truncation)
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+    else:
+        rng = random.Random(seed)
+        left = oracle._random_invertible(m, rng)
+        right = oracle._random_invertible(m, rng)
+        assignment = []
+        for a in range(m):
+            row = []
+            for b in range(m):
+                coeffs = [0] * (truncation + 1)
+                for c in range(m):
+                    if exponents[c] <= truncation:
+                        coeffs[exponents[c]] += left[a][c] * right[c][b]
+                row.append(TruncatedSeries(coeffs))
+            assignment.append(row)
+    orders = []
+    for rows in combinations(range(1, m + 1), size):
+        for cols in combinations(range(1, m + 1), size):
+            poly = minor_poly(MinorIndex(rows, cols), m)
+            order = substitute_series(poly, assignment, truncation).order()
+            if order is not None:
+                orders.append(order)
+    return min(orders) if orders else ABOVE_TRUNCATION
+
+
+def _partitions(m, top):
+    return [tuple(sorted(e, reverse=True)) for e in combinations_with_replacement(range(top + 1), m)]
+
+
+class TestSeriesExpansionMatchesMinorByMinor:
+    """The row-by-row expansion against the minor-by-minor evaluation."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_grid(self, m):
+        for entries in _partitions(m, 3):
+            truncation = max(sum(entries), 1)
+            for size in range(1, m + 1):
+                for seed in (None, 0, 1, 2):
+                    expected = minor_by_minor_order(entries, m, size, truncation, seed)
+                    got = series_minor_order(entries, m, size, truncation, seed=seed)
+                    assert got == expected, (entries, size, seed)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_grid_with_one_entry_above_truncation(self, m):
+        for rest in _partitions(m - 1, 3):
+            truncation = max(sum(rest), 1)
+            entries = (truncation + 1,) + rest
+            for size in range(1, m + 1):
+                for seed in (None, 0, 1, 2):
+                    expected = minor_by_minor_order(entries, m, size, truncation, seed)
+                    got = series_minor_order(entries, m, size, truncation, seed=seed)
+                    assert got == expected, (entries, size, seed)
+
+    def test_random_size_five(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            entries = tuple(sorted((rng.randint(0, 4) for _ in range(5)), reverse=True))
+            truncation = sum(entries) + rng.randint(0, 2)
+            size = rng.randint(1, 5)
+            expected = minor_by_minor_order(entries, 5, size, truncation)
+            assert series_minor_order(entries, 5, size, truncation) == expected, (entries, size)
+
+
+class TestSeriesBounds:
+    def test_largest_accepted_size_and_truncation(self):
+        m = MAX_SERIES_SIZE
+        assert series_minor_order((0,) * m, m, m // 2, MAX_TRUNCATION) == 0
+
+    def test_size_above_bound_rejected(self):
+        m = MAX_SERIES_SIZE + 1
+        with pytest.raises(PreconditionError, match="exceeds the supported"):
+            series_minor_order((0,) * m, m, 1, 1)
+
+    @pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 10**20])
+    def test_truncation_above_bound_rejected(self, truncation):
+        with pytest.raises(PreconditionError, match="exceeds the supported"):
+            series_minor_order((1,), 1, 1, truncation)
