@@ -142,7 +142,7 @@ def semicontinuity_profile(pair: DeterminantalPair) -> list:
 
     Wherever two consecutive values are finite, the profile increases by
     exactly (m - k) + alpha_1 + ... + alpha_{k-q+1} from rank q-1 to rank q.
-    Equal to mld_at_rank at every q, built in one pass over the prefix sums.
+    Equal to mld_at_rank at every q.
     """
     if any(a < 0 for a in pair.alphas):
         raise PreconditionError("semicontinuity profile requires nonnegative coefficients")
