@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detmld import oracle
 from detmld.core import INF, MldValue, PreconditionError, new_pair, new_partition
 from detmld.mld import beta_coefficients, mld_at_rank
 from detmld.orbits import (
@@ -16,7 +17,6 @@ from detmld.orbits import (
     orbit_codim,
     orbit_codim_point,
 )
-from detmld import oracle
 from detmld.oracle import (
     ABOVE_TRUNCATION,
     MAX_SERIES_SIZE,
@@ -446,8 +446,6 @@ class TestSeriesOracle:
         # exhaustive over {INF, 3..0}-partitions: infinite contact orders
         # correspond exactly to orders above the truncation (INF entries are
         # passed to the series oracle as exponent N+1)
-        from itertools import combinations_with_replacement
-
         from detmld.orbits import contact_order_subvariety
 
         for m in (2, 3):
