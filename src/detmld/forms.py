@@ -11,12 +11,16 @@ of the top differential forms is (up to sign) D**-(m-k) times the wedge of
 their differentials in lexicographic order.  Any top-form on the ambient
 space restricts to F times that generator; F is found by repeatedly
 eliminating differentials dx_ij with both indices outside the chart, using
-the vanishing of d(minor) for each (k+1) x (k+1) minor.  The elimination
-leaves N / D**B; the power of D is cleared on N's standard coordinates modulo
-the (k+1)-minor ideal: with the chart rows and columns relabelled first, D is
-the leading minor, and multiplying or dividing by it adds or strips the top
-row (1..k | 1..k) of each standard double tableau, so the division needs no
-solver of its own.  No fraction fields appear anywhere.
+the vanishing of d(minor) for each (k+1) x (k+1) minor.  Each step trades
+one such differential for one on the chart, so every wedge the elimination
+meets is a top-form of its own; its numerator is memoized per wedge, per
+chart and per elimination order, and shared by every top-form that reaches
+it.  The elimination leaves N / D**B; the power of D is cleared on N's
+standard coordinates modulo the (k+1)-minor ideal: with the chart rows and
+columns relabelled first, D is the leading minor, and multiplying or
+dividing by it adds or strips the top row (1..k | 1..k) of each standard
+double tableau, so the division needs no solver of its own.  No fraction
+fields appear anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import bisect
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import PreconditionError
 from .polynomials import MinorIndex, MultiPoly, minor_poly
@@ -300,6 +304,9 @@ def _replace_in_wedge(wedge: Wedge, old: IndexPair, new: IndexPair):
     return new_wedge, (-1) ** (pos_old + pos_new)
 
 
+_ELIMINATION_CACHE: Dict[tuple, Dict[Wedge, Tuple[MultiPoly, bool]]] = {}
+
+
 def _reduce_positions(
     positions: Wedge, rows: tuple, cols: tuple, m: int, k: int, order: str
 ) -> Tuple[MultiPoly, int]:
@@ -307,6 +314,13 @@ def _reduce_positions(
 
     Returns (N, B) with  wedge(positions) = N / delta**B * wedge(S_chart),
     where delta is the chart minor; N is a polynomial and B >= 0.
+
+    A step trades the first (lex) or last (revlex) bad differential for one
+    sharing a row or column with the chart, so every wedge it meets is another
+    wedge of the same size with one bad differential fewer.  Its numerator
+    N(w) is memoized per chart and order, together with whether any branch
+    reached the chart set: B is the start wedge's bad count when one did, and
+    0 when every branch died on a repeated differential.
     """
     if order not in ("lex", "revlex"):
         raise PreconditionError(f"unknown elimination order {order!r}")
@@ -314,17 +328,18 @@ def _reduce_positions(
     good_cols = set(cols)
     delta = minor_poly(MinorIndex(rows, cols), m)
     full_good = chart_variable_set(rows, cols, m)
-    start = tuple(sorted(positions))
-    stack: List[Tuple[MultiPoly, Wedge, int]] = [(MultiPoly.one(m), start, 0)]
-    collected: List[Tuple[MultiPoly, int]] = []
-    while stack:
-        coeff, wedge, bpow = stack.pop()
+    memo = _ELIMINATION_CACHE.setdefault((m, rows, cols, order), {})
+
+    def numerator(wedge: Wedge) -> Tuple[MultiPoly, bool]:
+        hit = memo.get(wedge)
+        if hit is not None:
+            return hit
         bad = [pq for pq in wedge if pq[0] not in good_rows and pq[1] not in good_cols]
         if not bad:
             if wedge != full_good:
                 raise RuntimeError("terminal wedge differs from the chart variable set")
-            collected.append((coeff, bpow))
-            continue
+            memo[wedge] = result = (MultiPoly.one(m), True)
+            return result
         i, j = bad[0] if order == "lex" else bad[-1]
         minor_idx = MinorIndex(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
         dm = d_minor_terms(minor_idx, m)
@@ -335,23 +350,29 @@ def _reduce_positions(
             pivot_sign = -1
         else:
             raise RuntimeError("pivot coefficient is not the chart minor")
+        # d(minor) = 0 on the locus gives dx_ij = -sum(comp dx_pq) / pivot.
+        total = MultiPoly.zero(m)
+        reached = False
         for (p, q), comp in dm.items():
             if (p, q) == (i, j):
                 continue
             new_wedge, swap_sign = _replace_in_wedge(wedge, (i, j), (p, q))
             if new_wedge is None:
                 continue
-            new_coeff = coeff * comp
-            if pivot_sign * swap_sign < 0:
-                new_coeff = -new_coeff
-            stack.append((-new_coeff, new_wedge, bpow + 1))
-    if not collected:
+            sub, sub_reached = numerator(new_wedge)
+            if not sub_reached:
+                continue
+            reached = True
+            term = comp * sub
+            total = total - term if pivot_sign * swap_sign > 0 else total + term
+        memo[wedge] = result = (total, reached)
+        return result
+
+    start = tuple(sorted(positions))
+    total, reached = numerator(start)
+    if not reached:
         return MultiPoly.zero(m), 0
-    top = max(b for _, b in collected)
-    total = MultiPoly.zero(m)
-    for coeff, b in collected:
-        total = total + coeff * (delta ** (top - b))
-    return total, top
+    return total, sum(1 for i, j in start if i not in good_rows and j not in good_cols)
 
 
 def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:

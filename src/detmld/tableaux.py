@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Dict, Iterable, List, Optional
 
 from .core import PreconditionError
@@ -210,7 +211,7 @@ class StandardExpansion:
         """Drop terms with any row longer than k_bound (these vanish modulo
         the ideal of (k_bound+1)-minors)."""
         kept = tuple(
-            (c, dt) for c, dt in self.terms if all(r <= k_bound for r in dt.shape.rows)
+            (c, dt) for c, dt in self.terms if all(len(r) <= k_bound for r in dt.left.rows)
         )
         return StandardExpansion(kept)
 
@@ -384,30 +385,36 @@ class _ContentBlock:
 
 
 def _monomials_with_content(m: int, row_content: tuple, col_content: tuple) -> List[Exponents]:
-    """Exponent vectors of all monomials with the prescribed row/column contents."""
+    """Exponent vectors of all monomials with the prescribed row/column
+    contents, in descending lexicographic order.  The matrix is filled one
+    row at a time, so the recursion is m deep; the last row takes what the
+    columns have left."""
     results: List[Exponents] = []
-    n = m * m
-    exp = [0] * n
-    cols_left = list(col_content)
 
-    def fill_row(i: int, j: int, budget: int) -> None:
-        if i == m:
-            results.append(tuple(exp))
+    def fill(i: int, prefix: tuple, cols_left: tuple) -> None:
+        if i == m - 1:
+            if sum(cols_left) == row_content[i]:
+                results.append(prefix + cols_left)
             return
-        if j == m:
-            if budget == 0:
-                fill_row(i + 1, 0, row_content[i + 1] if i + 1 < m else 0)
-            return
-        upper = min(budget, cols_left[j])
-        for e in range(upper, -1, -1):
-            exp[i * m + j] = e
-            cols_left[j] -= e
-            fill_row(i, j + 1, budget - e)
-            cols_left[j] += e
-            exp[i * m + j] = 0
+        for row in _bounded_compositions(row_content[i], cols_left):
+            fill(i + 1, prefix + row, tuple(map(sub, cols_left, row)))
 
-    fill_row(0, 0, row_content[0] if m else 0)
+    fill(0, (), tuple(col_content))
     return results
+
+
+def _bounded_compositions(total: int, caps: tuple) -> Iterable[tuple]:
+    """Tuples summing to total with entry j in 0..caps[j], in descending
+    lexicographic order."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest_caps = caps[1:]
+    room = sum(rest_caps)
+    for e in range(min(total, caps[0]), max(total - room, 0) - 1, -1):
+        for rest in _bounded_compositions(total - e, rest_caps):
+            yield (e,) + rest
 
 
 _BLOCK_CACHE: Dict[tuple, _ContentBlock] = {}
@@ -508,6 +515,6 @@ def subalgebra_membership(F: MultiPoly, m: int, k: int) -> Membership:
         raise PreconditionError(f"degree {degree} is not divisible by k={k}")
     expansion = standard_coordinates(F, m, k_bound=k)
     for _, tab in expansion:
-        if any(r != k for r in tab.shape.rows):
+        if any(len(r) != k for r in tab.left.rows):
             return Membership(False, None, offending=tab)
     return Membership(True, expansion)

@@ -53,6 +53,44 @@ def _untimed_json(report):
     return json.dumps(data, sort_keys=True)
 
 
+def tree_walk_reduce(positions, rows, cols, m, k, order):
+    """Reference elimination: the path-sum walk over the elimination tree.
+
+    Each path from the start wedge to the chart set carries the product of
+    its coefficients and its depth; N sums the paths over delta to the
+    largest depth B.  Every wedge is walked afresh, with no sharing.
+    """
+    good_rows, good_cols = set(rows), set(cols)
+    delta = minor_poly(MinorIndex(rows, cols), m)
+    full_good = chart_variable_set(rows, cols, m)
+    stack = [(MultiPoly.one(m), tuple(sorted(positions)), 0)]
+    collected = []
+    while stack:
+        coeff, wedge, bpow = stack.pop()
+        bad = [pq for pq in wedge if pq[0] not in good_rows and pq[1] not in good_cols]
+        if not bad:
+            assert wedge == full_good
+            collected.append((coeff, bpow))
+            continue
+        i, j = bad[0] if order == "lex" else bad[-1]
+        dm = d_minor_terms(MinorIndex(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,)))), m)
+        pivot_sign = 1 if dm[(i, j)] == delta else -1
+        assert dm[(i, j)] == pivot_sign * delta
+        for (p, q), comp in dm.items():
+            if (p, q) == (i, j):
+                continue
+            new_wedge, swap_sign = forms._replace_in_wedge(wedge, (i, j), (p, q))
+            if new_wedge is not None:
+                stack.append((-pivot_sign * swap_sign * (coeff * comp), new_wedge, bpow + 1))
+    if not collected:
+        return MultiPoly.zero(m), 0
+    top = max(b for _, b in collected)
+    total = MultiPoly.zero(m)
+    for coeff, b in collected:
+        total = total + coeff * delta ** (top - b)
+    return total, top
+
+
 class TestWedgeAlgebra:
     def test_anticommutativity(self):
         m = 2
@@ -240,6 +278,59 @@ class TestReduceTopForm:
         assert len(values) == 1
 
 
+class TestMemoizedElimination:
+    CASES = [
+        (2, 1, (2,), (1,)),
+        (3, 1, (3,), (2,)),
+        (3, 2, (1, 3), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("m, k, rows, cols", CASES)
+    def test_matches_the_tree_walk(self, m, k, rows, cols):
+        # Cold, warm, and in reverse order (other subsets fill the memo first),
+        # on the reference chart and on one other chart, in both orders.
+        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+        subsets = list(combinations(positions, k * (2 * m - k)))
+        ref = reference_chart_indices(k)
+        for chart in ((ref, ref), (rows, cols)):
+            for order in ("lex", "revlex"):
+                expected = [tree_walk_reduce(s, *chart, m, k, order) for s in subsets]
+                for run in ("cold", "warm", "reverse"):
+                    if run != "warm":
+                        clear_caches()
+                    pairs = list(zip(subsets, expected))
+                    if run == "reverse":
+                        pairs.reverse()
+                    for subset, want in pairs:
+                        got = forms._reduce_positions(subset, *chart, m, k, order)
+                        assert got == want, (chart, order, run, subset)
+
+    def test_dead_and_cancelling_wedges_are_told_apart(self):
+        # Every branch of the first dies on a repeated differential, one step
+        # below the start: B = 0.  The branches of the second reach the chart
+        # set and cancel: B = 4.
+        ref = reference_chart_indices(1)
+        dead = ((1, 1), (1, 2), (2, 3), (3, 1), (3, 2))
+        cancelling = ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+        for order in ("lex", "revlex"):
+            for subset, bpow in ((dead, 0), (cancelling, 4)):
+                result = forms._reduce_positions(subset, ref, ref, 3, 1, order)
+                assert result == (MultiPoly.zero(3), bpow)
+                assert result == tree_walk_reduce(subset, ref, ref, 3, 1, order)
+
+    def test_orders_keep_separate_memos(self):
+        clear_caches()
+        verify_nash(3, 1)
+        keys = set(forms._ELIMINATION_CACHE)
+        lex = {key[:3] for key in keys if key[3] == "lex"}
+        revlex = {key[:3] for key in keys if key[3] == "revlex"}
+        assert lex and lex == revlex and len(keys) == 2 * len(lex)
+        for chart in lex:
+            assert forms._ELIMINATION_CACHE[chart + ("lex",)] is not (
+                forms._ELIMINATION_CACHE[chart + ("revlex",)]
+            )
+
+
 class TestChartTransitions:
     def test_row_swap_two_by_two(self):
         assert verify_chart_transition((1,), (1,), (2,), (1,), 2, 1)
@@ -341,6 +432,7 @@ class TestVerifyNash:
             polynomials._MINOR_CACHE,
             tableaux._BLOCK_CACHE,
             forms._D_MINOR_CACHE,
+            forms._ELIMINATION_CACHE,
         )
         assert all(not cache for cache in caches)
         assert _untimed_json(verify_nash(3, 1)) == warm

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from detmld import tableaux
 from detmld.core import PreconditionError
 from detmld.polynomials import MinorIndex, MultiPoly, minor_poly
 from detmld.tableaux import (
@@ -266,6 +267,51 @@ class TestStraighten:
                 exp = straighten(d, m, k_bound=k_bound)
                 reprojected = standard_coordinates(exp.to_poly(m), m, k_bound=k_bound)
                 assert reprojected == exp
+
+
+def cell_by_cell_monomials(m, row_content, col_content):
+    """Reference enumeration: every entry of the matrix chosen in turn,
+    largest exponent first, so the vectors come in descending order."""
+    results = []
+    exp = [0] * (m * m)
+    cols_left = list(col_content)
+
+    def fill(cell, budget):
+        i, j = divmod(cell, m)
+        if j == 0 and cell:
+            if budget:
+                return
+            if i == m:
+                results.append(tuple(exp))
+                return
+            budget = row_content[i]
+        for e in range(min(budget, cols_left[j]), -1, -1):
+            exp[cell] = e
+            cols_left[j] -= e
+            fill(cell + 1, budget - e)
+            cols_left[j] += e
+        exp[cell] = 0
+
+    fill(0, row_content[0])
+    return results
+
+
+class TestMonomialEnumeration:
+    def test_matches_cell_by_cell_order(self):
+        for m in range(1, 5):
+            for degree in range(5):
+                contents = [c for c in product(range(degree + 1), repeat=m) if sum(c) == degree]
+                for rows in contents:
+                    for cols in contents:
+                        assert tableaux._monomials_with_content(m, rows, cols) == (
+                            cell_by_cell_monomials(m, rows, cols)
+                        ), (rows, cols)
+
+    def test_large_matrix_does_not_recurse_per_entry(self):
+        # m * m = 1,024 entries: deeper than the default recursion limit
+        assert standard_coordinates(MultiPoly.variable(32, 1, 1), 32) == StandardExpansion(
+            ((Fraction(1), dt([(1,)], [(1,)])),)
+        )
 
 
 class TestRowShift:
