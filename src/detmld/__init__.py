@@ -15,11 +15,9 @@ from .core import (
 )
 from .forms import (
     ChartForm,
-    ExteriorForm,
     NashReport,
     ReductionResult,
     chart_form,
-    d_minor,
     reduce_top_form,
     verify_chart_transition,
     verify_nash,

@@ -1,9 +1,12 @@
-"""Symbolic exterior algebra over the matrix polynomial ring.
+"""Top-degree forms on the rank <= k locus and the exhaustive Nash check.
 
-Implements differentials of minors, the canonical top-degree form on the
-charts of the rank <= k locus, reduction of arbitrary top-forms to a single
-polynomial coefficient against that canonical form, chart-transition
-verification, and the exhaustive Nash-ideal check at small sizes.
+Reduces top-forms of the ambient space, given as wedges of differentials of
+matrix entries, to one polynomial coefficient F against the canonical
+top-form of a chart, verifies chart transitions, and runs the exhaustive
+Nash-ideal check at small sizes.  F is computed as its standard expansion
+modulo the (k+1)-minor ideal; standard bideterminants form a basis, so that
+expansion is unique and is itself F's certificate of membership in the
+subalgebra of k x k minors.
 
 On the chart where a fixed k x k minor D is invertible, the variables
 sharing a row or column with D are coordinates, and the canonical generator
@@ -29,7 +32,7 @@ import bisect
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import PreconditionError
 from .polynomials import MinorIndex, MultiPoly, minor_poly
@@ -38,133 +41,15 @@ from .tableaux import (
     Membership,
     StandardExpansion,
     Tableau,
+    _rectangular_membership,
     canonical_mod_minors,
     standard_coordinates,
-    subalgebra_membership,
 )
 
 IndexPair = Tuple[int, int]
 Wedge = Tuple[IndexPair, ...]
 
 VERIFY_GUARD_M = 3
-
-
-class ExteriorForm:
-    """Finite sum of (polynomial coefficient, sorted wedge of dx_ij) terms.
-
-    Wedge keys are tuples of (i, j) pairs sorted lexicographically; sign
-    bookkeeping happens on insertion, a repeated differential kills the term.
-    """
-
-    __slots__ = ("m", "degree", "terms")
-
-    def __init__(self, m: int, degree: int, terms: Optional[Dict[Wedge, MultiPoly]] = None):
-        self.m = m
-        self.degree = degree
-        self.terms: Dict[Wedge, MultiPoly] = {}
-        if terms:
-            for wedge, poly in terms.items():
-                if len(wedge) != degree:
-                    raise PreconditionError(
-                        f"wedge {wedge} has length {len(wedge)}, expected {degree}"
-                    )
-                if not poly.is_zero:
-                    self.terms[tuple(wedge)] = poly
-
-    @classmethod
-    def zero(cls, m: int, degree: int) -> "ExteriorForm":
-        return cls(m, degree)
-
-    @classmethod
-    def single(cls, m: int, coeff: MultiPoly, pairs) -> "ExteriorForm":
-        wedge, sign = _sort_wedge(tuple(pairs))
-        if wedge is None:
-            return cls.zero(m, len(tuple(pairs)))
-        poly = coeff if sign == 1 else -coeff
-        return cls(m, len(wedge), {wedge: poly})
-
-    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        if self.m != other.m or self.degree != other.degree:
-            raise PreconditionError("cannot add forms of different layout or degree")
-        terms = dict(self.terms)
-        for wedge, poly in other.terms.items():
-            acc = terms.get(wedge)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero:
-                terms.pop(wedge, None)
-            else:
-                terms[wedge] = acc
-        return ExteriorForm(self.m, self.degree, terms)
-
-    def __neg__(self) -> "ExteriorForm":
-        return ExteriorForm(self.m, self.degree, {w: -p for w, p in self.terms.items()})
-
-    def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
-        if self.m != other.m:
-            raise PreconditionError("cannot wedge forms over different layouts")
-        out: Dict[Wedge, MultiPoly] = {}
-        for w1, p1 in self.terms.items():
-            for w2, p2 in other.terms.items():
-                merged, sign = _merge_wedges(w1, w2)
-                if merged is None:
-                    continue
-                poly = p1 * p2
-                if sign < 0:
-                    poly = -poly
-                acc = out.get(merged)
-                acc = poly if acc is None else acc + poly
-                if acc.is_zero:
-                    out.pop(merged, None)
-                else:
-                    out[merged] = acc
-        return ExteriorForm(self.m, self.degree + other.degree, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        return self.m == other.m and self.degree == other.degree and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for wedge, poly in sorted(self.terms.items()):
-            dxs = "^".join(f"dx{i}{j}" for i, j in wedge)
-            parts.append(f"({poly!r}) {dxs}")
-        return " + ".join(parts)
-
-
-def _sort_wedge(pairs: Wedge):
-    """Sort a wedge, returning (sorted tuple, permutation sign); None on repeats."""
-    if len(set(pairs)) != len(pairs):
-        return None, 0
-    inversions = 0
-    items = list(pairs)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                inversions += 1
-    return tuple(sorted(items)), (-1) ** inversions
-
-
-def _merge_wedges(w1: Wedge, w2: Wedge):
-    """Merge two sorted wedges; sign counts transpositions, None on repeats."""
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(w1) and j < len(w2):
-        if w1[i] == w2[j]:
-            return None, 0
-        if w1[i] < w2[j]:
-            merged.append(w1[i])
-            i += 1
-        else:
-            merged.append(w2[j])
-            inversions += len(w1) - i
-            j += 1
-    merged.extend(w1[i:])
-    merged.extend(w2[j:])
-    return tuple(merged), (-1) ** inversions
 
 
 _D_MINOR_CACHE: Dict[tuple, Dict[IndexPair, MultiPoly]] = {}
@@ -198,12 +83,6 @@ def d_minor_terms(idx: MinorIndex, m: int) -> Dict[IndexPair, MultiPoly]:
             out[(i, j)] = comp if (r + c) % 2 == 0 else -comp
     _D_MINOR_CACHE[key] = out
     return out
-
-
-def d_minor(idx: MinorIndex, m: int) -> ExteriorForm:
-    """The degree-1 exterior derivative of the minor polynomial."""
-    terms = {((i, j),): poly for (i, j), poly in d_minor_terms(idx, m).items()}
-    return ExteriorForm(m, 1, terms)
 
 
 def chart_variable_set(rows, cols, m: int) -> Wedge:
@@ -271,16 +150,26 @@ def chart_form(rows, cols, m: int, k: int) -> ChartForm:
 def _chart_sign(rows, cols, m: int, k: int) -> int:
     """Sign s with wedge(S_chart) = s * (chart minor)**(m-k) * w, computed by
     reduction in the reference chart."""
-    coeff = _reduce_to_reference(chart_variable_set(rows, cols, m), m, k)
+    ref = reference_chart_indices(k)
+    numerator, bpow = _reduce_positions(chart_variable_set(rows, cols, m), ref, ref, m, k, "lex")
+    coeff = _resolve_coefficient(numerator, bpow, ref, ref, m, k).to_poly(m)
+    sign = _sign_against_minor_power(coeff, rows, cols, m, k)
+    if not sign:
+        raise RuntimeError(
+            f"chart {rows} x {cols}: reduced coefficient is not +-(minor)^{m - k}; "
+            "the canonical form does not glue"
+        )
+    return sign
+
+
+def _sign_against_minor_power(coeff: MultiPoly, rows, cols, m: int, k: int) -> int:
+    """1 or -1 when coeff is +-(chart minor)**(m-k) modulo the (k+1)-minors, else 0."""
     expected = canonical_mod_minors(minor_poly(MinorIndex(rows, cols), m) ** (m - k), m, k)
     if coeff == expected:
         return 1
     if coeff == -expected:
         return -1
-    raise RuntimeError(
-        f"chart {rows} x {cols}: reduced coefficient is not +-(minor)^{m - k}; "
-        "the canonical form does not glue"
-    )
+    return 0
 
 
 @dataclass(frozen=True)
@@ -395,16 +284,17 @@ def _relabel(p: MultiPoly, perm: tuple) -> MultiPoly:
 
 def _resolve_coefficient(
     numerator: MultiPoly, bpow: int, rows: tuple, cols: tuple, m: int, k: int
-) -> MultiPoly:
-    """Clear the collected denominator: the canonical representative of
-    numerator * delta**(m - k - bpow) modulo the (k+1)-minor ideal.
+) -> StandardExpansion:
+    """Clear the collected denominator: the standard expansion, with rows
+    <= k, of numerator * delta**(m - k - bpow) modulo the (k+1)-minor ideal.
 
     After relabelling, delta is the leading minor [1..k | 1..k], and times a
     standard bideterminant with rows <= k it only puts the row 1..k on top of
     both sides, which stays standard.  So the power of delta is applied, or
     divided out, on the numerator's standard coordinates: each term gains or
-    loses that many top rows (1..k | 1..k).  A term that lacks a row to strip
-    means delta does not divide the numerator modulo the ideal.
+    loses that many top rows (1..k | 1..k), which keeps the terms in order.
+    A term that lacks a row to strip means delta does not divide the
+    numerator modulo the ideal.
     """
     perm = _chart_first(rows, cols, m)
     identity = perm == tuple(range(m * m))
@@ -422,11 +312,11 @@ def _resolve_coefficient(
         else:
             raise RuntimeError("division by the chart minor failed; reduction is unsound")
         terms.append((coef, DoubleTableau(Tableau(left), Tableau(right))))
-    out = StandardExpansion(tuple(terms)).to_poly(m)
+    expansion = StandardExpansion(tuple(terms))
     if identity:
-        return out
+        return expansion
     inverse = tuple(sorted(range(m * m), key=perm.__getitem__))
-    return canonical_mod_minors(_relabel(out, inverse), m, k)
+    return standard_coordinates(_relabel(expansion.to_poly(m), inverse), m, k_bound=k)
 
 
 def reduce_top_form(
@@ -437,7 +327,9 @@ def reduce_top_form(
 
     F is reported as the canonical representative modulo the (k+1)-minor
     ideal, so results from different elimination orders compare directly.
-    A form that restricts to zero yields F = 0, not an error.
+    Its standard expansion is unique, so the certificate is read off the
+    expansion that produced F.  A form that restricts to zero yields F = 0,
+    not an error.
     """
     m, k = chart.m, chart.k
     positions = tuple(sorted(tuple(p) for p in positions))
@@ -452,18 +344,14 @@ def reduce_top_form(
     numerator, bpow = _reduce_positions(
         positions, chart.rows, chart.cols, m, k, elimination_order
     )
-    coeff = _resolve_coefficient(numerator, bpow, chart.rows, chart.cols, m, k)
+    expansion = _resolve_coefficient(numerator, bpow, chart.rows, chart.cols, m, k)
     if chart.sign < 0:
-        coeff = -coeff
-    certificate = subalgebra_membership(coeff, m, k)
-    return ReductionResult(coefficient=coeff, certificate=certificate, denominator_power=bpow)
-
-
-def _reduce_to_reference(positions, m: int, k: int) -> MultiPoly:
-    """Coefficient of the reference-chart canonical form, without certificates."""
-    ref = reference_chart_indices(k)
-    numerator, bpow = _reduce_positions(tuple(sorted(positions)), ref, ref, m, k, "lex")
-    return _resolve_coefficient(numerator, bpow, ref, ref, m, k)
+        expansion = StandardExpansion(tuple((-coef, dt) for coef, dt in expansion))
+    return ReductionResult(
+        coefficient=expansion.to_poly(m),
+        certificate=_rectangular_membership(expansion, k),
+        denominator_power=bpow,
+    )
 
 
 def _swap_data(a: tuple, b: tuple):
@@ -517,9 +405,12 @@ def _transition_identity(
     """The two-term elimination identity for one transported index.
 
     For a row swap i -> i2 (transpose=False), every column j outside the
-    chart must satisfy: the common wedge times the differential of the
-    (k+1)-minor on rows (swapped + i2) and columns (fixed + j) has exactly
-    the terms dx_i,j and dx_i2,j with coefficients the two chart minors.
+    chart must satisfy: the common wedge (every position of the (k+1)-minor
+    on rows (swapped + i2) and columns (fixed + j) but (i, j) and (i2, j))
+    times the differential of that minor has exactly the terms dx_i,j and
+    dx_i2,j, with coefficients the two chart minors up to sign.  Every other
+    differential repeats one of the wedge, so the two coefficients are read
+    off the differential directly.
     """
     i, i2 = swap
     others = [j for j in range(1, m + 1) if j not in fixed]
@@ -532,24 +423,7 @@ def _transition_identity(
         dm = d_minor_terms(big, m)
         pair_1 = (j, i) if transpose else (i, j)
         pair_2 = (j, i2) if transpose else (i2, j)
-        lam = [
-            pq
-            for pq in _minor_positions(big)
-            if pq not in (pair_1, pair_2)
-        ]
-        lam_form = ExteriorForm.single(m, MultiPoly.one(m), lam)
-        total = ExteriorForm.zero(m, len(lam) + 1)
-        for (p, q), comp in dm.items():
-            total = total + lam_form.wedge(
-                ExteriorForm(m, 1, {((p, q),): comp})
-            )
-        keys = set(total.terms)
-        w1, _ = _merge_wedges(tuple(sorted(lam)), (pair_1,))
-        w2, _ = _merge_wedges(tuple(sorted(lam)), (pair_2,))
-        if keys != {w1, w2}:
-            return False
-        c1 = total.terms[w1]
-        c2 = total.terms[w2]
+        c1, c2 = dm[pair_1], dm[pair_2]
         if c1 != minor_a and c1 != -minor_a:
             return False
         if c2 != minor_b and c2 != -minor_b:
@@ -559,10 +433,6 @@ def _transition_identity(
 
 def _oriented_minor(rows: tuple, cols: tuple, transpose: bool) -> MinorIndex:
     return MinorIndex(cols, rows) if transpose else MinorIndex(rows, cols)
-
-
-def _minor_positions(idx: MinorIndex) -> list:
-    return [(i, j) for i in idx.rows for j in idx.cols]
 
 
 @dataclass
@@ -654,18 +524,9 @@ def verify_nash(m: int, k: int) -> NashReport:
     signs: Dict[tuple, int] = {}
     for rows_sel in chart_indices:
         for cols_sel in chart_indices:
-            expected = canonical_mod_minors(
-                minor_poly(MinorIndex(rows_sel, cols_sel), m) ** (m - k), m, k
-            )
             wedge_key = chart_variable_set(rows_sel, cols_sel, m)
-            actual = by_subset[wedge_key]
-            if actual == expected:
-                sign = 1
-            elif actual == -expected:
-                sign = -1
-            else:
-                sign = 0
-                realized_all = False
+            sign = _sign_against_minor_power(by_subset[wedge_key], rows_sel, cols_sel, m, k)
+            realized_all = realized_all and sign != 0
             signs[rows_sel, cols_sel] = sign
             report.charts.append(
                 {"rows": list(rows_sel), "cols": list(cols_sel), "sign": sign, "realized": sign != 0}

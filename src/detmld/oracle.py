@@ -28,7 +28,8 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import comb, lcm
 from operator import mul
 from typing import Iterator, Optional, Union
 
@@ -74,6 +75,8 @@ ABOVE_TRUNCATION = _AboveTruncation.ABOVE_TRUNCATION
 # each series has truncation + 1 coefficients.
 MAX_SERIES_SIZE = 8
 MAX_TRUNCATION = 64
+# Bound of the orbit search: the number of tails it may visit.
+MAX_SEARCH_TAILS = 100_000
 
 
 @dataclass(frozen=True)
@@ -192,15 +195,6 @@ def discrepancy_objective(
     )
 
 
-def _descending_tails(length: int, hi: int, floors: tuple) -> Iterator[tuple]:
-    if length == 0:
-        yield ()
-        return
-    for v in range(hi, floors[0] - 1, -1):
-        for rest in _descending_tails(length - 1, v, floors[1:]):
-            yield (v,) + rest
-
-
 def iter_tails(pair: DeterminantalPair, target: Target, bound: int) -> Iterator[tuple]:
     """All nonincreasing finite tails with entries in [0, bound] meeting the
     target's membership constraints, in descending lexicographic order."""
@@ -209,13 +203,23 @@ def iter_tails(pair: DeterminantalPair, target: Target, bound: int) -> Iterator[
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     k = pair.k
     if isinstance(target, PointTarget):
-        free = k - target.q
         zeros = (0,) * target.q
-        for head in _descending_tails(free, bound, (1,) * free):
+        for head in combinations_with_replacement(range(bound, 0, -1), k - target.q):
             yield head + zeros
     else:
-        floors = (1,) * target.j + (0,) * (k - target.j)
-        yield from _descending_tails(k, bound, floors)
+        for tail in combinations_with_replacement(range(bound, -1, -1), k):
+            if tail[target.j - 1] >= 1:
+                yield tail
+
+
+def _tail_count(pair: DeterminantalPair, target: Target, bound: int) -> int:
+    """The number of tails `iter_tails` yields, counted as multisets: the
+    free entries of a point target take values in 1..bound, and a locus
+    target drops the tails whose entry j is 0 from all tails in 0..bound."""
+    if isinstance(target, PointTarget):
+        free = pair.k - target.q
+        return comb(bound + free - 1, free)
+    return comb(bound + pair.k, pair.k) - comb(bound + target.j - 1, target.j - 1)
 
 
 def minimize_objective(
@@ -239,6 +243,12 @@ def minimize_objective(
             argmin=None,
             at_boundary=False,
             prefix_unbounded=True,
+        )
+    # The count grows with the bound and is at least the bound once some entry
+    # is free, so counting at a clamped bound decides the same and stays cheap.
+    if _tail_count(pair, target, min(bound, MAX_SEARCH_TAILS + 1)) > MAX_SEARCH_TAILS:
+        raise PreconditionError(
+            f"the search to L={bound} has more than {MAX_SEARCH_TAILS} tails; lower L"
         )
     # Values are compared scaled by the positive common denominator, which
     # keeps their order, so the search runs on integers.

@@ -513,7 +513,12 @@ def subalgebra_membership(F: MultiPoly, m: int, k: int) -> Membership:
         raise PreconditionError("membership test requires a homogeneous polynomial")
     if degree % k != 0:
         raise PreconditionError(f"degree {degree} is not divisible by k={k}")
-    expansion = standard_coordinates(F, m, k_bound=k)
+    return _rectangular_membership(standard_coordinates(F, m, k_bound=k), k)
+
+
+def _rectangular_membership(expansion: StandardExpansion, k: int) -> Membership:
+    """Membership read off a standard expansion with rows <= k: the first
+    term whose shape is not the rectangle (k, ..., k) is offending."""
     for _, tab in expansion:
         if any(len(r) != k for r in tab.left.rows):
             return Membership(False, None, offending=tab)

@@ -48,6 +48,23 @@ class TestMldCommands:
         assert code == 0
         assert json.loads(out)["mld"] == "-inf"
 
+    def test_oracle_search_at_large_rank(self, run_cli_json):
+        # one tail of 2000 entries: the enumeration must not recurse per entry
+        out = run_cli_json(
+            ["mld", "point", "--m", "2000", "--k", "2000", "--alphas", "0", "--q", "0", "--oracle", "1"]
+        )
+        assert out["oracle"]["argmin"] == [1] * 2000
+        assert out["agree"] is True
+
+    def test_oracle_search_too_large_is_precondition_error(self, run_cli):
+        # about 5 * 10**9 tails: rejected before the search starts
+        code, out, err = run_cli(
+            ["mld", "point", "--m", "3", "--k", "2", "--alphas", "0,0", "--q", "0", "--oracle", "100000"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_rationals_as_strings(self, run_cli_json):
         out = run_cli_json(["mld", "point", "--m", "4", "--k", "2", "--alphas", "1/2", "--q", "1"])
         assert isinstance(out["mld"], str)

@@ -10,10 +10,8 @@ import pytest
 from detmld import clear_caches, forms, polynomials, tableaux
 from detmld.core import PreconditionError
 from detmld.forms import (
-    ExteriorForm,
     chart_form,
     chart_variable_set,
-    d_minor,
     d_minor_terms,
     reduce_top_form,
     reference_chart_indices,
@@ -21,7 +19,7 @@ from detmld.forms import (
     verify_nash,
 )
 from detmld.polynomials import MinorIndex, MultiPoly, minor_poly
-from detmld.tableaux import canonical_mod_minors
+from detmld.tableaux import canonical_mod_minors, subalgebra_membership
 
 
 def x(m, i, j):
@@ -91,27 +89,6 @@ def tree_walk_reduce(positions, rows, cols, m, k, order):
     return total, top
 
 
-class TestWedgeAlgebra:
-    def test_anticommutativity(self):
-        m = 2
-        a = ExteriorForm(m, 1, {((1, 1),): MultiPoly.one(m)})
-        b = ExteriorForm(m, 1, {((1, 2),): MultiPoly.one(m)})
-        ab = a.wedge(b)
-        ba = b.wedge(a)
-        assert ab == -ba
-
-    def test_square_is_zero(self):
-        m = 2
-        a = ExteriorForm(m, 1, {((1, 1),): x(m, 2, 2)})
-        assert not a.wedge(a).terms
-
-    def test_unsorted_input_normalized(self):
-        m = 2
-        form = ExteriorForm.single(m, MultiPoly.one(m), [(2, 1), (1, 1)])
-        assert list(form.terms) == [((1, 1), (2, 1))]
-        assert form.terms[((1, 1), (2, 1))] == -MultiPoly.one(m)
-
-
 class TestDMinor:
     def test_two_by_two(self):
         m = 2
@@ -144,12 +121,6 @@ class TestDMinor:
                                 expected = partial_derivative(poly, m, i, j)
                                 got = dm.get((i, j), MultiPoly.zero(m))
                                 assert got == expected
-
-    def test_form_wrapper(self):
-        m = 2
-        form = d_minor(MinorIndex((1, 2), (1, 2)), m)
-        assert form.degree == 1
-        assert form.terms[((1, 1),)] == x(m, 2, 2)
 
 
 class TestChartForm:
@@ -245,6 +216,22 @@ class TestReduceTopForm:
                     coeff * delta ** (bpow - (m - k)), m, k
                 ) == chart.sign * canonical_mod_minors(numerator, m, k), (rows, cols, subset)
         assert divisions
+
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
+    def test_certificate_matches_public_membership(self, m, k):
+        # The certificate read off F's own expansion equals the one the
+        # public test builds by straightening F again, offending term included.
+        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+        indices = list(combinations(range(1, m + 1), k))
+        for rows in indices:
+            for cols in indices:
+                chart = chart_form(rows, cols, m, k)
+                for subset in combinations(positions, k * (2 * m - k)):
+                    for order in ("lex", "revlex"):
+                        result = reduce_top_form(subset, chart, elimination_order=order)
+                        assert result.certificate == subalgebra_membership(
+                            result.coefficient, m, k
+                        ), (rows, cols, subset, order)
 
     def test_nonreference_chart_reduces_its_own_set(self):
         chart = chart_form((2,), (1,), 2, 1)
@@ -347,6 +334,40 @@ class TestChartTransitions:
 
     def test_k_two_row_swap(self):
         assert verify_chart_transition((1, 2), (1, 2), (1, 3), (1, 2), 3, 2)
+
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
+    def test_identity_holds_for_every_single_swap(self, m, k):
+        pairs = list(forms._single_swap_pairs(list(combinations(range(1, m + 1), k))))
+        assert pairs
+        for pair in pairs:
+            assert forms._swap_identity(*pair, m, k), pair
+
+    @pytest.mark.parametrize(
+        "swapped, fixed, swap, transpose, entries",
+        [
+            ((1, 2), (1, 2), (2, 3), False, ((2, 3), (3, 3))),
+            ((1,), (2,), (1, 3), True, ((1, 1), (1, 3))),
+        ],
+    )
+    def test_identity_fails_on_swapped_coefficients(
+        self, monkeypatch, swapped, fixed, swap, transpose, entries
+    ):
+        # Exchanging the dx_ij and dx_i2j coefficients of every differential
+        # puts each chart minor against the other's position.
+        m = 3
+        k = len(swapped)
+        assert forms._transition_identity(swapped, fixed, swap, m, k, transpose)
+        real = forms.d_minor_terms
+
+        def swapped_terms(idx, m):
+            terms = dict(real(idx, m))
+            first, second = entries
+            if first in terms and second in terms:
+                terms[first], terms[second] = terms[second], terms[first]
+            return terms
+
+        monkeypatch.setattr(forms, "d_minor_terms", swapped_terms)
+        assert not forms._transition_identity(swapped, fixed, swap, m, k, transpose)
 
 
 class TestVerifyNash:

@@ -268,6 +268,23 @@ class TestMinimize:
         with pytest.raises(PreconditionError):
             minimize_objective(new_pair(2, 1, []), PointTarget(0), 0)
 
+    def test_search_size_is_bounded(self, monkeypatch):
+        # The tails are counted exactly before the search: (2,1) at a point
+        # has L tails, (3,2) along j = 1 has C(L+2, 2) - 1.  The analytic
+        # certificate comes first, so an unbounded pair never reaches the guard.
+        monkeypatch.setattr(oracle, "MAX_SEARCH_TAILS", 10)
+        assert minimize_objective(new_pair(2, 1, []), PointTarget(0), 10).argmin == (1,)
+        assert minimize_objective(new_pair(3, 2, []), LocusTarget(1), 3).argmin == (1, 0)
+        for pair, target, bound in (
+            (new_pair(2, 1, []), PointTarget(0), 11),
+            (new_pair(2, 1, []), PointTarget(0), 10**30),
+            (new_pair(3, 2, []), LocusTarget(1), 4),
+        ):
+            with pytest.raises(PreconditionError):
+                minimize_objective(pair, target, bound)
+        unbounded = new_pair(3, 2, [Fraction(5, 2), 0])
+        assert minimize_objective(unbounded, PointTarget(0), 10**30).prefix_unbounded
+
     def test_boundary_flag(self):
         # with bound 1 the only admissible tail is all ones, which sits on the
         # boundary; the flag marks the minimum as an upper bound only
@@ -319,6 +336,7 @@ class TestMinimize:
         tails = list(iter_tails(pair, target, bound))
         assert len(tails) == len(set(tails))
         assert len(tails) == naive_tail_count(pair, target, bound)
+        assert len(tails) == oracle._tail_count(pair, target, bound)
         assert tails == sorted(tails, reverse=True)
         for tail in tails:
             assert all(a >= b for a, b in zip(tail, tail[1:]))

@@ -47,3 +47,46 @@ def test_no_unused_module_imports():
                     if (alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert not unused
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants: (node, name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def test_no_unused_private_names():
+    # every private module-level name is read somewhere in the package outside
+    # its own definition (a recursive call or an assignment does not count)
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(detmld.__file__).parent.glob("*.py"))
+    }
+    reads = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    ]
+    definitions = [
+        (module, definition, name)
+        for module, tree in trees.items()
+        for definition, name in _private_definitions(tree)
+    ]
+    unused = []
+    for module, definition, name in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(read == name and id(node) not in inside for node, read in reads):
+            unused.append(f"{module} {name}")
+    assert definitions
+    assert not unused
