@@ -71,13 +71,14 @@ from .tableaux import (
 
 def clear_caches() -> None:
     """Empty the module-level caches (minor polynomials, content blocks,
-    d-minors and the per-chart elimination numerators), so that the next
-    computation starts cold."""
+    d-minors, the per-chart elimination numerators and the per-chart
+    relabellings), so that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._BLOCK_CACHE,
         forms._D_MINOR_CACHE,
         forms._ELIMINATION_CACHE,
+        forms._CHART_FIRST_CACHE,
     ):
         cache.clear()
 

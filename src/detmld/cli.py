@@ -1,7 +1,9 @@
 """Command-line front end: every computation, JSON on stdout.
 
 Exit codes: 0 on success (negative-infinity results are data, not errors),
-1 when a library precondition rejects the input, 2 on argument errors.
+1 when a library precondition rejects the input or the reader closes stdout
+before the output is written (quietly, with no traceback), 2 on argument
+errors.
 Rational values are emitted as strings "p/q" to avoid precision loss;
 negative infinity serializes as "-inf", infinite partition entries as "inf".
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Optional
@@ -123,11 +126,10 @@ def _mld_report(args, target) -> dict:
     if args.oracle is not None:
         comparison = compare_with_closed_form(pair, target, args.oracle)
         value = comparison.closed_form
-    elif point:
-        value = mld_at_rank(pair, target.q)
+        betas = comparison.oracle.betas
     else:
-        value = mld_along(pair, target.j)
-    betas = beta_coefficients(pair, pair.k - target.q if point else pair.k)
+        value = mld_at_rank(pair, target.q) if point else mld_along(pair, target.j)
+        betas = beta_coefficients(pair, pair.k - target.q if point else pair.k)
     out = {
         "m": pair.m,
         "k": pair.k,
@@ -377,7 +379,13 @@ def main(argv: Optional[list] = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(out, args.pretty)
+    try:
+        _emit(out, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -264,16 +264,24 @@ def _reduce_positions(
     return total, sum(1 for i, j in start if i not in good_rows and j not in good_cols)
 
 
+_CHART_FIRST_CACHE: Dict[tuple, tuple] = {}
+
+
 def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:
     """Exponent positions read by the relabelling that puts the chart rows and
     columns first, each keeping its order: entry n of a relabelled exponent
     vector is entry perm[n] of the original.  It carries the chart minor to
-    the leading minor [1..k | 1..k] with sign +1."""
+    the leading minor [1..k | 1..k] with sign +1.  Memoized per chart."""
+    key = (m, rows, cols)
+    perm = _CHART_FIRST_CACHE.get(key)
+    if perm is None:
 
-    def order(chosen: tuple) -> tuple:
-        return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
+        def order(chosen: tuple) -> tuple:
+            return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
 
-    return tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
+        perm = tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
+        _CHART_FIRST_CACHE[key] = perm
+    return perm
 
 
 def _relabel(p: MultiPoly, perm: tuple) -> MultiPoly:

@@ -34,7 +34,7 @@ from operator import mul
 from typing import Iterator, Optional, Union
 
 from .core import INF, DeterminantalPair, ExtendedPartition, MldValue, PreconditionError
-from .mld import beta_coefficients, mld_along, mld_at_rank
+from .mld import BetaVector, beta_coefficients, mld_along, mld_at_rank
 from .orbits import (
     _codim,
     _codim_point,
@@ -87,13 +87,16 @@ class OracleResult:
     the bound, so the minimum is only an upper bound on the true infimum.
     `prefix_unbounded` is the analytic certificate that some beta prefix sum
     is negative, in which case the infimum over the sorted domain is minus
-    infinity regardless of the bound.
+    infinity regardless of the bound.  `betas` are the beta coefficients
+    that certificate was read from (k - q at a point, k along a locus); they
+    are not part of the JSON.
     """
 
     minimum: MldValue
     argmin: Optional[tuple]
     at_boundary: bool
     prefix_unbounded: bool
+    betas: BetaVector
 
     def to_json(self) -> dict:
         return {
@@ -243,6 +246,7 @@ def minimize_objective(
             argmin=None,
             at_boundary=False,
             prefix_unbounded=True,
+            betas=betas,
         )
     # The count grows with the bound and is at least the bound once some entry
     # is free, so counting at a clamped bound decides the same and stays cheap.
@@ -269,6 +273,7 @@ def minimize_objective(
         argmin=best_tail,
         at_boundary=at_boundary,
         prefix_unbounded=False,
+        betas=betas,
     )
 
 

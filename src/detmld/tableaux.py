@@ -16,6 +16,13 @@ block the standard bideterminants form a basis of the span of the monomials
 of that content, so expanding a polynomial amounts to one invertible solve
 per content, which we cache.  Working modulo the ideal of (k+1)-minors is
 realized by dropping standard terms with a row longer than k.
+
+Modulo the 2-minors (k = 1) no block is built: x_ij x_pq = x_iq x_pj there,
+so every monomial of a content equals the one standard product of that
+content, whose double tableau has one box per row, the row indices in
+sorted order on the left and the column indices on the right.  That
+content's coordinate is the sum of its coefficients (the rank-one case of
+the straightening law).
 """
 
 from __future__ import annotations
@@ -216,10 +223,15 @@ class StandardExpansion:
         return StandardExpansion(kept)
 
     def to_poly(self, m: int) -> MultiPoly:
-        total = MultiPoly.zero(m)
+        """The sum of the terms, collected in one dict."""
+        acc: Dict[Exponents, Fraction] = {}
+        get = acc.get
         for coef, dt in self.terms:
-            total = total + coef * bideterminant(dt, m)
-        return total
+            for exp, c in bideterminant(dt, m).terms.items():
+                acc[exp] = get(exp, 0) + coef * c
+        out = MultiPoly(m)
+        out.terms = {exp: c for exp, c in acc.items() if c}
+        return out
 
     def to_json(self) -> list:
         return [
@@ -436,9 +448,12 @@ def standard_coordinates(
 
     With k_bound set, terms with rows longer than k_bound are dropped: the
     result represents the image of p modulo the ideal of (k_bound+1)-minors.
+    At k_bound = 1 that image is read off in closed form, with no block.
     """
     if p.m != m:
         raise PreconditionError(f"polynomial lives in a {p.m}x{p.m} layout, expected {m}")
+    if k_bound == 1:
+        return _rank_one_coordinates(p, m)
     by_content: Dict[tuple, Dict[Exponents, Fraction]] = {}
     for exp, coef in p.terms.items():
         rc, cc = p.monomial_content(exp)
@@ -451,6 +466,27 @@ def standard_coordinates(
     if k_bound is not None:
         expansion = expansion.restrict_rows(k_bound)
     return expansion
+
+
+def _rank_one_coordinates(p: MultiPoly, m: int) -> StandardExpansion:
+    """Standard expansion of p modulo the 2-minors: per content, the sum of
+    its coefficients times the one standard double tableau with rows <= 1."""
+    sums: Dict[tuple, Fraction] = {}
+    for exp, coef in p.terms.items():
+        content = p.monomial_content(exp)
+        sums[content] = sums.get(content, 0) + coef
+    terms = [
+        (coef, DoubleTableau(_single_box_rows(rc), _single_box_rows(cc)))
+        for (rc, cc), coef in sums.items()
+        if coef
+    ]
+    terms.sort(key=lambda t: t[1].sort_key())
+    return StandardExpansion(tuple(terms))
+
+
+def _single_box_rows(counts: tuple) -> Tableau:
+    """The one-column tableau of the given content, entries in sorted order."""
+    return Tableau(tuple((v,) for v, n in enumerate(counts, start=1) for _ in range(n)))
 
 
 def canonical_mod_minors(p: MultiPoly, m: int, k: int) -> MultiPoly:

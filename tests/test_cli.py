@@ -289,6 +289,22 @@ class TestCliContract:
         assert json.loads(out)["mld"] == str(10000 * 10000)
         assert time.perf_counter() - started < 5
 
+    def test_closed_pipe_exits_without_traceback(self):
+        # The report (about 270 kB) outgrows the pipe buffer, so the write
+        # meets the closed read end.
+        env = dict(os.environ, PYTHONPATH=str(Path(detmld.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "detmld.cli", "mld", "point", "--m", "20000", "--k", "20000",
+             "--alphas", "0", "--q", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(50).startswith(b'{"m": 20000')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_unknown_command_exit_code(self, run_cli):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2

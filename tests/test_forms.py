@@ -51,6 +51,16 @@ def _untimed_json(report):
     return json.dumps(data, sort_keys=True)
 
 
+# Every module-level cache that clear_caches() empties.
+_CACHES = (
+    polynomials._MINOR_CACHE,
+    tableaux._BLOCK_CACHE,
+    forms._D_MINOR_CACHE,
+    forms._ELIMINATION_CACHE,
+    forms._CHART_FIRST_CACHE,
+)
+
+
 def tree_walk_reduce(positions, rows, cols, m, k, order):
     """Reference elimination: the path-sum walk over the elimination tree.
 
@@ -449,15 +459,18 @@ class TestVerifyNash:
         verify_nash(3, 1)
         warm = _untimed_json(verify_nash(3, 1))
         clear_caches()
-        caches = (
-            polynomials._MINOR_CACHE,
-            tableaux._BLOCK_CACHE,
-            forms._D_MINOR_CACHE,
-            forms._ELIMINATION_CACHE,
-        )
-        assert all(not cache for cache in caches)
+        assert all(not cache for cache in _CACHES)
         assert _untimed_json(verify_nash(3, 1)) == warm
-        assert all(caches)
+        # Modulo the 2-minors the expansion is read off in closed form.
+        assert not tableaux._BLOCK_CACHE
+
+    def test_cold_run_at_rank_two_fills_every_cache(self):
+        verify_nash(3, 2)
+        warm = _untimed_json(verify_nash(3, 2))
+        clear_caches()
+        assert all(not cache for cache in _CACHES)
+        assert _untimed_json(verify_nash(3, 2)) == warm
+        assert all(_CACHES)
 
 
 class TestFrontier:

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from detmld import tableaux
+from detmld import clear_caches, tableaux
 from detmld.core import PreconditionError
 from detmld.polynomials import MinorIndex, MultiPoly, minor_poly
 from detmld.tableaux import (
@@ -328,6 +329,88 @@ class TestRowShift:
                         shifted = dt((lead,) + d.left.rows, (lead,) + d.right.rows)
                         assert shifted.is_standard, d
                         assert bideterminant(shifted, m) == delta * bideterminant(d, m), d
+
+
+def _random_poly(rng, m, max_degree):
+    """A few random monomials of degree <= max_degree.  Some come in groups
+    of one content whose coefficients sum to zero, so they vanish modulo the
+    2-minors."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        degree = rng.randint(0, max_degree)
+        cells = [rng.randrange(m * m) for _ in range(degree)]
+        exp = [0] * (m * m)
+        for cell in cells:
+            exp[cell] += 1
+        coef = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if rng.random() < 0.4 and degree >= 2:
+            # the same content, rows matched to the columns in another order
+            rows = sorted(c // m for c in cells)
+            cols = [c % m for c in cells]
+            rng.shuffle(cols)
+            twin = [0] * (m * m)
+            for i, j in zip(rows, cols):
+                twin[i * m + j] += 1
+            terms[tuple(twin)] = terms.get(tuple(twin), 0) - coef
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + coef
+    return MultiPoly(m, terms)
+
+
+def running_sum_to_poly(expansion, m):
+    """Reference re-expansion: one polynomial addition per term."""
+    total = MultiPoly.zero(m)
+    for coef, d in expansion:
+        total = total + coef * bideterminant(d, m)
+    return total
+
+
+class TestRankOneClosedForm:
+    def test_matches_the_full_ring_route_on_random_polynomials(self):
+        rng = random.Random(20261018)
+        for m in range(1, 5):
+            for _ in range(40):
+                p = _random_poly(rng, m, 4)
+                assert standard_coordinates(p, m, k_bound=1) == (
+                    standard_coordinates(p, m).restrict_rows(1)
+                ), p
+
+    def test_matches_the_full_ring_route_on_standard_bideterminants(self):
+        m = 3
+        for degree in range(4):
+            for d in enumerate_standard_basis(m, degree=degree):
+                p = bideterminant(d, m)
+                assert standard_coordinates(p, m, k_bound=1) == (
+                    standard_coordinates(p, m).restrict_rows(1)
+                ), d
+
+    def test_builds_no_content_block(self):
+        clear_caches()
+        p = MultiPoly.variable(3, 1, 2) * MultiPoly.variable(3, 3, 1) + MultiPoly.variable(3, 2, 2)
+        assert len(standard_coordinates(p, 3, k_bound=1)) == 2
+        assert not tableaux._BLOCK_CACHE
+
+    def test_cancelling_content_is_dropped(self):
+        # x11 x22 + x12 x21 - 2 x12 x21 is the 2-minor (1,2 | 1,2)
+        m = 2
+        p = minor_poly(MinorIndex((1, 2), (1, 2)), m) + MultiPoly.variable(m, 1, 1)
+        assert standard_coordinates(p, m, k_bound=1) == StandardExpansion(
+            ((Fraction(1), dt([(1,)], [(1,)])),)
+        )
+
+
+class TestToPoly:
+    def test_one_pass_matches_the_running_sum(self):
+        rng = random.Random(1018)
+        for m in range(1, 4):
+            for _ in range(30):
+                expansion = standard_coordinates(_random_poly(rng, m, 3), m)
+                assert expansion.to_poly(m) == running_sum_to_poly(expansion, m)
+
+    def test_cancelling_terms_leave_no_zero_coefficients(self):
+        d = dt([(1, 2)], [(1, 2)])
+        expansion = StandardExpansion(((Fraction(1), d), (Fraction(-1), d)))
+        assert expansion.to_poly(2).terms == {}
+        assert running_sum_to_poly(expansion, 2).is_zero
 
 
 class TestBasisProperty:
