@@ -300,9 +300,8 @@ class TestCliContract:
         )
         assert proc.stdout.read(50).startswith(b'{"m": 20000')
         proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
         assert err == b""
 
     def test_unknown_command_exit_code(self, run_cli):

@@ -390,7 +390,8 @@ class TestRankOneClosedForm:
         assert not tableaux._BLOCK_CACHE
 
     def test_cancelling_content_is_dropped(self):
-        # x11 x22 + x12 x21 - 2 x12 x21 is the 2-minor (1,2 | 1,2)
+        # the 2-minor x11 x22 - x12 x21 is one content whose coefficients
+        # cancel; only x11 is left
         m = 2
         p = minor_poly(MinorIndex((1, 2), (1, 2)), m) + MultiPoly.variable(m, 1, 1)
         assert standard_coordinates(p, m, k_bound=1) == StandardExpansion(
