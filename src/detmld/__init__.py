@@ -70,11 +70,13 @@ from .tableaux import (
 
 
 def clear_caches() -> None:
-    """Empty the module-level caches (minor polynomials, content blocks,
-    d-minors, the per-chart elimination numerators and the per-chart
-    relabellings), so that the next computation starts cold."""
+    """Empty the module-level caches (minor polynomials, the packed-integer
+    minors of the content-block columns, content blocks, d-minors, the
+    per-chart elimination numerators and the per-chart relabellings), so
+    that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
+        tableaux._PACKED_MINOR_CACHE,
         tableaux._BLOCK_CACHE,
         forms._D_MINOR_CACHE,
         forms._ELIMINATION_CACHE,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 from typing import Optional
 
@@ -31,7 +32,7 @@ from .mld import (
     first_lc_violation,
     mld_along,
     mld_at_rank,
-    semicontinuity_profile,
+    scaled_semicontinuity_profile,
 )
 from .oracle import (
     ABOVE_TRUNCATION,
@@ -248,23 +249,28 @@ def _cmd_nash_verify(args) -> dict:
 
 def _cmd_semicontinuity(args) -> dict:
     pair = new_pair(args.m, args.k, _parse_alphas(args.alphas))
-    profile = semicontinuity_profile(pair)
+    # In integers over the profile's denominator D; Fractions only for output.
+    den, profile = scaled_semicontinuity_profile(pair)
+    base = pair.m - pair.k
     differences = []
     identity = True
     for q in range(1, pair.k + 1):
         lower, upper = profile[q - 1], profile[q]
-        if lower.is_finite and upper.is_finite:
-            diff = upper.value - lower.value
-            expected = (pair.m - pair.k) + pair.alpha_prefix(pair.k - q + 1)
-            differences.append(format_rational(diff))
-            identity = identity and diff == expected
+        if lower is not None and upper is not None:
+            diff = upper - lower
+            # diff / D == base + alpha_prefix, checked with cross-multiplied integers.
+            expected = pair.alpha_prefix(pair.k - q + 1)
+            differences.append(format_rational(Fraction(diff, den)))
+            identity = identity and diff * expected.denominator == (
+                base * expected.denominator + expected.numerator
+            ) * den
         else:
             differences.append(None)
     return {
         "m": pair.m,
         "k": pair.k,
         "alphas": [format_rational(a) for a in pair.alphas],
-        "profile": [str(v) for v in profile],
+        "profile": ["-inf" if n is None else format_rational(Fraction(n, den)) for n in profile],
         "differences": differences,
         "difference_identity": identity,
     }

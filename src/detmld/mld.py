@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from math import lcm
 from typing import Optional
 
 from .core import DeterminantalPair, MldValue, PreconditionError
@@ -144,20 +144,36 @@ def semicontinuity_profile(pair: DeterminantalPair) -> list:
     exactly (m - k) + alpha_1 + ... + alpha_{k-q+1} from rank q-1 to rank q.
     Equal to mld_at_rank at every q.
     """
-    if any(a < 0 for a in pair.alphas):
+    denominator, numerators = scaled_semicontinuity_profile(pair)
+    return [
+        MldValue.NEG_INFINITY if n is None else MldValue.finite(Fraction(n, denominator))
+        for n in numerators
+    ]
+
+
+def scaled_semicontinuity_profile(pair: DeterminantalPair) -> tuple:
+    """(D, numerators): D is the lcm of the alpha denominators, and the mld at
+    rank q is numerators[q] / D, or negative infinity where numerators[q] is
+    None.  Nonnegative coefficients are required, as in semicontinuity_profile.
+    """
+    denominator = lcm(*(a.denominator for a in pair.alphas))
+    scaled = [a.numerator * (denominator // a.denominator) for a in pair.alphas]
+    if any(a < 0 for a in scaled):
         raise PreconditionError("semicontinuity profile requires nonnegative coefficients")
     m, k = pair.m, pair.k
     # Log canonical at rank q exactly when r = k - q is below the first
-    # violated prefix; the correction at r is the sum of the first r prefix
-    # sums, so one running sum serves every rank.
-    violation = first_lc_violation(pair, k)
-    lc_limit = k if violation is None else violation[0] - 1
-    corrections = list(
-        accumulate((pair.alpha_prefix(j) for j in range(1, lc_limit + 1)), initial=Fraction(0))
-    )
-    return [
-        MldValue.finite(Fraction(q * (m - k) + k * m) - corrections[k - q])
-        if k - q <= lc_limit
-        else MldValue.NEG_INFINITY
+    # violated prefix (alpha_1 + ... + alpha_r > m - k + 2r - 1); the
+    # correction at r is the sum of the first r prefix sums, so one running
+    # sum serves every rank.
+    corrections = [0]
+    prefix = 0
+    for r, a in enumerate(scaled, start=1):
+        prefix += a
+        if prefix > (m - k + 2 * r - 1) * denominator:
+            break
+        corrections.append(corrections[-1] + prefix)
+    lc_limit = len(corrections) - 1
+    return denominator, [
+        (q * (m - k) + k * m) * denominator - corrections[k - q] if k - q <= lc_limit else None
         for q in range(k + 1)
     ]

@@ -14,8 +14,13 @@ depends on the rows only as sets.
 Straightening is implemented by exact linear algebra: within each content
 block the standard bideterminants form a basis of the span of the monomials
 of that content, so expanding a polynomial amounts to one invertible solve
-per content, which we cache.  Working modulo the ideal of (k+1)-minors is
-realized by dropping standard terms with a row longer than k.
+per content, which we cache.  The block's columns, the standard
+bideterminants in the monomial basis, are multiplied out in integers on
+packed monomials (one int per monomial, so a monomial product is one
+addition); `bideterminant` itself stays on `MultiPoly`, and re-expanding a
+result with it checks the block route independently.  Working modulo the
+ideal of (k+1)-minors is realized by dropping standard terms with a row
+longer than k.
 
 Modulo the 2-minors (k = 1) no block is built: x_ij x_pq = x_iq x_pj there,
 so every monomial of a content equals the one standard product of that
@@ -35,7 +40,7 @@ from typing import Dict, Iterable, List, Optional
 
 from .core import PreconditionError
 from .linalg import PreparedSolver
-from .polynomials import Exponents, MinorIndex, MultiPoly, minor_poly
+from .polynomials import Exponents, MinorIndex, MultiPoly, _signed_permutations, minor_poly
 
 MAX_DEGREE = 6
 # Matrix sizes straighten accepts: monomials are dense exponent vectors of
@@ -133,6 +138,14 @@ class Tableau:
                 f"declared shape {data['shape']!r} does not match rows {t.shape.rows}"
             )
         return t
+
+
+def _trusted_tableau(rows: tuple) -> Tableau:
+    """A Tableau from a tuple of int tuples that is a valid filling by
+    construction, without the checks of Tableau.__post_init__."""
+    t = object.__new__(Tableau)
+    object.__setattr__(t, "rows", rows)
+    return t
 
 
 def tableau_leq(t: Tableau, other: Tableau) -> bool:
@@ -312,7 +325,7 @@ def enumerate_standard_tableaux(
 
     place(0)
     results.sort()
-    return [Tableau(rows) for rows in results]
+    return [_trusted_tableau(rows) for rows in results]
 
 
 def enumerate_standard_basis(
@@ -367,11 +380,13 @@ class _ContentBlock:
                 f"{row_content} | {col_content}: this contradicts the straightening law"
             )
         # Bideterminants have integer coefficients, so the columns are integers.
+        bits = sum(row_content).bit_length()
+        row_of = {_pack(exp, bits): i for i, exp in enumerate(self.monomials)}
         columns = []
         for dt in self.tableaux:
             vec = [0] * len(self.monomials)
-            for exp, coef in bideterminant(dt, m).terms.items():
-                vec[self.index[exp]] = coef.numerator
+            for mono, coef in _packed_bideterminant(dt, m, bits).items():
+                vec[row_of[mono]] = coef
             columns.append(vec)
         try:
             self.solver = PreparedSolver(columns)
@@ -394,6 +409,54 @@ class _ContentBlock:
         return [
             (coef, self.tableaux[i]) for i, coef in enumerate(solution) if coef != 0
         ]
+
+
+# Packed monomials.  A block monomial of degree d is one int with a field of
+# d.bit_length() bits per variable, x_ij's exponent in the field of its
+# row-major index.  Every exponent of a column, and of every partial product
+# of its rows, is at most d, so adding two packed monomials never carries
+# from one field into the next: the sum is the packed product.
+
+
+def _pack(exp: Exponents, bits: int) -> int:
+    packed = 0
+    for idx, e in enumerate(exp):
+        if e:
+            packed |= e << (idx * bits)
+    return packed
+
+
+_PACKED_MINOR_CACHE: Dict[tuple, list] = {}
+
+
+def _packed_minor(m: int, bits: int, rows: tuple, cols: tuple) -> list:
+    """The minor on rows x cols as (packed monomial, +1 or -1) pairs, by Leibniz."""
+    key = (m, bits, rows, cols)
+    minor = _PACKED_MINOR_CACHE.get(key)
+    if minor is None:
+        fields = [[((i - 1) * m + j - 1) * bits for j in cols] for i in rows]
+        minor = [
+            (sum(1 << row[p] for row, p in zip(fields, perm)), int(sign))
+            for perm, sign in _signed_permutations(len(rows))
+        ]
+        _PACKED_MINOR_CACHE[key] = minor
+    return minor
+
+
+def _packed_bideterminant(dt: DoubleTableau, m: int, bits: int) -> Dict[int, int]:
+    """The bideterminant of dt as packed monomial -> integer coefficient: a
+    running product of its row minors."""
+    column = {0: 1}
+    for lrow, rrow in zip(dt.left.rows, dt.right.rows):
+        minor = _packed_minor(m, bits, lrow, rrow)
+        product: Dict[int, int] = {}
+        get = product.get
+        for mono, coef in column.items():
+            for factor, sign in minor:
+                key = mono + factor
+                product[key] = get(key, 0) + coef * sign
+        column = product
+    return column
 
 
 def _monomials_with_content(m: int, row_content: tuple, col_content: tuple) -> List[Exponents]:
@@ -486,7 +549,7 @@ def _rank_one_coordinates(p: MultiPoly, m: int) -> StandardExpansion:
 
 def _single_box_rows(counts: tuple) -> Tableau:
     """The one-column tableau of the given content, entries in sorted order."""
-    return Tableau(tuple((v,) for v, n in enumerate(counts, start=1) for _ in range(n)))
+    return _trusted_tableau(tuple((v,) for v, n in enumerate(counts, start=1) for _ in range(n)))
 
 
 def canonical_mod_minors(p: MultiPoly, m: int, k: int) -> MultiPoly:

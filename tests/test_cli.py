@@ -226,6 +226,27 @@ class TestSemicontinuityCommand:
         code, _, _ = run_cli(["semicontinuity", "--m", "3", "--k", "2", "--alphas=-1,0"])
         assert code == 1
 
+    def test_rational_profile_over_a_common_denominator(self, run_cli_json):
+        out = run_cli_json(["semicontinuity", "--m", "4", "--k", "3", "--alphas", "1/2,1/3,1/4"])
+        pair = new_pair(4, 3, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+        profile = [detmld.mld_at_rank(pair, q).value for q in range(4)]
+        assert out["profile"] == [str(v) for v in profile] == ["115/12", "35/3", "27/2", "15"]
+        assert out["differences"] == [str(b - a) for a, b in zip(profile, profile[1:])]
+        assert out["difference_identity"] is True
+
+    def test_difference_identity_is_checked_against_alpha_prefix(self, run_cli_json, monkeypatch):
+        # the identity's expected side comes from alpha_prefix, not from the
+        # profile: a profile off by 1/D at one rank breaks it
+        real = detmld.cli.scaled_semicontinuity_profile
+
+        def shifted(pair):
+            den, numerators = real(pair)
+            return den, numerators[:-1] + [numerators[-1] + 1]
+
+        monkeypatch.setattr(detmld.cli, "scaled_semicontinuity_profile", shifted)
+        out = run_cli_json(["semicontinuity", "--m", "3", "--k", "2", "--alphas", "1/2,1"])
+        assert out["difference_identity"] is False
+
 
 class TestCliContract:
     def test_argument_error_exit_code(self, run_cli):

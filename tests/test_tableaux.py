@@ -204,6 +204,26 @@ class TestEnumeration:
                         assert enumerate_standard_tableaux(m, shape, content) == expected
 
 
+    def test_enumerated_tableaux_equal_validated_ones(self):
+        # enumeration skips Tableau's checks; what it builds must equal the
+        # validated Tableau of the same rows, hash alike and be standard
+        for m in range(1, 5):
+            for size in range(5):
+                contents = [c for c in product(range(size + 1), repeat=m) if sum(c) == size]
+                for shape in _shapes(size, m):
+                    for content in [None] + contents:
+                        for t in enumerate_standard_tableaux(m, shape, content):
+                            validated = Tableau(t.rows)
+                            assert t == validated and hash(t) == hash(validated), t
+                            assert t.shape.rows == shape and is_standard(t), t
+                            assert all(type(v) is int for row in t.rows for v in row), t
+
+    def test_outside_input_is_still_checked(self):
+        for rows in (((0,),), ((1,), ()), ((1,), (1, 2))):
+            with pytest.raises(PreconditionError):
+                Tableau(rows)
+
+
 class TestStraighten:
     def test_standard_is_fixed(self):
         m = 2
@@ -412,6 +432,74 @@ class TestToPoly:
         expansion = StandardExpansion(((Fraction(1), d), (Fraction(-1), d)))
         assert expansion.to_poly(2).terms == {}
         assert running_sum_to_poly(expansion, 2).is_zero
+
+
+def _contents(m, degree):
+    return [c for c in product(range(degree + 1), repeat=m) if sum(c) == degree]
+
+
+def _unpack(packed, bits, n):
+    mask = (1 << bits) - 1
+    return tuple((packed >> (idx * bits)) & mask for idx in range(n))
+
+
+def _check_block(m, rc, cc):
+    """The columns the block's solver holds equal the bideterminants
+    multiplied out on MultiPoly, and every packed monomial of a column
+    decodes to one of the block's exponent vectors."""
+    block = tableaux._ContentBlock(m, rc, cc)
+    got = {(r, c): v for r, (_, row) in enumerate(block.solver.sparse_rows) for c, v in row}
+    expected = {
+        (block.index[exp], c): coef
+        for c, d in enumerate(block.tableaux)
+        for exp, coef in bideterminant(d, m).terms.items()
+    }
+    assert got == expected, (rc, cc)
+    bits = sum(rc).bit_length()
+    for d in block.tableaux:
+        for mono in tableaux._packed_bideterminant(d, m, bits):
+            assert _unpack(mono, bits, m * m) in block.index, (rc, cc, d)
+    return len(block.tableaux)
+
+
+def _check_block_columns(m, degree):
+    """_check_block on every content of the degree; the number of columns."""
+    return sum(
+        _check_block(m, rc, cc)
+        for rc in _contents(m, degree)
+        for cc in _contents(m, degree)
+        if tableaux._monomials_with_content(m, rc, cc)
+    )
+
+
+class TestPackedColumns:
+    def test_blocks_match_the_bideterminant_route(self):
+        for m, top in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
+            for degree in range(top + 1):
+                assert _check_block_columns(m, degree) > 0, (m, degree)
+
+    def test_cold_and_warm_at_three(self):
+        clear_caches()
+        assert not tableaux._PACKED_MINOR_CACHE
+        cold = [_check_block_columns(3, degree) for degree in range(5)]
+        assert tableaux._PACKED_MINOR_CACHE
+        warm = [_check_block_columns(3, degree) for degree in range(5)]
+        assert cold == warm
+        clear_caches()
+        assert not tableaux._PACKED_MINOR_CACHE
+
+    def test_field_width_edge(self):
+        # x11^7 and x11^8: the field grows from 3 to 4 bits between them, and
+        # x11's exponent fills its field.  Every m = 2 content of both
+        # degrees is checked too.
+        for degree in (7, 8):
+            assert _check_block_columns(2, degree) > 0
+            for m in (1, 3, 4):
+                x11 = MultiPoly.variable(m, 1, 1) ** degree
+                assert tableaux._pack(next(iter(x11.terms)), degree.bit_length()) == degree
+                rc = cc = (degree,) + (0,) * (m - 1)
+                assert _check_block(m, rc, cc) == 1
+                assert standard_coordinates(x11, m).to_poly(m) == x11
 
 
 class TestBasisProperty:
