@@ -203,15 +203,13 @@ class TestEnumeration:
                         expected = [t for t in fillings if t.content(m) == content]
                         assert enumerate_standard_tableaux(m, shape, content) == expected
 
-
     def test_enumerated_tableaux_equal_validated_ones(self):
         # enumeration skips Tableau's checks; what it builds must equal the
         # validated Tableau of the same rows, hash alike and be standard
         for m in range(1, 5):
             for size in range(5):
-                contents = [c for c in product(range(size + 1), repeat=m) if sum(c) == size]
                 for shape in _shapes(size, m):
-                    for content in [None] + contents:
+                    for content in [None] + _contents(m, size):
                         for t in enumerate_standard_tableaux(m, shape, content):
                             validated = Tableau(t.rows)
                             assert t == validated and hash(t) == hash(validated), t
