@@ -70,12 +70,14 @@ from .tableaux import (
 
 
 def clear_caches() -> None:
-    """Empty the module-level caches (minor polynomials, the packed-integer
-    minors of the content-block columns, content blocks, d-minors, the
+    """Empty the module-level caches (minor polynomials, the standard
+    tableaux of each (m, shape, content), the packed-integer minors of the
+    content-block columns, content blocks, d-minors, the
     per-chart elimination numerators and the per-chart relabellings), so
     that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
+        tableaux._TABLEAU_CACHE,
         tableaux._PACKED_MINOR_CACHE,
         tableaux._BLOCK_CACHE,
         forms._D_MINOR_CACHE,

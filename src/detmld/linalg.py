@@ -1,18 +1,24 @@
 """Exact linear solves over the rationals for the straightening machinery.
 
 The systems (change of basis between monomials and standard bideterminants)
-are sparse and reused with many right-hand sides.  A build is one sparse,
-fraction-free Gauss-Jordan elimination on the integer-scaled rows of [A | I],
-pivoting on the shortest live row; the identity half turns the pivot rows
-into a sparse integer left inverse.  A solve multiplies it with the nonzero
-entries of b, then checks A x == b on every sparse row.
+are sparse, and each is solved for only a few right-hand sides, so a build
+factors A instead of inverting it.  The factorization is one sparse,
+fraction-free forward elimination on the integer-scaled rows of A, pivoting
+on the shortest free row that holds the pivot column; a column -> rows index
+means each step touches only the rows that hold that column, and every row
+operation is recorded.  A solve replays those operations on the integer
+right-hand side, back-substitutes on the pivot rows (scaling a common
+denominator only when a division is inexact), then checks A x == b on every
+sparse row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+_ZERO = Fraction(0)
 
 
 class PreparedSolver:
@@ -37,44 +43,52 @@ class PreparedSolver:
             (s, [(c, v.numerator * (s // v.denominator)) for c, v in r.items()])
             for s, r in zip(scales, rows)
         ]
-        # work[r] is row r of s_r * [A | I]; key n + i is column i of I.
-        work = [dict(entries + [(n + r, s)]) for r, (s, entries) in enumerate(self.sparse_rows)]
-        free = list(range(self.nrows))
-        pivots: List[int] = []
+        work = [dict(entries) for _, entries in self.sparse_rows]
+        # holders[c]: the free (not yet pivot) rows with a nonzero in column c.
+        holders: List[Set[int]] = [set() for _ in range(n)]
+        for r, row in enumerate(work):
+            for c in row:
+                holders[c].add(r)
+        # row_ops: (target, source, scale, f, content) for
+        # row[target] <- (scale * row[target] - f * row[source]) / content.
+        self.row_ops: List[Tuple[int, int, int, int, int]] = []
+        self.pivot_rows: List[int] = []
         for col in range(n):
-            p = min((r for r in free if col in work[r]), key=lambda r: len(work[r]), default=None)
-            if p is None:
+            if not holders[col]:
                 raise ArithmeticError("columns are linearly dependent")
-            free.remove(p)
-            pivots.append(p)
+            p = min(holders[col], key=lambda r: (len(work[r]), r))
             prow = work[p]
-            for row in work:
-                if row is prow or col not in row:
-                    continue
-                g = gcd(prow[col], row[col])
-                scale, f = prow[col] // g, row[col] // g
+            for c in prow:
+                holders[c].discard(p)
+            self.pivot_rows.append(p)
+            pivot = prow[col]
+            for r in sorted(holders[col]):
+                row = work[r]
+                g = gcd(pivot, row[col])
+                scale, f = pivot // g, row[col] // g
                 if scale != 1:
                     for key in row:
                         row[key] *= scale
                 for key, v in prow.items():
                     new = row.get(key, 0) - f * v
-                    if new:
-                        row[key] = new
-                    else:
+                    if not new:
                         del row[key]
+                        holders[key].discard(r)
+                    else:
+                        if key not in row:
+                            holders[key].add(r)
+                        row[key] = new
                 content = gcd(*row.values())
                 if content > 1:
                     for key in row:
                         row[key] //= content
-        # x = L b / denominator, with left_inverse[i] the nonzero
-        # (column, coefficient) entries of column i of the integer matrix L.
-        self.denominator = lcm(*(work[p][col] for col, p in enumerate(pivots)))
-        self.left_inverse: List[List[Tuple[int, int]]] = [[] for _ in range(self.nrows)]
-        for col, p in enumerate(pivots):
-            unit = self.denominator // work[p][col]
-            for key, v in work[p].items():
-                if key >= n:
-                    self.left_inverse[key - n].append((col, v * unit))
+                self.row_ops.append((r, p, scale, f, content))
+        # upper[j]: (diagonal, off-diagonal (column, value) entries) of the
+        # pivot row of column j; those columns are all greater than j.
+        self.upper: List[Tuple[int, List[Tuple[int, int]]]] = [
+            (work[p][j], [(c, v) for c, v in work[p].items() if c != j])
+            for j, p in enumerate(self.pivot_rows)
+        ]
 
     def solve(self, rhs: Sequence[int | Fraction]) -> Optional[List[Fraction]]:
         """Exact solution vector, or None when the system is inconsistent."""
@@ -82,15 +96,37 @@ class PreparedSolver:
             return [] if all(v == 0 for v in rhs) else None
         if len(rhs) != self.nrows:
             raise ValueError(f"rhs length {len(rhs)}, expected {self.nrows}")
-        # In integers: b = B / scale and x = X / (denominator * scale).
+        # In integers: b = B / scale, the eliminated right-hand side is
+        # R / (D * scale), and x = X / (D * t * scale).
         scale = lcm(*(b.denominator for b in rhs if b))
         B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
+        R = [s * b for (s, _), b in zip(self.sparse_rows, B)]
+        D = 1
+        for r, p, op_scale, f, content in self.row_ops:
+            v = op_scale * R[r] - f * R[p]
+            if content > 1:
+                if v % content:
+                    grow = content // gcd(v, content)
+                    R = [w * grow for w in R]
+                    D *= grow
+                    v *= grow
+                v //= content
+            R[r] = v
         X = [0] * self.ncols
-        for i, b in enumerate(B):
-            if b:
-                for col, coef in self.left_inverse[i]:
-                    X[col] += coef * b
+        t = 1
+        for j in range(self.ncols - 1, -1, -1):
+            diag, rest = self.upper[j]
+            num = R[self.pivot_rows[j]] * t - sum(v * X[c] for c, v in rest)
+            if num % diag:
+                g = gcd(num, diag)
+                grow = abs(diag) // g
+                X = [w * grow for w in X]
+                t *= grow
+                diag //= grow
+            X[j] = num // diag
+        den = D * t
         for (s, row), b in zip(self.sparse_rows, B):
-            if sum(v * X[c] for c, v in row) != s * b * self.denominator:
+            if sum(v * X[c] for c, v in row) != s * b * den:
                 return None
-        return [Fraction(v, self.denominator * scale) for v in X]
+        den *= scale
+        return [Fraction(v, den) if v else _ZERO for v in X]

@@ -14,13 +14,17 @@ depends on the rows only as sets.
 Straightening is implemented by exact linear algebra: within each content
 block the standard bideterminants form a basis of the span of the monomials
 of that content, so expanding a polynomial amounts to one invertible solve
-per content, which we cache.  The block's columns, the standard
-bideterminants in the monomial basis, are multiplied out in integers on
-packed monomials (one int per monomial, so a monomial product is one
-addition); `bideterminant` itself stays on `MultiPoly`, and re-expanding a
-result with it checks the block route independently.  Working modulo the
-ideal of (k+1)-minors is realized by dropping standard terms with a row
-longer than k.
+per content.  Blocks are cached by their zero-free content: the rows and
+columns a content uses are relabelled, in order, to 1..m', so contents that
+differ only by zero rows or columns, at any m, share one block (an
+order-preserving relabelling keeps standardness and every minor's sign).
+The block's columns, the standard bideterminants in the monomial basis, are
+multiplied out in integers on packed monomials (one int per monomial, so a
+monomial product is one addition); `bideterminant` itself stays on
+`MultiPoly`, and re-expanding a result with it checks the block route
+independently.  The standard tableaux of each (m, shape, content) are
+enumerated once and cached.  Working modulo the ideal of (k+1)-minors is
+realized by dropping standard terms with a row longer than k.
 
 Modulo the 2-minors (k = 1) no block is built: x_ij x_pq = x_iq x_pj there,
 so every monomial of a content equals the one standard product of that
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import PreconditionError
 from .linalg import PreparedSolver
@@ -288,13 +292,28 @@ def enumerate_standard_tableaux(
     With `content` (a length-m tuple of multiplicities) only fillings of that
     content are produced.  Order is lexicographic on the rows.
     """
-    shape = tuple(shape)
+    return list(_standard_tableaux(m, tuple(shape), None if content is None else tuple(content)))
+
+
+_TABLEAU_CACHE: Dict[tuple, tuple] = {}
+
+
+def _standard_tableaux(m: int, shape: tuple, content: Optional[tuple]) -> tuple:
+    """enumerate_standard_tableaux as a tuple, memoized per (m, shape, content)."""
+    key = (m, shape, content)
+    cached = _TABLEAU_CACHE.get(key)
+    if cached is None:
+        cached = _TABLEAU_CACHE[key] = _fill_standard_tableaux(m, shape, content)
+    return cached
+
+
+def _fill_standard_tableaux(m: int, shape: tuple, content: Optional[tuple]) -> tuple:
     # The tableau is filled one value at a time.  The entries <= v form a
     # partition inside the shape, and the entries equal to v add at most one
     # box to each row, so a step chooses the rows that take v.
     values = [v for v in range(1, m + 1) if content is None or content[v - 1]]
     if max(shape, default=0) > len(values):
-        return []
+        return ()
     filled: List[List[int]] = [[] for _ in shape]
     results: List[tuple] = []
 
@@ -325,7 +344,7 @@ def enumerate_standard_tableaux(
 
     place(0)
     results.sort()
-    return [_trusted_tableau(rows) for rows in results]
+    return tuple(_trusted_tableau(rows) for rows in results)
 
 
 def enumerate_standard_basis(
@@ -357,8 +376,8 @@ def enumerate_standard_basis(
     max_part = min(m, k_bound) if k_bound is not None else m
     out: List[DoubleTableau] = []
     for shape in _partitions(degree, max_part):
-        lefts = enumerate_standard_tableaux(m, shape, left_content)
-        rights = enumerate_standard_tableaux(m, shape, right_content)
+        lefts = _standard_tableaux(m, shape, left_content)
+        rights = _standard_tableaux(m, shape, right_content)
         out.extend(DoubleTableau(lt, rt) for lt in lefts for rt in rights)
     out.sort(key=DoubleTableau.sort_key)
     return out
@@ -495,13 +514,32 @@ def _bounded_compositions(total: int, caps: tuple) -> Iterable[tuple]:
 _BLOCK_CACHE: Dict[tuple, _ContentBlock] = {}
 
 
-def _content_block(m: int, row_content: tuple, col_content: tuple) -> _ContentBlock:
-    key = (m, row_content, col_content)
+def _content_block(row_content: tuple, col_content: tuple) -> Tuple[_ContentBlock, tuple, tuple]:
+    """The block of a content, keyed by its zero-free content, and the
+    content's support rows and columns (0-based, increasing).
+
+    The support rows and columns are relabelled, in order, to 1..m' with
+    m' = max(#rows, #cols, 1), and both contents are zero-padded to length
+    m'.  An order-preserving relabelling keeps standardness and the sign of
+    every minor, so every content with the same nonzero counts in the same
+    order, at any m, shares one block with the same coordinates.
+    """
+    rows = tuple(i for i, c in enumerate(row_content) if c)
+    cols = tuple(j for j, c in enumerate(col_content) if c)
+    size = max(len(rows), len(cols), 1)
+    key = (
+        tuple(row_content[i] for i in rows) + (0,) * (size - len(rows)),
+        tuple(col_content[j] for j in cols) + (0,) * (size - len(cols)),
+    )
     block = _BLOCK_CACHE.get(key)
     if block is None:
-        block = _ContentBlock(m, row_content, col_content)
-        _BLOCK_CACHE[key] = block
-    return block
+        block = _BLOCK_CACHE[key] = _ContentBlock(size, *key)
+    return block, rows, cols
+
+
+def _relabel(t: Tableau, labels: tuple) -> Tableau:
+    """t with each entry v replaced by labels[v - 1] + 1."""
+    return _trusted_tableau(tuple(tuple(labels[v - 1] + 1 for v in row) for row in t.rows))
 
 
 def standard_coordinates(
@@ -509,6 +547,8 @@ def standard_coordinates(
 ) -> StandardExpansion:
     """Expansion of p in the standard basis, content block by content block.
 
+    Each content's terms are moved into the layout of its zero-free block
+    (see `_content_block`) and the block's tableaux are relabelled back.
     With k_bound set, terms with rows longer than k_bound are dropped: the
     result represents the image of p modulo the ideal of (k_bound+1)-minors.
     At k_bound = 1 that image is read off in closed form, with no block.
@@ -523,7 +563,21 @@ def standard_coordinates(
         by_content.setdefault((rc, cc), {})[exp] = coef
     terms: List[tuple] = []
     for (rc, cc), chunk in by_content.items():
-        terms.extend(_content_block(m, rc, cc).coordinates(chunk))
+        block, rows, cols = _content_block(rc, cc)
+        size = block.m
+        # Block variable (a, b) is x_{rows[a], cols[b]}; the padding rows and
+        # columns read index m * m, the 0 appended to each exponent vector.
+        source = [
+            rows[a] * m + cols[b] if a < len(rows) and b < len(cols) else m * m
+            for a in range(size)
+            for b in range(size)
+        ]
+        moved = {}
+        for exp, coef in chunk.items():
+            padded = exp + (0,)
+            moved[tuple([padded[s] for s in source])] = coef
+        for coef, d in block.coordinates(moved):
+            terms.append((coef, DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))))
     terms.sort(key=lambda t: t[1].sort_key())
     expansion = StandardExpansion(tuple(terms))
     if k_bound is not None:

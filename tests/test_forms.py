@@ -54,6 +54,7 @@ def _untimed_json(report):
 # Every module-level cache that clear_caches() empties.
 _CACHES = (
     polynomials._MINOR_CACHE,
+    tableaux._TABLEAU_CACHE,
     tableaux._PACKED_MINOR_CACHE,
     tableaux._BLOCK_CACHE,
     forms._D_MINOR_CACHE,

@@ -146,10 +146,46 @@ def test_one_solver_many_right_hand_sides():
 def test_integer_columns_match_fraction_columns(columns, data):
     as_fractions = [[Fraction(v) for v in col] for col in columns]
     ints, fracs = PreparedSolver(columns), PreparedSolver(as_fractions)
-    assert ints.denominator == fracs.denominator
-    assert ints.left_inverse == fracs.left_inverse
+    assert ints.pivot_rows == fracs.pivot_rows
+    assert ints.row_ops == fracs.row_ops
+    assert ints.upper == fracs.upper
     x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
     rhs = apply(columns, x)
     assert ints.solve(rhs) == fracs.solve(rhs) == x
     rhs[0] += 1
     assert ints.solve(rhs) == fracs.solve(rhs)
+
+
+@st.composite
+def scaled_systems(draw):
+    """full_rank_systems with every column scaled by 2, 3 or 6, so pivots
+    are rarely +-1 and eliminated rows often carry a content > 1."""
+    columns = draw(full_rank_systems())
+    factors = draw(st.lists(st.sampled_from([2, 3, 6]), min_size=len(columns), max_size=len(columns)))
+    return [[f * v for v in col] for f, col in zip(factors, columns)]
+
+
+@given(scaled_systems(), st.data())
+def test_scaled_columns_match_reference(columns, data):
+    # Rational right-hand sides make the replayed row divisions and the
+    # back-substitution divisions inexact, so the common denominator grows.
+    nrows = len(columns[0])
+    solver = PreparedSolver(columns)
+    x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+    assert solver.solve(apply(columns, x)) == x
+    rhs = data.draw(st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=nrows, max_size=nrows))
+    assert solver.solve(rhs) == reference_solve(columns, rhs)
+
+
+def test_inexact_divisions_grow_the_denominator():
+    # Column 0 pivots on row 0 (value 2); row 1 becomes (0, 2), whose content
+    # 2 is divided out, and the replayed division of its right-hand side by
+    # 2 is inexact.  The back-substitution then divides by the pivot 2.
+    solver = PreparedSolver([[2, 2], [0, 2]])
+    assert solver.pivot_rows == [0, 1]
+    assert solver.row_ops == [(1, 0, 1, 1, 2)]
+    assert [diag for diag, _ in solver.upper] == [2, 1]
+    assert solver.solve([1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
+    assert solver.solve([Fraction(1, 3), 1]) == [Fraction(1, 6), Fraction(1, 3)]
+    assert solver.solve([1, 2]) == reference_solve([[2, 2], [0, 2]], [1, 2])
+

@@ -500,6 +500,85 @@ class TestPackedColumns:
                 assert standard_coordinates(x11, m).to_poly(m) == x11
 
 
+def direct_coordinates(p, m):
+    """Reference route: one _ContentBlock per content at p's own m, keyed by
+    the content itself, zero rows and columns included, with no relabelling
+    (the block route before blocks were shared)."""
+    by_content = {}
+    for exp, coef in p.terms.items():
+        by_content.setdefault(p.monomial_content(exp), {})[exp] = coef
+    terms = []
+    for (rc, cc), chunk in by_content.items():
+        terms.extend(tableaux._ContentBlock(m, rc, cc).coordinates(chunk))
+    terms.sort(key=lambda t: t[1].sort_key())
+    return StandardExpansion(tuple(terms))
+
+
+class TestSharedBlocks:
+    def test_every_small_content_matches_the_direct_route(self):
+        rng = random.Random(1304)
+        for m, top in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
+            for degree in range(top + 1):
+                for rc in _contents(m, degree):
+                    for cc in _contents(m, degree):
+                        p = MultiPoly(m)
+                        p.terms = {
+                            exp: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+                            for exp in tableaux._monomials_with_content(m, rc, cc)
+                        }
+                        assert standard_coordinates(p, m) == direct_coordinates(p, m), (rc, cc)
+
+    def test_random_polynomials_match_the_direct_route(self):
+        rng = random.Random(20261018)
+        for m in range(1, 6):
+            for _ in range(25):
+                p = _random_poly(rng, m, 4)
+                expansion = standard_coordinates(p, m)
+                assert expansion == direct_coordinates(p, m), p
+                assert expansion.to_poly(m) == p
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_constant(self, m):
+        empty = DoubleTableau(Tableau(()), Tableau(()))
+        assert standard_coordinates(MultiPoly.one(m), m) == StandardExpansion(
+            ((Fraction(1), empty),)
+        )
+
+    def test_constant_mixed_with_higher_degrees(self):
+        m = 3
+        p = (
+            MultiPoly.one(m) * Fraction(-5, 2)
+            + MultiPoly.variable(m, 2, 3)
+            + MultiPoly.variable(m, 1, 3) * MultiPoly.variable(m, 3, 1)
+            + bideterminant(dt([(1, 3)], [(2, 3)]), m) * 4
+        )
+        expansion = standard_coordinates(p, m)
+        assert expansion == direct_coordinates(p, m)
+        assert expansion.to_poly(m) == p
+        assert (Fraction(-5, 2), DoubleTableau(Tableau(()), Tableau(()))) in expansion.terms
+        assert standard_coordinates(p, m, k_bound=2) == direct_coordinates(p, m).restrict_rows(2)
+
+    def test_relabelled_contents_share_one_block(self):
+        clear_caches()
+        # (1,0,2)|(0,2,1) at m = 3 and (0,1,0,0,2)|(2,1,0,0,0) at m = 5
+        # both have the zero-free content (1,2)|(2,1).
+        x3 = MultiPoly.variable(3, 1, 2) * MultiPoly.variable(3, 3, 2) * MultiPoly.variable(3, 3, 3)
+        x5 = MultiPoly.variable(5, 2, 1) * MultiPoly.variable(5, 5, 1) * MultiPoly.variable(5, 5, 2)
+        assert x3.monomial_content(next(iter(x3.terms))) == ((1, 0, 2), (0, 2, 1))
+        assert x5.monomial_content(next(iter(x5.terms))) == ((0, 1, 0, 0, 2), (2, 1, 0, 0, 0))
+        for p, m in ((x3, 3), (x5, 5)):
+            assert standard_coordinates(p, m) == direct_coordinates(p, m)
+        assert list(tableaux._BLOCK_CACHE) == [((1, 2), (2, 1))]
+
+    def test_enumeration_returns_a_fresh_list(self):
+        clear_caches()
+        first = enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))
+        assert first is not enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))
+        first.clear()
+        assert len(enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))) == 2
+        assert list(tableaux._TABLEAU_CACHE) == [(3, (2, 1), (1, 1, 1))]
+
+
 class TestBasisProperty:
     def test_independence_and_span(self):
         # standard bideterminants of each degree <= 3 are independent and span
