@@ -72,9 +72,8 @@ from .tableaux import (
 def clear_caches() -> None:
     """Empty the module-level caches (minor polynomials, the standard
     tableaux of each (m, shape, content), the packed-integer minors of the
-    content-block columns, content blocks, d-minors, the
-    per-chart elimination numerators and the per-chart relabellings), so
-    that the next computation starts cold."""
+    content-block columns, content blocks, d-minors and the per-chart
+    elimination numerators), so that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._TABLEAU_CACHE,
@@ -82,7 +81,6 @@ def clear_caches() -> None:
         tableaux._BLOCK_CACHE,
         forms._D_MINOR_CACHE,
         forms._ELIMINATION_CACHE,
-        forms._CHART_FIRST_CACHE,
     ):
         cache.clear()
 

@@ -264,24 +264,16 @@ def _reduce_positions(
     return total, sum(1 for i, j in start if i not in good_rows and j not in good_cols)
 
 
-_CHART_FIRST_CACHE: Dict[tuple, tuple] = {}
-
-
 def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:
     """Exponent positions read by the relabelling that puts the chart rows and
     columns first, each keeping its order: entry n of a relabelled exponent
     vector is entry perm[n] of the original.  It carries the chart minor to
-    the leading minor [1..k | 1..k] with sign +1.  Memoized per chart."""
-    key = (m, rows, cols)
-    perm = _CHART_FIRST_CACHE.get(key)
-    if perm is None:
+    the leading minor [1..k | 1..k] with sign +1."""
 
-        def order(chosen: tuple) -> tuple:
-            return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
+    def order(chosen: tuple) -> tuple:
+        return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
 
-        perm = tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
-        _CHART_FIRST_CACHE[key] = perm
-    return perm
+    return tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
 
 
 def _relabel(p: MultiPoly, perm: tuple) -> MultiPoly:
@@ -304,9 +296,10 @@ def _resolve_coefficient(
     A term that lacks a row to strip means delta does not divide the
     numerator modulo the ideal.
     """
-    perm = _chart_first(rows, cols, m)
-    identity = perm == tuple(range(m * m))
+    # The reference chart is already first; only other charts are relabelled.
+    identity = rows == cols == reference_chart_indices(k)
     if not identity:
+        perm = _chart_first(rows, cols, m)
         numerator = _relabel(numerator, perm)
     spare = (m - k) - bpow
     lead = (tuple(range(1, k + 1)),) * abs(spare)

@@ -1,22 +1,22 @@
 """Exact linear solves over the rationals for the straightening machinery.
 
 The systems (change of basis between monomials and standard bideterminants)
-are sparse, and each is solved for only a few right-hand sides, so a build
-factors A instead of inverting it.  The factorization is one sparse,
-fraction-free forward elimination on the integer-scaled rows of A, pivoting
-on the shortest free row that holds the pivot column; a column -> rows index
-means each step touches only the rows that hold that column, and every row
-operation is recorded.  A solve replays those operations on the integer
-right-hand side, back-substitutes on the pivot rows (scaling a common
-denominator only when a division is inexact), then checks A x == b on every
-sparse row.
+are sparse, with integer columns, and each is solved for only a few
+right-hand sides, so a build factors A instead of inverting it.  The
+factorization is one sparse, fraction-free forward elimination on the rows
+of A, pivoting on the shortest free row that holds the pivot column; a
+column -> rows index means each step touches only the rows that hold that
+column, and every row operation is recorded.  A solve scales the right-hand
+side to integers, replays those operations on it, back-substitutes on the
+pivot rows (scaling a common denominator only when a division is inexact),
+then checks A x == b on every sparse row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 
@@ -24,26 +24,22 @@ _ZERO = Fraction(0)
 class PreparedSolver:
     """Solve A x = b exactly for a fixed full-column-rank A and many b.
 
-    Entries of A and b are `int` or `Fraction`; solutions are `Fraction`s.
+    Entries of A are `int`s, entries of b `int`s or `Fraction`s; solutions
+    are `Fraction`s.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int | Fraction]]):
+    def __init__(self, columns: Sequence[Sequence[int]]):
         n = self.ncols = len(columns)
         self.nrows = len(columns[0]) if columns else 0
         if any(len(col) != self.nrows for col in columns):
             raise ValueError("ragged column list")
-        rows: List[Dict[int, int | Fraction]] = [{} for _ in range(self.nrows)]
+        # sparse_rows[r]: the nonzero (column, value) entries of row r.
+        self.sparse_rows: List[List[Tuple[int, int]]] = [[] for _ in range(self.nrows)]
         for c, col in enumerate(columns):
             for r, v in enumerate(col):
                 if v:
-                    rows[r][c] = v
-        # sparse_rows[r]: (s, nonzero entries of s * A[r]) for the least s making them integers.
-        scales = [lcm(*(v.denominator for v in row.values())) for row in rows]
-        self.sparse_rows = [
-            (s, [(c, v.numerator * (s // v.denominator)) for c, v in r.items()])
-            for s, r in zip(scales, rows)
-        ]
-        work = [dict(entries) for _, entries in self.sparse_rows]
+                    self.sparse_rows[r].append((c, v))
+        work = [dict(entries) for entries in self.sparse_rows]
         # holders[c]: the free (not yet pivot) rows with a nonzero in column c.
         holders: List[Set[int]] = [set() for _ in range(n)]
         for r, row in enumerate(work):
@@ -100,7 +96,7 @@ class PreparedSolver:
         # R / (D * scale), and x = X / (D * t * scale).
         scale = lcm(*(b.denominator for b in rhs if b))
         B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
-        R = [s * b for (s, _), b in zip(self.sparse_rows, B)]
+        R = B[:]
         D = 1
         for r, p, op_scale, f, content in self.row_ops:
             v = op_scale * R[r] - f * R[p]
@@ -125,8 +121,8 @@ class PreparedSolver:
                 diag //= grow
             X[j] = num // diag
         den = D * t
-        for (s, row), b in zip(self.sparse_rows, B):
-            if sum(v * X[c] for c, v in row) != s * b * den:
+        for row, b in zip(self.sparse_rows, B):
+            if sum(v * X[c] for c, v in row) != b * den:
                 return None
         den *= scale
         return [Fraction(v, den) if v else _ZERO for v in X]

@@ -17,21 +17,23 @@ of that content, so expanding a polynomial amounts to one invertible solve
 per content.  Blocks are cached by their zero-free content: the rows and
 columns a content uses are relabelled, in order, to 1..m', so contents that
 differ only by zero rows or columns, at any m, share one block (an
-order-preserving relabelling keeps standardness and every minor's sign).
-The block's columns, the standard bideterminants in the monomial basis, are
-multiplied out in integers on packed monomials (one int per monomial, so a
-monomial product is one addition); `bideterminant` itself stays on
-`MultiPoly`, and re-expanding a result with it checks the block route
-independently.  The standard tableaux of each (m, shape, content) are
-enumerated once and cached.  Working modulo the ideal of (k+1)-minors is
-realized by dropping standard terms with a row longer than k.
+order-preserving relabelling keeps standardness and every minor's sign); a
+content on the first rows and columns takes the block's own tableaux.
+Monomials go packed from a content's terms to the solver (one int per
+monomial, so a monomial product is one addition), and a block's integer
+columns, the standard bideterminants, are multiplied out on them.
+`bideterminant` itself stays on `MultiPoly`, and re-expanding a result with
+it checks the block route independently.  The standard tableaux of each
+(m, shape, content) are enumerated once and cached.  Working modulo the
+ideal of (k+1)-minors is realized by dropping standard terms with a row
+longer than k.
 
-Modulo the 2-minors (k = 1) no block is built: x_ij x_pq = x_iq x_pj there,
-so every monomial of a content equals the one standard product of that
-content, whose double tableau has one box per row, the row indices in
-sorted order on the left and the column indices on the right.  That
-content's coordinate is the sum of its coefficients (the rank-one case of
-the straightening law).
+Modulo the 2-minors (k = 1) the same grouping by content builds no block:
+x_ij x_pq = x_iq x_pj there, so every monomial of a content equals the one
+standard product of that content, whose double tableau has one box per
+row, the row indices in sorted order on the left and the column indices on
+the right.  That content's coordinate is the sum of its coefficients (the
+rank-one case of the straightening law).
 """
 
 from __future__ import annotations
@@ -384,28 +386,27 @@ def enumerate_standard_basis(
 
 
 class _ContentBlock:
-    """Change of basis between monomials and standard bideterminants of one content."""
+    """Change of basis between packed monomials and standard bideterminants of one content."""
 
     def __init__(self, m: int, row_content: tuple, col_content: tuple):
         self.m = m
-        self.monomials = _monomials_with_content(m, row_content, col_content)
-        self.index = {exp: i for i, exp in enumerate(self.monomials)}
+        self.bits = bits = sum(row_content).bit_length()
+        monomials = _monomials_with_content(m, row_content, col_content)
+        self.row_of = {_pack(exp, bits): i for i, exp in enumerate(monomials)}
         self.tableaux = enumerate_standard_basis(
             m, content=(row_content, col_content), max_degree=max(sum(row_content), MAX_DEGREE)
         )
-        if len(self.tableaux) != len(self.monomials):
+        if len(self.tableaux) != len(self.row_of):
             raise RuntimeError(
                 "standard basis size does not match the monomial count for content "
                 f"{row_content} | {col_content}: this contradicts the straightening law"
             )
         # Bideterminants have integer coefficients, so the columns are integers.
-        bits = sum(row_content).bit_length()
-        row_of = {_pack(exp, bits): i for i, exp in enumerate(self.monomials)}
         columns = []
         for dt in self.tableaux:
-            vec = [0] * len(self.monomials)
+            vec = [0] * len(self.row_of)
             for mono, coef in _packed_bideterminant(dt, m, bits).items():
-                vec[row_of[mono]] = coef
+                vec[self.row_of[mono]] = coef
             columns.append(vec)
         try:
             self.solver = PreparedSolver(columns)
@@ -415,10 +416,11 @@ class _ContentBlock:
                 "block: this contradicts the straightening law"
             ) from exc
 
-    def coordinates(self, terms: Dict[Exponents, Fraction]) -> List[tuple]:
-        rhs = [Fraction(0)] * len(self.monomials)
-        for exp, coef in terms.items():
-            rhs[self.index[exp]] = coef
+    def coordinates(self, terms: Dict[int, Fraction]) -> List[tuple]:
+        """(coefficient, standard double tableau) pairs of the packed terms."""
+        rhs = [0] * len(self.row_of)
+        for mono, coef in terms.items():
+            rhs[self.row_of[mono]] = coef
         solution = self.solver.solve(rhs)
         if solution is None:
             raise RuntimeError(
@@ -545,60 +547,48 @@ def _relabel(t: Tableau, labels: tuple) -> Tableau:
 def standard_coordinates(
     p: MultiPoly, m: int, k_bound: Optional[int] = None
 ) -> StandardExpansion:
-    """Expansion of p in the standard basis, content block by content block.
+    """Expansion of p in the standard basis, content by content.
 
-    Each content's terms are moved into the layout of its zero-free block
-    (see `_content_block`) and the block's tableaux are relabelled back.
-    With k_bound set, terms with rows longer than k_bound are dropped: the
-    result represents the image of p modulo the ideal of (k_bound+1)-minors.
-    At k_bound = 1 that image is read off in closed form, with no block.
+    Each content's terms are packed straight into the layout of its
+    zero-free block (see `_content_block`) and, unless the support is
+    already the first rows and columns, the block's tableaux are relabelled
+    back.  With k_bound set, terms with rows longer than k_bound are
+    dropped: the result represents the image of p modulo the ideal of
+    (k_bound+1)-minors.  At k_bound = 1 a content's coordinate is the sum
+    of its coefficients, and no block is built.
     """
     if p.m != m:
         raise PreconditionError(f"polynomial lives in a {p.m}x{p.m} layout, expected {m}")
-    if k_bound == 1:
-        return _rank_one_coordinates(p, m)
     by_content: Dict[tuple, Dict[Exponents, Fraction]] = {}
     for exp, coef in p.terms.items():
-        rc, cc = p.monomial_content(exp)
-        by_content.setdefault((rc, cc), {})[exp] = coef
+        by_content.setdefault(p.monomial_content(exp), {})[exp] = coef
     terms: List[tuple] = []
     for (rc, cc), chunk in by_content.items():
+        if k_bound == 1:
+            coef = sum(chunk.values())
+            if coef:
+                terms.append((coef, DoubleTableau(_single_box_rows(rc), _single_box_rows(cc))))
+            continue
         block, rows, cols = _content_block(rc, cc)
-        size = block.m
-        # Block variable (a, b) is x_{rows[a], cols[b]}; the padding rows and
-        # columns read index m * m, the 0 appended to each exponent vector.
-        source = [
-            rows[a] * m + cols[b] if a < len(rows) and b < len(cols) else m * m
-            for a in range(size)
-            for b in range(size)
+        # Variable x_{r, c} of the support is block variable (a, b), the
+        # field at shift (a * size + b) * bits of a packed block monomial.
+        size, bits = block.m, block.bits
+        layout = [
+            (r * m + c, (a * size + b) * bits)
+            for a, r in enumerate(rows)
+            for b, c in enumerate(cols)
         ]
-        moved = {}
-        for exp, coef in chunk.items():
-            padded = exp + (0,)
-            moved[tuple([padded[s] for s in source])] = coef
-        for coef, d in block.coordinates(moved):
-            terms.append((coef, DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))))
+        packed = {sum(exp[i] << shift for i, shift in layout): coef for exp, coef in chunk.items()}
+        identity = rows == tuple(range(len(rows))) and cols == tuple(range(len(cols)))
+        for coef, d in block.coordinates(packed):
+            if not identity:
+                d = DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))
+            terms.append((coef, d))
     terms.sort(key=lambda t: t[1].sort_key())
     expansion = StandardExpansion(tuple(terms))
     if k_bound is not None:
         expansion = expansion.restrict_rows(k_bound)
     return expansion
-
-
-def _rank_one_coordinates(p: MultiPoly, m: int) -> StandardExpansion:
-    """Standard expansion of p modulo the 2-minors: per content, the sum of
-    its coefficients times the one standard double tableau with rows <= 1."""
-    sums: Dict[tuple, Fraction] = {}
-    for exp, coef in p.terms.items():
-        content = p.monomial_content(exp)
-        sums[content] = sums.get(content, 0) + coef
-    terms = [
-        (coef, DoubleTableau(_single_box_rows(rc), _single_box_rows(cc)))
-        for (rc, cc), coef in sums.items()
-        if coef
-    ]
-    terms.sort(key=lambda t: t[1].sort_key())
-    return StandardExpansion(tuple(terms))
 
 
 def _single_box_rows(counts: tuple) -> Tableau:

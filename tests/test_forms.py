@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from detmld import clear_caches, forms, polynomials, tableaux
+from detmld import clear_caches, forms, tableaux
 from detmld.core import PreconditionError
 from detmld.forms import (
     chart_form,
@@ -20,6 +20,8 @@ from detmld.forms import (
 )
 from detmld.polynomials import MinorIndex, MultiPoly, minor_poly
 from detmld.tableaux import canonical_mod_minors, subalgebra_membership
+
+from test_package import module_caches
 
 
 def x(m, i, j):
@@ -51,16 +53,8 @@ def _untimed_json(report):
     return json.dumps(data, sort_keys=True)
 
 
-# Every module-level cache that clear_caches() empties.
-_CACHES = (
-    polynomials._MINOR_CACHE,
-    tableaux._TABLEAU_CACHE,
-    tableaux._PACKED_MINOR_CACHE,
-    tableaux._BLOCK_CACHE,
-    forms._D_MINOR_CACHE,
-    forms._ELIMINATION_CACHE,
-    forms._CHART_FIRST_CACHE,
-)
+# Every module-level cache, which clear_caches() empties (test_package checks that).
+_CACHES = tuple(module_caches().values())
 
 
 def tree_walk_reduce(positions, rows, cols, m, k, order):

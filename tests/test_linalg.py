@@ -82,12 +82,6 @@ def test_solve_matches_reference_on_arbitrary_rhs(columns, data):
     assert PreparedSolver(columns).solve(rhs) == reference_solve(columns, rhs)
 
 
-def test_rational_entries():
-    columns = [[Fraction(1, 2), Fraction(0), Fraction(2, 3)], [Fraction(0), Fraction(-3, 4), Fraction(1)]]
-    x = [Fraction(5, 7), Fraction(-2, 3)]
-    assert PreparedSolver(columns).solve(apply(columns, x)) == x
-
-
 def test_inconsistent_only_in_a_non_pivot_row():
     # Rows 0 and 1 are the pivots; only the residual of row 2 sees the clash.
     solver = PreparedSolver([[1, 0, 1], [0, 1, 1]])
@@ -140,20 +134,6 @@ def test_one_solver_many_right_hand_sides():
         rhs = apply(columns, x)
         rhs[t % 5] += 1
         assert solver.solve(rhs) == reference_solve(columns, rhs)
-
-
-@given(full_rank_systems(), st.data())
-def test_integer_columns_match_fraction_columns(columns, data):
-    as_fractions = [[Fraction(v) for v in col] for col in columns]
-    ints, fracs = PreparedSolver(columns), PreparedSolver(as_fractions)
-    assert ints.pivot_rows == fracs.pivot_rows
-    assert ints.row_ops == fracs.row_ops
-    assert ints.upper == fracs.upper
-    x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
-    rhs = apply(columns, x)
-    assert ints.solve(rhs) == fracs.solve(rhs) == x
-    rhs[0] += 1
-    assert ints.solve(rhs) == fracs.solve(rhs)
 
 
 @st.composite

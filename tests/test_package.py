@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 from types import ModuleType
 
@@ -90,3 +92,29 @@ def test_no_unused_private_names():
             unused.append(f"{module} {name}")
     assert definitions
     assert not unused
+
+
+def module_caches():
+    """Every module-level `_*_CACHE` dict of the detmld submodules, keyed by
+    "module._NAME"."""
+    caches = {}
+    for info in pkgutil.iter_modules(detmld.__path__):
+        module = importlib.import_module(f"detmld.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") and name.endswith("_CACHE") and isinstance(value, dict):
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_clear_caches_empties_every_module_cache():
+    caches = module_caches()
+    assert "tableaux._BLOCK_CACHE" in caches and "forms._ELIMINATION_CACHE" in caches
+    sentinel = object()
+    for cache in caches.values():
+        cache[sentinel] = None
+    try:
+        detmld.clear_caches()
+        assert not [name for name, cache in caches.items() if cache]
+    finally:
+        for cache in caches.values():
+            cache.pop(sentinel, None)

@@ -383,23 +383,26 @@ def running_sum_to_poly(expansion, m):
 
 
 class TestRankOneClosedForm:
+    # k_bound = 0 keeps only the constant term, through the block route.
     def test_matches_the_full_ring_route_on_random_polynomials(self):
         rng = random.Random(20261018)
         for m in range(1, 5):
             for _ in range(40):
                 p = _random_poly(rng, m, 4)
-                assert standard_coordinates(p, m, k_bound=1) == (
-                    standard_coordinates(p, m).restrict_rows(1)
-                ), p
+                for k_bound in (0, 1):
+                    assert standard_coordinates(p, m, k_bound=k_bound) == (
+                        standard_coordinates(p, m).restrict_rows(k_bound)
+                    ), (p, k_bound)
 
     def test_matches_the_full_ring_route_on_standard_bideterminants(self):
         m = 3
         for degree in range(4):
             for d in enumerate_standard_basis(m, degree=degree):
                 p = bideterminant(d, m)
-                assert standard_coordinates(p, m, k_bound=1) == (
-                    standard_coordinates(p, m).restrict_rows(1)
-                ), d
+                for k_bound in (0, 1):
+                    assert standard_coordinates(p, m, k_bound=k_bound) == (
+                        standard_coordinates(p, m).restrict_rows(k_bound)
+                    ), (d, k_bound)
 
     def test_builds_no_content_block(self):
         clear_caches()
@@ -446,17 +449,19 @@ def _check_block(m, rc, cc):
     multiplied out on MultiPoly, and every packed monomial of a column
     decodes to one of the block's exponent vectors."""
     block = tableaux._ContentBlock(m, rc, cc)
-    got = {(r, c): v for r, (_, row) in enumerate(block.solver.sparse_rows) for c, v in row}
+    bits = sum(rc).bit_length()
+    assert block.bits == bits
+    got = {(r, c): v for r, row in enumerate(block.solver.sparse_rows) for c, v in row}
     expected = {
-        (block.index[exp], c): coef
+        (block.row_of[tableaux._pack(exp, bits)], c): coef
         for c, d in enumerate(block.tableaux)
         for exp, coef in bideterminant(d, m).terms.items()
     }
     assert got == expected, (rc, cc)
-    bits = sum(rc).bit_length()
+    monomials = set(tableaux._monomials_with_content(m, rc, cc))
     for d in block.tableaux:
         for mono in tableaux._packed_bideterminant(d, m, bits):
-            assert _unpack(mono, bits, m * m) in block.index, (rc, cc, d)
+            assert _unpack(mono, bits, m * m) in monomials, (rc, cc, d)
     return len(block.tableaux)
 
 
@@ -509,7 +514,9 @@ def direct_coordinates(p, m):
         by_content.setdefault(p.monomial_content(exp), {})[exp] = coef
     terms = []
     for (rc, cc), chunk in by_content.items():
-        terms.extend(tableaux._ContentBlock(m, rc, cc).coordinates(chunk))
+        block = tableaux._ContentBlock(m, rc, cc)
+        packed = {tableaux._pack(exp, block.bits): coef for exp, coef in chunk.items()}
+        terms.extend(block.coordinates(packed))
     terms.sort(key=lambda t: t[1].sort_key())
     return StandardExpansion(tuple(terms))
 
@@ -569,6 +576,26 @@ class TestSharedBlocks:
         for p, m in ((x3, 3), (x5, 5)):
             assert standard_coordinates(p, m) == direct_coordinates(p, m)
         assert list(tableaux._BLOCK_CACHE) == [((1, 2), (2, 1))]
+
+    def test_identity_support_returns_the_block_tableaux(self):
+        clear_caches()
+        m = 3
+        # (1,1,0)|(1,1,0) already uses the first rows and columns: the
+        # block's own double tableaux come back, not relabelled copies.
+        p = MultiPoly.variable(m, 1, 1) * MultiPoly.variable(m, 2, 2) * 3
+        p = p + MultiPoly.variable(m, 1, 2) * MultiPoly.variable(m, 2, 1) * Fraction(-1, 2)
+        expansion = standard_coordinates(p, m)
+        assert expansion == direct_coordinates(p, m)
+        (block,) = tableaux._BLOCK_CACHE.values()
+        assert expansion.terms and all(
+            any(d is own for own in block.tableaux) for _, d in expansion
+        )
+        # (0,1,1)|(1,0,1) shares the zero-free block but is relabelled.
+        q = MultiPoly.variable(m, 2, 1) * MultiPoly.variable(m, 3, 3)
+        q = q + MultiPoly.variable(m, 2, 3) * MultiPoly.variable(m, 3, 1) * 5
+        assert q.monomial_content(next(iter(q.terms))) == ((0, 1, 1), (1, 0, 1))
+        assert standard_coordinates(q, m) == direct_coordinates(q, m)
+        assert list(tableaux._BLOCK_CACHE.values()) == [block]
 
     def test_enumeration_returns_a_fresh_list(self):
         clear_caches()
