@@ -6,7 +6,8 @@ top-form of a chart, verifies chart transitions, and runs the exhaustive
 Nash-ideal check at small sizes.  F is computed as its standard expansion
 modulo the (k+1)-minor ideal; standard bideterminants form a basis, so that
 expansion is unique and is itself F's certificate of membership in the
-subalgebra of k x k minors.
+subalgebra of k x k minors.  The Nash check compares only expansions; a
+chart minor's power delta_C**(m-k) is the one standard term (rows | cols)**(m-k).
 
 On the chart where a fixed k x k minor D is invertible, the variables
 sharing a row or column with D are coordinates, and the canonical generator
@@ -42,7 +43,7 @@ from .tableaux import (
     StandardExpansion,
     Tableau,
     _rectangular_membership,
-    canonical_mod_minors,
+    _trusted_tableau,
     standard_coordinates,
 )
 
@@ -152,8 +153,8 @@ def _chart_sign(rows, cols, m: int, k: int) -> int:
     reduction in the reference chart."""
     ref = reference_chart_indices(k)
     numerator, bpow = _reduce_positions(chart_variable_set(rows, cols, m), ref, ref, m, k, "lex")
-    coeff = _resolve_coefficient(numerator, bpow, ref, ref, m, k).to_poly(m)
-    sign = _sign_against_minor_power(coeff, rows, cols, m, k)
+    expansion = _resolve_coefficient(numerator, bpow, ref, ref, m, k)
+    sign = _sign_against_minor_power(expansion, rows, cols, m, k)
     if not sign:
         raise RuntimeError(
             f"chart {rows} x {cols}: reduced coefficient is not +-(minor)^{m - k}; "
@@ -162,24 +163,26 @@ def _chart_sign(rows, cols, m: int, k: int) -> int:
     return sign
 
 
-def _sign_against_minor_power(coeff: MultiPoly, rows, cols, m: int, k: int) -> int:
-    """1 or -1 when coeff is +-(chart minor)**(m-k) modulo the (k+1)-minors, else 0."""
-    expected = canonical_mod_minors(minor_poly(MinorIndex(rows, cols), m) ** (m - k), m, k)
-    if coeff == expected:
-        return 1
-    if coeff == -expected:
-        return -1
+def _sign_against_minor_power(expansion: StandardExpansion, rows, cols, m: int, k: int) -> int:
+    """1 or -1 when the expansion is +-(chart minor)**(m-k), the one standard
+    term with m-k rows (rows | cols), empty at m = k; else 0."""
+    power = DoubleTableau(Tableau((rows,) * (m - k)), Tableau((cols,) * (m - k)))
+    for sign in (1, -1):
+        if expansion.terms == ((sign, power),):
+            return sign
     return 0
 
 
 @dataclass(frozen=True)
 class ReductionResult:
     """Outcome of reducing a top-form: the coefficient F with form = F * w on
-    the chart, and the minor-subalgebra certificate for F."""
+    the chart and the minor-subalgebra certificate for F, both read off F's
+    signed standard expansion, which is unique and is what results compare."""
 
     coefficient: MultiPoly
     certificate: Membership
     denominator_power: int
+    expansion: StandardExpansion
 
 
 def _replace_in_wedge(wedge: Wedge, old: IndexPair, new: IndexPair):
@@ -312,7 +315,7 @@ def _resolve_coefficient(
             left, right = left[-spare:], right[-spare:]
         else:
             raise RuntimeError("division by the chart minor failed; reduction is unsound")
-        terms.append((coef, DoubleTableau(Tableau(left), Tableau(right))))
+        terms.append((coef, DoubleTableau(_trusted_tableau(left), _trusted_tableau(right))))
     expansion = StandardExpansion(tuple(terms))
     if identity:
         return expansion
@@ -327,10 +330,10 @@ def reduce_top_form(
     F * w on the chart, returning F and its minor-subalgebra certificate.
 
     F is reported as the canonical representative modulo the (k+1)-minor
-    ideal, so results from different elimination orders compare directly.
-    Its standard expansion is unique, so the certificate is read off the
-    expansion that produced F.  A form that restricts to zero yields F = 0,
-    not an error.
+    ideal, together with its standard expansion, which is unique: results
+    from different elimination orders compare on their expansions, and the
+    certificate is read off the same expansion.  A form that restricts to
+    zero yields F = 0, not an error.
     """
     m, k = chart.m, chart.k
     positions = tuple(sorted(tuple(p) for p in positions))
@@ -352,6 +355,7 @@ def reduce_top_form(
         coefficient=expansion.to_poly(m),
         certificate=_rectangular_membership(expansion, k),
         denominator_power=bpow,
+        expansion=expansion,
     )
 
 
@@ -492,18 +496,20 @@ def verify_nash(m: int, k: int) -> NashReport:
     size = k * (2 * m - k)
 
     report = NashReport(m=m, k=k)
-    by_subset: Dict[Wedge, MultiPoly] = {}
+    by_subset: Dict[Wedge, StandardExpansion] = {}
     all_member = True
     order_ok = True
     for subset in combinations(positions, size):
         t0 = time.perf_counter()
         first = reduce_top_form(subset, chart, elimination_order="lex")
-        second = reduce_top_form(subset, chart, elimination_order="revlex")
+        # The reference chart's sign is +1: the revlex expansion needs no sign.
+        numerator, bpow = _reduce_positions(subset, chart.rows, chart.cols, m, k, "revlex")
+        second = _resolve_coefficient(numerator, bpow, chart.rows, chart.cols, m, k)
         seconds = time.perf_counter() - t0
-        matches = first.coefficient == second.coefficient
+        matches = first.expansion == second
         order_ok = order_ok and matches
         all_member = all_member and first.certificate.is_member
-        by_subset[subset] = first.coefficient
+        by_subset[subset] = first.expansion
         witness = first.certificate.expansion
         report.subsets.append(
             {

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import PreconditionError
 from .linalg import PreparedSolver
-from .polynomials import Exponents, MinorIndex, MultiPoly, _signed_permutations, minor_poly
+from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
 
 MAX_DEGREE = 6
 # Matrix sizes straighten accepts: monomials are dense exponent vectors of
@@ -271,7 +271,7 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
         if max(lrow) > m or max(rrow) > m:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
-        minor = minor_poly(MinorIndex(tuple(lrow), tuple(rrow)), m)
+        minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
         result = minor if result is None else result * minor
     return MultiPoly.one(m) if result is None else result
 
@@ -552,10 +552,10 @@ def standard_coordinates(
     Each content's terms are packed straight into the layout of its
     zero-free block (see `_content_block`) and, unless the support is
     already the first rows and columns, the block's tableaux are relabelled
-    back.  With k_bound set, terms with rows longer than k_bound are
-    dropped: the result represents the image of p modulo the ideal of
-    (k_bound+1)-minors.  At k_bound = 1 a content's coordinate is the sum
-    of its coefficients, and no block is built.
+    back.  With k_bound set, a solved term whose first (longest) row is
+    longer than k_bound is dropped before relabelling: the result represents
+    the image of p modulo the ideal of (k_bound+1)-minors.  At k_bound = 1 a
+    content's coordinate is the sum of its coefficients, and no block is built.
     """
     if p.m != m:
         raise PreconditionError(f"polynomial lives in a {p.m}x{p.m} layout, expected {m}")
@@ -581,24 +581,18 @@ def standard_coordinates(
         packed = {sum(exp[i] << shift for i, shift in layout): coef for exp, coef in chunk.items()}
         identity = rows == tuple(range(len(rows))) and cols == tuple(range(len(cols)))
         for coef, d in block.coordinates(packed):
+            if k_bound is not None and d.left.rows and len(d.left.rows[0]) > k_bound:
+                continue
             if not identity:
                 d = DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))
             terms.append((coef, d))
     terms.sort(key=lambda t: t[1].sort_key())
-    expansion = StandardExpansion(tuple(terms))
-    if k_bound is not None:
-        expansion = expansion.restrict_rows(k_bound)
-    return expansion
+    return StandardExpansion(tuple(terms))
 
 
 def _single_box_rows(counts: tuple) -> Tableau:
     """The one-column tableau of the given content, entries in sorted order."""
     return _trusted_tableau(tuple((v,) for v, n in enumerate(counts, start=1) for _ in range(n)))
-
-
-def canonical_mod_minors(p: MultiPoly, m: int, k: int) -> MultiPoly:
-    """Canonical polynomial representative of p modulo the ideal of (k+1)-minors."""
-    return standard_coordinates(p, m, k_bound=k).to_poly(m)
 
 
 def straighten(

@@ -28,7 +28,6 @@ from detmld.tableaux import (
     DoubleTableau,
     Tableau,
     bideterminant,
-    canonical_mod_minors,
     dominance_leq,
     enumerate_standard_basis,
     standard_coordinates,
@@ -334,8 +333,8 @@ def test_criterion_8_nash_verification():
     for subset in combinations([(1, 1), (1, 2), (2, 1), (2, 2)], 3):
         reduced = reduce_top_form(subset, chart)
         numerator, power = _substitution_oracle_m2(subset)
-        lhs = canonical_mod_minors(reduced.coefficient * x11 ** power, m, k)
-        rhs = canonical_mod_minors(numerator * x11, m, k)
+        lhs = standard_coordinates(reduced.coefficient * x11 ** power, m, k_bound=k).to_poly(m)
+        rhs = standard_coordinates(numerator * x11, m, k_bound=k).to_poly(m)
         assert lhs == rhs, subset
 
     elapsed = time.perf_counter() - started

@@ -19,7 +19,7 @@ from detmld.forms import (
     verify_nash,
 )
 from detmld.polynomials import MinorIndex, MultiPoly, minor_poly
-from detmld.tableaux import canonical_mod_minors, subalgebra_membership
+from detmld.tableaux import StandardExpansion, standard_coordinates, subalgebra_membership
 
 from test_package import module_caches
 
@@ -218,9 +218,11 @@ class TestReduceTopForm:
                     continue
                 divisions += 1
                 coeff = reduce_top_form(subset, chart).coefficient
-                assert canonical_mod_minors(
-                    coeff * delta ** (bpow - (m - k)), m, k
-                ) == chart.sign * canonical_mod_minors(numerator, m, k), (rows, cols, subset)
+                assert standard_coordinates(
+                    coeff * delta ** (bpow - (m - k)), m, k_bound=k
+                ).to_poly(m) == chart.sign * standard_coordinates(
+                    numerator, m, k_bound=k
+                ).to_poly(m), (rows, cols, subset)
         assert divisions
 
     @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
@@ -415,6 +417,29 @@ class TestVerifyNash:
         with pytest.raises(PreconditionError):
             verify_nash(4, 2)
 
+    @pytest.mark.parametrize("m, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_minor_power_sign_matches_the_polynomial_route(self, m, k):
+        # Reference: (chart minor)**(m-k) multiplied out, straightened and
+        # re-expanded, compared with F as polynomials.
+        ref = reference_chart_indices(k)
+        charts = list(combinations(range(1, m + 1), k))
+        for rows in charts:
+            for cols in charts:
+                numerator, bpow = forms._reduce_positions(
+                    chart_variable_set(rows, cols, m), ref, ref, m, k, "lex"
+                )
+                expansion = forms._resolve_coefficient(numerator, bpow, ref, ref, m, k)
+                coeff = expansion.to_poly(m)
+                power = minor_poly(MinorIndex(rows, cols), m) ** (m - k)
+                expected = standard_coordinates(power, m, k_bound=k).to_poly(m)
+                old = 1 if coeff == expected else -1 if coeff == -expected else 0
+                assert old != 0
+                assert forms._sign_against_minor_power(expansion, rows, cols, m, k) == old
+                doubled = StandardExpansion(tuple((2 * c, dt) for c, dt in expansion))
+                assert forms._sign_against_minor_power(doubled, rows, cols, m, k) == 0
+                zero = StandardExpansion(())
+                assert forms._sign_against_minor_power(zero, rows, cols, m, k) == 0
+
     def test_transitions_agree_with_the_public_check(self):
         for m, k in ((2, 1), (3, 1), (3, 2)):
             charts = list(combinations(range(1, m + 1), k))
@@ -434,7 +459,9 @@ class TestVerifyNash:
         def reduce_breaking_one_chart(positions, chart, elimination_order="lex"):
             result = real(positions, chart, elimination_order)
             if tuple(sorted(positions)) == broken:
-                return dataclasses.replace(result, coefficient=MultiPoly.zero(2))
+                return dataclasses.replace(
+                    result, coefficient=MultiPoly.zero(2), expansion=StandardExpansion(())
+                )
             return result
 
         monkeypatch.setattr(forms, "reduce_top_form", reduce_breaking_one_chart)
@@ -444,6 +471,22 @@ class TestVerifyNash:
         assert all(sign != 0 for key, sign in signs.items() if key != ((2,), (1,)))
         assert not report.minors_realized
         assert not report.transitions_ok
+
+    def test_perturbed_revlex_expansion_fails_order_independence(self, monkeypatch):
+        # Negating every revlex numerator negates every revlex expansion, so
+        # each nonzero F disagrees with its lex reduction.
+        real = forms._reduce_positions
+
+        def negated_revlex(positions, rows, cols, m, k, order):
+            numerator, bpow = real(positions, rows, cols, m, k, order)
+            return (-numerator if order == "revlex" else numerator), bpow
+
+        monkeypatch.setattr(forms, "_reduce_positions", negated_revlex)
+        report = verify_nash(2, 1)
+        assert report.all_member and report.minors_realized and report.transitions_ok
+        assert not any(entry["order_independent"] for entry in report.subsets)
+        assert not report.order_independent
+        assert not report.passed
 
     def test_failed_swap_identity_fails_transitions(self, monkeypatch):
         monkeypatch.setattr(forms, "_transition_identity", lambda *args, **kwargs: False)
@@ -487,11 +530,13 @@ class TestFrontier:
     @pytest.mark.parametrize(
         "k, expected",
         [
+            (1, "e36002069fddab80a79d8e3d4bd30ad0d6bbb8cb587b4da588655d4f33d690dc"),
+            (2, "ccd60f92c473833390ed7da815adb234926b4f2cc52b45547f3d2300f6610824"),
             (3, "d6eda88fa7139c10b9c0953b54188ed58faa5af1d74775da536ff7f5c4212da1"),
             (4, "dfd6805906558773c7274974f8122e4f2c631a6444df37b6a01a65205af6a3e6"),
         ],
     )
-    def test_cheap_rank_in_four_reports_are_pinned(self, monkeypatch, k, expected):
+    def test_rank_in_four_reports_are_pinned(self, monkeypatch, k, expected):
         monkeypatch.setattr(forms, "VERIFY_GUARD_M", 4)
         report = verify_nash(4, k)
         assert report.passed
@@ -508,10 +553,10 @@ class TestSubstitutionOracle:
         for subset in combinations(positions, 3):
             reduced = reduce_top_form(subset, chart)
             oracle_num, oracle_pow = _substitution_oracle(subset)
-            lhs = canonical_mod_minors(
-                reduced.coefficient * x(m, 1, 1) ** oracle_pow, m, k
-            )
-            rhs = canonical_mod_minors(oracle_num * x(m, 1, 1), m, k)
+            lhs = standard_coordinates(
+                reduced.coefficient * x(m, 1, 1) ** oracle_pow, m, k_bound=k
+            ).to_poly(m)
+            rhs = standard_coordinates(oracle_num * x(m, 1, 1), m, k_bound=k).to_poly(m)
             assert lhs == rhs, subset
 
 

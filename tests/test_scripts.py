@@ -1,6 +1,9 @@
 """Smoke tests: each experiment script runs with small arguments and exits 0."""
 
+import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +40,13 @@ def test_nash_survey(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
     assert len(list(tmp_path.glob("nash_m*_k*.json"))) == 5
+    # Each printed digest is that of the JSON report written beside it.
+    printed = re.findall(r"\(m=(\d), k=(\d)\):.* digest=([0-9a-f]{16})$", proc.stdout, re.M)
+    assert len(printed) == 5
+    for m, k, digest in printed:
+        data = json.loads((tmp_path / f"nash_m{m}_k{k}.json").read_text())
+        data.pop("elapsed_seconds")
+        for entry in data["subsets"]:
+            entry.pop("seconds")
+        text = json.dumps(data, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (m, k)
