@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 
@@ -144,8 +145,18 @@ def new_partition(entries: Iterable) -> ExtendedPartition:
     return ExtendedPartition(tuple(entries))
 
 
+def _trusted_partition(entries: tuple) -> ExtendedPartition:
+    """An ExtendedPartition from a tuple of naturals and INF that is
+    nonincreasing by construction, without the checks of __post_init__."""
+    lam = object.__new__(ExtendedPartition)
+    object.__setattr__(lam, "entries", entries)
+    return lam
+
+
 # Largest rank bound k a pair accepts: a pair stores k coefficients.
 MAX_RANK = 100_000
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -154,13 +165,17 @@ class DeterminantalPair:
     weighted by the formal sum of its rank <= k-i subloci with coefficients alphas[i-1].
 
     Coefficients are exact rationals; every criterion downstream is a finite
-    linear inequality in them, so rationals keep all tests exact.
+    linear inequality in their prefix sums.  The pair computes those once, in
+    integers over the lcm D of the coefficient denominators: _scaled_prefix[j]
+    is D * (alpha_1 + ... + alpha_j), so the closed forms compare and sum
+    integers and make a Fraction only for a value they return.
     """
 
     m: int
     k: int
     alphas: tuple
-    _prefix: tuple = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _scaled_prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -171,19 +186,22 @@ class DeterminantalPair:
             raise PreconditionError(f"rank bound k={self.k} exceeds matrix size m={self.m}")
         if self.k > MAX_RANK:
             raise PreconditionError(f"rank bound k={self.k} exceeds the supported {MAX_RANK}")
-        alphas = tuple(Fraction(a) for a in self.alphas)
+        alphas = tuple(a if type(a) is Fraction else Fraction(a) for a in self.alphas)
         if len(alphas) != self.k:
             raise PreconditionError(
                 f"need exactly k={self.k} coefficients, got {len(alphas)}"
             )
+        denominator = lcm(*(a.denominator for a in alphas))
+        scaled = (a.numerator * (denominator // a.denominator) for a in alphas)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "_prefix", tuple(accumulate(alphas, initial=Fraction(0))))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_scaled_prefix", tuple(accumulate(scaled, initial=0)))
 
     def alpha_prefix(self, j: int) -> Fraction:
         """Sum of the first j >= 0 coefficients (all of them when j > k), in O(1)."""
         if j < 0:
             raise PreconditionError(f"prefix length must be >= 0, got {j}")
-        return self._prefix[min(j, self.k)]
+        return Fraction(self._scaled_prefix[min(j, self.k)], self._denominator)
 
 
 def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
@@ -192,10 +210,11 @@ def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     The pair's constructor converts the coefficients to Fraction and makes
     every check; padding waits until k is known to be at most m and
     MAX_RANK, so an out-of-range k is rejected before any allocation of size k.
+    The padding is one shared Fraction(0), which the constructor keeps as is.
     """
     alphas = tuple(alphas)
     if isinstance(k, int) and isinstance(m, int) and k <= min(m, MAX_RANK):
-        alphas += (0,) * (k - len(alphas))
+        alphas += (_ZERO,) * (k - len(alphas))
     return DeterminantalPair(m, k, alphas)
 
 

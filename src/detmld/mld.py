@@ -4,13 +4,17 @@ For the pair (rank <= k locus, sum alpha_i * (rank <= k-i locus)) of m x m
 matrices, the minimal log discrepancy admits closed formulas at a point of
 given rank and along a determinantal sublocus.  The formulas reduce to
 linear expressions in the coefficients alpha, gated by finitely many linear
-inequalities (the log-canonicity criterion).
+inequalities (the log-canonicity criterion).  Both are linear in the prefix
+sums alpha_1 + ... + alpha_j, so they run in integers over the pair's common
+denominator D (see DeterminantalPair) and make a Fraction only for a value
+they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -38,20 +42,23 @@ class BetaVector:
         return iter(self.betas)
 
     def prefix_sums(self) -> tuple:
-        out, acc = [], Fraction(0)
-        for b in self.betas:
-            acc += b
-            out.append(acc)
-        return tuple(out)
+        """beta_1 + ... + beta_j for j = 1, ..., len, summed in integers over
+        the lcm of the beta denominators."""
+        denominator = lcm(*(b.denominator for b in self.betas))
+        scaled = (b.numerator * (denominator // b.denominator) for b in self.betas)
+        return tuple(Fraction(s, denominator) for s in accumulate(scaled))
 
 
 def beta_coefficients(pair: DeterminantalPair, count: int) -> BetaVector:
     """The first `count` beta coefficients of the pair, 0 <= count <= k."""
     if not 0 <= count <= pair.k:
         raise PreconditionError(f"need 0 <= count <= k={pair.k}, got {count}")
-    base = pair.m - pair.k
+    base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     return BetaVector(
-        tuple(base + 2 * j - 1 - pair.alpha_prefix(j) for j in range(1, count + 1))
+        tuple(
+            Fraction((base + 2 * j - 1) * denominator - prefix[j], denominator)
+            for j in range(1, count + 1)
+        )
     )
 
 
@@ -62,11 +69,10 @@ def first_lc_violation(pair: DeterminantalPair, count: int) -> Optional[tuple]:
     """
     if not 0 <= count <= pair.k:
         raise PreconditionError(f"need 0 <= count <= k={pair.k}, got {count}")
+    base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     for j in range(1, count + 1):
-        lhs = pair.alpha_prefix(j)
-        rhs = Fraction(pair.m - pair.k + 2 * j - 1)
-        if lhs > rhs:
-            return (j, lhs, rhs)
+        if prefix[j] > (base + 2 * j - 1) * denominator:
+            return (j, Fraction(prefix[j], denominator), Fraction(base + 2 * j - 1))
     return None
 
 
@@ -89,12 +95,10 @@ def mld_at_rank(pair: DeterminantalPair, q: int) -> MldValue:
     """
     if not is_lc_at_rank(pair, q):
         return MldValue.NEG_INFINITY
-    m, k = pair.m, pair.k
-    correction = sum(
-        ((k - q - i + 1) * pair.alphas[i - 1] for i in range(1, k - q + 1)),
-        Fraction(0),
-    )
-    return MldValue.finite(Fraction(q * (m - k) + k * m) - correction)
+    m, k, denominator = pair.m, pair.k, pair._denominator
+    # sum_{i <= k-q} (k - q - i + 1) * alpha_i is the sum of the first k - q prefix sums
+    correction = sum(pair._scaled_prefix[:k - q + 1])
+    return MldValue.finite(Fraction((q * (m - k) + k * m) * denominator - correction, denominator))
 
 
 def is_lc_along(pair: DeterminantalPair, j: int) -> bool:
@@ -116,11 +120,10 @@ def mld_along(pair: DeterminantalPair, j: int) -> MldValue:
     """
     if not is_lc_along(pair, j):
         return MldValue.NEG_INFINITY
-    m, k = pair.m, pair.k
-    correction = sum(
-        ((j - i + 1) * pair.alphas[i - 1] for i in range(1, j + 1)), Fraction(0)
-    )
-    return MldValue.finite(Fraction(j * (m - k + j)) - correction)
+    m, k, denominator = pair.m, pair.k, pair._denominator
+    # sum_{i <= j} (j - i + 1) * alpha_i is the sum of the first j prefix sums
+    correction = sum(pair._scaled_prefix[:j + 1])
+    return MldValue.finite(Fraction(j * (m - k + j) * denominator - correction, denominator))
 
 
 def is_terminal(m: int, k: int) -> bool:

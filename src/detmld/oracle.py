@@ -33,7 +33,14 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterator, Optional, Union
 
-from .core import INF, DeterminantalPair, ExtendedPartition, MldValue, PreconditionError
+from .core import (
+    INF,
+    DeterminantalPair,
+    ExtendedPartition,
+    MldValue,
+    PreconditionError,
+    _trusted_partition,
+)
 from .mld import BetaVector, beta_coefficients, mld_along, mld_at_rank
 from .orbits import (
     _codim,
@@ -142,7 +149,11 @@ def full_partition(pair: DeterminantalPair, tail) -> ExtendedPartition:
 
 
 def _scaled_alphas(pair: DeterminantalPair) -> tuple:
-    """The lcm D of the coefficient denominators and the integers D * alpha_i."""
+    """The lcm D of the coefficient denominators and the integers D * alpha_i.
+
+    Scaled from pair.alphas, not read off the pair's integer prefix sums that
+    the closed forms use, so a fault in either shows as a disagreement.
+    """
     denominator = lcm(*(a.denominator for a in pair.alphas))
     return denominator, tuple(a.numerator * (denominator // a.denominator) for a in pair.alphas)
 
@@ -170,7 +181,7 @@ def _scaled_objective(
         cod = _codim_point(lam, pair, target.q)
     else:
         m, k = pair.m, pair.k
-        if any(lam[m - k + i] <= 0 for i in range(target.j)):
+        if any(e <= 0 for e in lam.entries[m - k:m - k + target.j]):
             raise PreconditionError(
                 f"orbit {lam.entries} is not centered in the rank <= {k - target.j} sublocus"
             )
@@ -255,13 +266,16 @@ def minimize_objective(
             f"the search to L={bound} has more than {MAX_SEARCH_TAILS} tails; lower L"
         )
     # Values are compared scaled by the positive common denominator, which
-    # keeps their order, so the search runs on integers.
+    # keeps their order, so the search runs on integers.  The tails are
+    # nonincreasing naturals by construction, so each orbit is built
+    # unchecked; _scaled_objective still checks its membership.
     denominator, scaled_alphas = _scaled_alphas(pair)
+    head = (INF,) * (pair.m - pair.k)
     best: Optional[int] = None
     best_tail: Optional[tuple] = None
     for tail in iter_tails(pair, target, bound):
         value = _scaled_objective(
-            pair, full_partition(pair, tail), target, denominator, scaled_alphas
+            pair, _trusted_partition(head + tail), target, denominator, scaled_alphas
         )
         if best is None or value < best or (value == best and tail < best_tail):
             best, best_tail = value, tail

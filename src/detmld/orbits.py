@@ -18,6 +18,7 @@ bodies directly.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import mul
 
 from .core import INF, DeterminantalPair, ExtendedPartition, PreconditionError
 
@@ -43,20 +44,19 @@ def orbit_in_jet_space(lam: ExtendedPartition, pair: DeterminantalPair) -> bool:
     This happens exactly when lam_1 = ... = lam_{m-k} = INF (vacuous for k = m).
     """
     _check_lengths(lam, pair)
-    return all(lam[i] is INF for i in range(pair.m - pair.k))
+    return all(e is INF for e in lam.entries[:pair.m - pair.k])
 
 
 def orbit_has_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> bool:
     """True iff the orbit has finite codimension, i.e. lam_{m-k+1} < INF."""
     _require_in_jet_space(lam, pair)
-    return lam[pair.m - pair.k] is not INF
+    return lam.entries[pair.m - pair.k] is not INF
 
 
 def _meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
-    m = pair.m
-    head = all(lam[i] > 0 for i in range(m - q))
-    tail = all(lam[i] == 0 for i in range(m - q, m))
-    return head and tail
+    cut = pair.m - q
+    entries = lam.entries
+    return all(e > 0 for e in entries[:cut]) and all(e == 0 for e in entries[cut:])
 
 
 def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
@@ -90,7 +90,7 @@ def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i:
 def _nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
     if pair.k == pair.m:
         return 0
-    return (pair.m - pair.k) * sum(lam[pair.m - pair.k:])
+    return (pair.m - pair.k) * sum(lam.entries[pair.m - pair.k:])
 
 
 def nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
@@ -112,8 +112,9 @@ def _require_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> No
 
 
 def _codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
+    # (2i - 1) * lam_i for i = m-k+1..m
     m, k = pair.m, pair.k
-    return sum((2 * i - 1) * lam[i - 1] for i in range(m - k + 1, m + 1))
+    return sum(map(mul, range(2 * (m - k) + 1, 2 * m, 2), lam.entries[m - k:]))
 
 
 def orbit_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:

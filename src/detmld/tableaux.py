@@ -233,14 +233,6 @@ class StandardExpansion:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def restrict_rows(self, k_bound: int) -> "StandardExpansion":
-        """Drop terms with any row longer than k_bound (these vanish modulo
-        the ideal of (k_bound+1)-minors)."""
-        kept = tuple(
-            (c, dt) for c, dt in self.terms if all(len(r) <= k_bound for r in dt.left.rows)
-        )
-        return StandardExpansion(kept)
-
     def to_poly(self, m: int) -> MultiPoly:
         """The sum of the terms, collected in one dict."""
         acc: Dict[Exponents, Fraction] = {}
