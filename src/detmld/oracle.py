@@ -5,7 +5,12 @@ Two oracles:
 * brute-force minimization of the discrepancy objective
   codim - (Nash contact order) - sum alpha_i * w_i
   over all valid orbit partitions with bounded entries, together with an
-  analytic certificate of unboundedness from the beta prefix sums;
+  analytic certificate of unboundedness from the beta prefix sums.  Each
+  orbit is built unchecked from a tail of `iter_tails` (nonincreasing
+  naturals by construction), checked for membership once, and scored in
+  integers over the lcm of the coefficient denominators, scaled from the
+  coefficients themselves and not from the pair's prefix sums that the
+  closed forms read;
 
 * a truncated-power-series computation of contact orders, evaluating every
   minor of a matrix of monomial series exactly (optionally conjugated by

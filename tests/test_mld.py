@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +191,97 @@ class TestSemicontinuity:
             assert profile[q] == mld_at_rank(pair, q), q
         assert profile[k // 2].is_finite
         assert profile[0].is_finite is (violated_at is None)
+
+
+# The closed forms as Fraction expressions over the coefficients themselves:
+# the reference the integer prefix-sum route must reproduce exactly.
+def reference_prefix(pair):
+    return list(accumulate(pair.alphas, initial=Fraction(0)))
+
+
+def reference_violation(pair, prefix, count):
+    for j in range(1, count + 1):
+        lhs, rhs = prefix[j], Fraction(pair.m - pair.k + 2 * j - 1)
+        if lhs > rhs:
+            return (j, lhs, rhs)
+    return None
+
+
+def reference_mld_at_rank(pair, prefix, q):
+    m, k = pair.m, pair.k
+    if reference_violation(pair, prefix, k - q) is not None:
+        return MldValue.NEG_INFINITY
+    correction = sum(
+        ((k - q - i + 1) * pair.alphas[i - 1] for i in range(1, k - q + 1)), Fraction(0)
+    )
+    return MldValue.finite(Fraction(q * (m - k) + k * m) - correction)
+
+
+def reference_mld_along(pair, prefix, j):
+    m, k = pair.m, pair.k
+    if reference_violation(pair, prefix, k) is not None:
+        return MldValue.NEG_INFINITY
+    correction = sum(((j - i + 1) * pair.alphas[i - 1] for i in range(1, j + 1)), Fraction(0))
+    return MldValue.finite(Fraction(j * (m - k + j)) - correction)
+
+
+def reference_betas(pair, prefix, count):
+    return tuple(pair.m - pair.k + 2 * j - 1 - prefix[j] for j in range(1, count + 1))
+
+
+def reference_prefix_sums(betas):
+    return tuple(accumulate(betas, initial=Fraction(0)))[1:]
+
+
+# halves, thirds, negatives and zero; tripled, the prefixes soon break the
+# criterion, as they are they mostly keep it
+ALPHA_POOL = [
+    Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+    Fraction(1, 3), Fraction(-2, 3), Fraction(5, 3), Fraction(1), Fraction(-1), Fraction(2),
+]
+
+
+def _integer_route_pairs(size):
+    """Seeded pairs: six per k <= m = size when size <= 8; at k = size, one
+    pair at m = k + 7 and one at m = k whose middle coefficient k breaks the
+    criterion, so ranks on both sides of it are checked."""
+    rng = random.Random(20261019 + size)
+    if size <= 8:
+        return [
+            new_pair(size, k, [rng.choice((1, 1, 3)) * rng.choice(ALPHA_POOL) for _ in range(k)])
+            for k in range(1, size + 1)
+            for _ in range(6)
+        ]
+    alphas = [[rng.choice(ALPHA_POOL) for _ in range(size)] for _ in range(2)]
+    alphas[1][size // 2] = Fraction(size)
+    return [new_pair(size + 7, size, alphas[0]), new_pair(size, size, alphas[1])]
+
+
+def assert_matches_fraction_route(pair):
+    k = pair.k
+    prefix = reference_prefix(pair)
+    for j in range(k + 3):
+        assert pair.alpha_prefix(j) == prefix[min(j, k)], j
+    for count in range(k + 1):
+        assert first_lc_violation(pair, count) == reference_violation(pair, prefix, count)
+        betas = beta_coefficients(pair, count)
+        assert betas.betas == reference_betas(pair, prefix, count), count
+        assert betas.prefix_sums() == reference_prefix_sums(betas.betas), count
+    for q in range(k + 1):
+        assert mld_at_rank(pair, q) == reference_mld_at_rank(pair, prefix, q), q
+    for j in range(1, k + 1):
+        assert mld_along(pair, j) == reference_mld_along(pair, prefix, j), j
+
+
+class TestIntegerRouteMatchesFractions:
+    @pytest.mark.parametrize("size", list(range(1, 9)) + [80, 150, 300])
+    def test_every_closed_form(self, size):
+        for pair in _integer_route_pairs(size):
+            assert_matches_fraction_route(pair)
+
+    def test_grid_reaches_both_sides_of_the_criterion(self):
+        for sizes in (range(1, 9), (80,), (150,), (300,)):
+            lc = [
+                first_lc_violation(p, p.k) is None for s in sizes for p in _integer_route_pairs(s)
+            ]
+            assert any(lc) and not all(lc), sizes

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmld import oracle
-from detmld.core import INF, MldValue, PreconditionError, new_pair, new_partition
+from detmld.core import (
+    INF,
+    MldValue,
+    PreconditionError,
+    _trusted_partition,
+    new_pair,
+    new_partition,
+)
 from detmld.mld import beta_coefficients, mld_at_rank
 from detmld.orbits import (
     contact_order_subvariety,
@@ -340,6 +347,72 @@ class TestMinimize:
         assert tails == sorted(tails, reverse=True)
         for tail in tails:
             assert all(a >= b for a, b in zip(tail, tail[1:]))
+
+
+class TestSearchScoresEveryTrustedTail:
+    # A pair whose searches to L = 4 agree with the closed form, each with a
+    # unique argmin: (1, 0) along j = 1 and (1, 1) at a rank-0 point.
+    PAIR = new_pair(3, 2, [Fraction(1, 2), Fraction(1, 3)])
+    TARGETS = [(LocusTarget(1), "_codim"), (PointTarget(0), "_codim_point")]
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_trusted_partitions_pass_validation(self, k):
+        for m in (k, k + 1):
+            pair = new_pair(m, k, [])
+            targets = [PointTarget(q) for q in range(k + 1)]
+            targets += [LocusTarget(j) for j in range(1, k + 1)]
+            for target in targets:
+                for bound in range(1, 5):
+                    for tail in iter_tails(pair, target, bound):
+                        lam = _trusted_partition((INF,) * (m - k) + tail)
+                        assert new_partition(lam.entries) == lam == full_partition(pair, tail)
+
+    def _argmin_entries(self, target):
+        before = compare_with_closed_form(self.PAIR, target, 4)
+        assert before.agree
+        return before, (INF,) * (self.PAIR.m - self.PAIR.k) + before.oracle.argmin
+
+    @pytest.mark.parametrize("target, name", TARGETS)
+    def test_codim_of_the_argmin_is_read(self, monkeypatch, target, name):
+        before, entries = self._argmin_entries(target)
+        original = getattr(oracle, name)
+
+        def bumped(lam, pair, *rest):
+            return original(lam, pair, *rest) + (lam.entries == entries)
+
+        monkeypatch.setattr(oracle, name, bumped)
+        after = compare_with_closed_form(self.PAIR, target, 4)
+        assert after.oracle.minimum > before.oracle.minimum
+        assert not after.agree
+
+    @pytest.mark.parametrize("target", [target for target, _ in TARGETS])
+    def test_contact_orders_of_the_argmin_are_read(self, monkeypatch, target):
+        before, entries = self._argmin_entries(target)
+        original = oracle._contact_orders
+
+        def bumped(lam, pair):
+            w = original(lam, pair)
+            return (w[0] + 1,) + w[1:] if lam.entries == entries else w
+
+        monkeypatch.setattr(oracle, "_contact_orders", bumped)
+        after = compare_with_closed_form(self.PAIR, target, 4)
+        assert after.oracle.minimum < before.oracle.minimum
+        assert not after.agree
+
+    @pytest.mark.parametrize("target", [target for target, _ in TARGETS])
+    def test_every_tail_is_scored(self, monkeypatch, target):
+        # raising every contact order of one orbit by 100 lowers its value by
+        # 100 * (1/2 + 1/3), below every other value in the box
+        original = oracle._contact_orders
+        for tail in iter_tails(self.PAIR, target, 4):
+            entries = (INF,) * (self.PAIR.m - self.PAIR.k) + tail
+
+            def raised(lam, pair, entries=entries):
+                w = original(lam, pair)
+                return tuple(x + 100 for x in w) if lam.entries == entries else w
+
+            monkeypatch.setattr(oracle, "_contact_orders", raised)
+            assert minimize_objective(self.PAIR, target, 4).argmin == tail
 
 
 class TestComparison:
