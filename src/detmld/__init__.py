@@ -52,7 +52,7 @@ from .orbits import (
     orbit_in_jet_space,
     orbit_meets_point_fiber,
 )
-from .polynomials import MinorIndex, MultiPoly, TruncatedSeries, minor_poly, substitute_series
+from .polynomials import MinorIndex, MultiPoly, minor_poly, substitute_series
 from .tableaux import (
     DoubleTableau,
     Membership,

@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Optional
 
 from .core import (
@@ -247,9 +247,15 @@ def _cmd_nash_verify(args) -> dict:
     return report.to_json()
 
 
+def _format_scaled(n: int, den: int) -> str:
+    """n / den in lowest terms as format_rational writes it, with no Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def _cmd_semicontinuity(args) -> dict:
     pair = new_pair(args.m, args.k, _parse_alphas(args.alphas))
-    # In integers over the profile's denominator D; Fractions only for output.
+    # In integers over the profile's denominator D.
     den, profile = scaled_semicontinuity_profile(pair)
     base = pair.m - pair.k
     differences = []
@@ -260,7 +266,7 @@ def _cmd_semicontinuity(args) -> dict:
             diff = upper - lower
             # diff / D == base + alpha_prefix, checked with cross-multiplied integers.
             expected = pair.alpha_prefix(pair.k - q + 1)
-            differences.append(format_rational(Fraction(diff, den)))
+            differences.append(_format_scaled(diff, den))
             identity = identity and diff * expected.denominator == (
                 base * expected.denominator + expected.numerator
             ) * den
@@ -270,7 +276,7 @@ def _cmd_semicontinuity(args) -> dict:
         "m": pair.m,
         "k": pair.k,
         "alphas": [format_rational(a) for a in pair.alphas],
-        "profile": ["-inf" if n is None else format_rational(Fraction(n, den)) for n in profile],
+        "profile": ["-inf" if n is None else _format_scaled(n, den) for n in profile],
         "differences": differences,
         "difference_identity": identity,
     }

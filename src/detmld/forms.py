@@ -50,7 +50,7 @@ from .tableaux import (
 IndexPair = Tuple[int, int]
 Wedge = Tuple[IndexPair, ...]
 
-VERIFY_GUARD_M = 3
+VERIFY_GUARD_M = 4
 
 
 _D_MINOR_CACHE: Dict[tuple, Dict[IndexPair, MultiPoly]] = {}
@@ -483,7 +483,7 @@ def verify_nash(m: int, k: int) -> NashReport:
     containment: each coefficient F lies in the subalgebra of k x k minors
     in degree m-k, every chart minor power is realized by its own chart
     wedge, reductions are elimination-order independent, and all single-swap
-    chart transitions verify.  Guarded to m <= 3 (exhaustive subsets)."""
+    chart transitions verify.  Guarded to m <= 4 (exhaustive: 11,440 subsets at (4, 1))."""
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > VERIFY_GUARD_M:

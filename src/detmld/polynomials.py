@@ -3,9 +3,10 @@
 The variable layout is fixed and row-major: x_ij sits at index (i-1)*m + (j-1)
 of the exponent vector, so monomial-basis linear algebra downstream is stable.
 Also provides determinant polynomials of submatrices (memoized Leibniz
-expansion, no division) and exact truncated power series for the valuation
-oracle.  Products are computed in integers over a common denominator;
-coefficients are `Fraction`s at the public boundary.
+expansion, no division) and their evaluation on truncated power series given
+as coefficient lists, the reference the series oracle is tested against.
+Products are computed in integers over a common denominator; coefficients
+are `Fraction`s at the public boundary.
 """
 
 from __future__ import annotations
@@ -308,120 +309,35 @@ def _signed_permutations(size: int) -> tuple:
     return tuple(out)
 
 
-class TruncatedSeries:
-    """Power series in t modulo t**(N+1), stored as a dense coefficient list."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = list(coeffs)
-        if not self.coeffs:
-            raise PreconditionError("series needs at least the constant coefficient")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, truncation: int) -> "TruncatedSeries":
-        return cls([0] * (truncation + 1))
-
-    @classmethod
-    def monomial(cls, order: int, truncation: int, coeff=1) -> "TruncatedSeries":
-        """coeff * t**order, or the zero series when order exceeds the truncation."""
-        coeffs = [0] * (truncation + 1)
-        if 0 <= order <= truncation:
-            coeffs[order] = coeff
-        return cls(coeffs)
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise PreconditionError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self.coeffs])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        n = len(self.coeffs)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        if c == 0:
-            return TruncatedSeries.zero(self.truncation)
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        return TruncatedSeries([c * a for a in self.coeffs])
-
-    def order(self):
-        """Smallest exponent with nonzero coefficient, or None if zero mod t**(N+1)."""
-        for i, a in enumerate(self.coeffs):
-            if a != 0:
-                return i
-        return None
-
-    def __repr__(self) -> str:
-        parts = [f"{a}*t^{i}" for i, a in enumerate(self.coeffs) if a != 0]
-        return " + ".join(parts) if parts else f"O(t^{len(self.coeffs)})"
+def _series_product(a: list, b: list) -> list:
+    """Product of two coefficient lists of one length, truncated to that length."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
-def substitute_series(
-    p: MultiPoly, assignment: Sequence[Sequence[TruncatedSeries]], truncation: int
-) -> TruncatedSeries:
-    """Evaluate p at an m x m matrix of truncated series, exactly mod t**(N+1)."""
+def substitute_series(p: MultiPoly, assignment: Sequence[Sequence[list]], truncation: int) -> list:
+    """Evaluate p at an m x m matrix of power series in t, exactly mod t**(N+1)
+    with N the truncation.
+
+    Each series, and the result, is the list of its N + 1 coefficients of
+    t**0, ..., t**N; the result's are Fractions.  Every monomial is multiplied
+    out, so this is the short minor-by-minor reference for the series oracle."""
     m = p.m
     if len(assignment) != m or any(len(row) != m for row in assignment):
         raise PreconditionError(f"assignment must be an {m}x{m} matrix of series")
-    for row in assignment:
-        for s in row:
-            if s.truncation != truncation:
-                raise PreconditionError(
-                    f"series truncated at {s.truncation}, expected {truncation}"
-                )
-    total = TruncatedSeries.zero(truncation)
-    for exp, coef in p.terms.items():
-        term = None
+    if any(len(s) != truncation + 1 for row in assignment for s in row):
+        raise PreconditionError(f"every series needs {truncation + 1} coefficients")
+    den, ints = _integer_terms(p.terms)
+    total = [0] * (truncation + 1)
+    for exp, coef in ints:
+        term = [1] + [0] * truncation
         for idx, e in enumerate(exp):
-            if e == 0:
-                continue
-            factor = assignment[idx // m][idx % m]
             for _ in range(e):
-                term = factor if term is None else term * factor
-                if term.is_zero:
-                    break
-            if term is not None and term.is_zero:
-                break
-        if term is None:
-            term = TruncatedSeries.monomial(0, truncation)
-        if term.is_zero:
-            continue
-        total = total + term.scale(coef)
-    return total
+                term = _series_product(term, assignment[idx // m][idx % m])
+        total = [u + coef * v for u, v in zip(total, term)]
+    return [Fraction(c, den) for c in total]

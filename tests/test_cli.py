@@ -206,7 +206,7 @@ class TestNashCommand:
         assert len(out["subsets"]) == 4
 
     def test_guard_is_reject(self, run_cli):
-        code, _, err = run_cli(["nash", "verify", "--m", "4", "--k", "2"])
+        code, _, err = run_cli(["nash", "verify", "--m", "5", "--k", "2"])
         assert code == 1
 
     def test_removed_parallelism_flag_is_rejected(self, run_cli):

@@ -415,7 +415,7 @@ class TestVerifyNash:
 
     def test_guard(self):
         with pytest.raises(PreconditionError):
-            verify_nash(4, 2)
+            verify_nash(5, 2)
 
     @pytest.mark.parametrize("m, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_minor_power_sign_matches_the_polynomial_route(self, m, k):
@@ -536,8 +536,7 @@ class TestFrontier:
             (4, "dfd6805906558773c7274974f8122e4f2c631a6444df37b6a01a65205af6a3e6"),
         ],
     )
-    def test_rank_in_four_reports_are_pinned(self, monkeypatch, k, expected):
-        monkeypatch.setattr(forms, "VERIFY_GUARD_M", 4)
+    def test_rank_in_four_reports_are_pinned(self, k, expected):
         report = verify_nash(4, k)
         assert report.passed
         assert hashlib.sha256(_untimed_json(report).encode()).hexdigest() == expected

@@ -37,7 +37,7 @@ from detmld.oracle import (
     minimize_objective,
     series_minor_order,
 )
-from detmld.polynomials import MinorIndex, TruncatedSeries, minor_poly, substitute_series
+from detmld.polynomials import MinorIndex, minor_poly, substitute_series
 
 
 def naive_tail_count(pair, target, bound):
@@ -560,35 +560,26 @@ class TestSeriesOracle:
 def minor_by_minor_order(exponents, m, size, truncation, seed=None):
     """The series oracle's previous route: every size x size minor as a
     Leibniz polynomial, evaluated on the (conjugated) series matrix."""
+    assignment = [[[0] * (truncation + 1) for _ in range(m)] for _ in range(m)]
     if seed is None:
-        assignment = [
-            [
-                TruncatedSeries.monomial(exponents[i], truncation)
-                if i == j
-                else TruncatedSeries.zero(truncation)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+        for i, e in enumerate(exponents):
+            if e <= truncation:
+                assignment[i][i][e] = 1
     else:
         rng = random.Random(seed)
         left = oracle._random_invertible(m, rng)
         right = oracle._random_invertible(m, rng)
-        assignment = []
         for a in range(m):
-            row = []
             for b in range(m):
-                coeffs = [0] * (truncation + 1)
                 for c in range(m):
                     if exponents[c] <= truncation:
-                        coeffs[exponents[c]] += left[a][c] * right[c][b]
-                row.append(TruncatedSeries(coeffs))
-            assignment.append(row)
+                        assignment[a][b][exponents[c]] += left[a][c] * right[c][b]
     orders = []
     for rows in combinations(range(1, m + 1), size):
         for cols in combinations(range(1, m + 1), size):
             poly = minor_poly(MinorIndex(rows, cols), m)
-            order = substitute_series(poly, assignment, truncation).order()
+            series = substitute_series(poly, assignment, truncation)
+            order = next((i for i, c in enumerate(series) if c), None)
             if order is not None:
                 orders.append(order)
     return min(orders) if orders else ABOVE_TRUNCATION

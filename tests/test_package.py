@@ -118,3 +118,22 @@ def test_clear_caches_empties_every_module_cache():
     finally:
         for cache in caches.values():
             cache.pop(sentinel, None)
+
+
+def test_benchmark_tracer_targets_exist():
+    # The benchmark's tracer wraps library functions by name, so deleting or
+    # renaming one breaks the traced runs; its source is read, not imported.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tracer = ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracer))
+    targets = [(module, attr_path) for _, module, attr_path in tracer.TRACED]
+    assert targets
+    missing = []
+    for module_name, attr_path in targets + [("detmld.oracle", "iter_tails")]:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = vars(owner).get(part)
+            if owner is None:
+                missing.append(f"{module_name}:{attr_path}")
+                break
+    assert not missing

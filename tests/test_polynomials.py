@@ -10,7 +10,6 @@ from detmld.core import PreconditionError
 from detmld.polynomials import (
     MinorIndex,
     MultiPoly,
-    TruncatedSeries,
     minor_poly,
     substitute_series,
 )
@@ -195,52 +194,56 @@ class TestProductAgainstNaive:
         assert f * g == p * p - q * q
 
 
+def monomial(order, truncation):
+    """Coefficient list of t**order mod t**(truncation + 1)."""
+    coeffs = [0] * (truncation + 1)
+    coeffs[order] = 1
+    return coeffs
+
+
 class TestSeries:
-    def test_monomial_and_order(self):
-        s = TruncatedSeries.monomial(3, 10)
-        assert s.order() == 3
-        assert TruncatedSeries.zero(5).order() is None
-
-    def test_truncation_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            TruncatedSeries.monomial(1, 5) * TruncatedSeries.monomial(1, 6)
-
     def test_substitute_diagonal_det(self):
         m, N = 2, 10
         det = minor_poly(MinorIndex((1, 2), (1, 2)), m)
-        diag = [
-            [TruncatedSeries.monomial(2, N), TruncatedSeries.zero(N)],
-            [TruncatedSeries.zero(N), TruncatedSeries.monomial(1, N)],
-        ]
-        assert substitute_series(det, diag, N) == TruncatedSeries.monomial(3, N)
+        diag = [[monomial(2, N), [0] * (N + 1)], [[0] * (N + 1), monomial(1, N)]]
+        result = substitute_series(det, diag, N)
+        assert result == monomial(3, N)
+        assert all(isinstance(c, Fraction) for c in result)
 
     def test_substitute_off_diagonal_zero(self):
         m, N = 2, 10
-        diag = [
-            [TruncatedSeries.monomial(2, N), TruncatedSeries.zero(N)],
-            [TruncatedSeries.zero(N), TruncatedSeries.monomial(1, N)],
-        ]
-        assert substitute_series(x(m, 1, 2), diag, N).is_zero
+        diag = [[monomial(2, N), [0] * (N + 1)], [[0] * (N + 1), monomial(1, N)]]
+        assert not any(substitute_series(x(m, 1, 2), diag, N))
 
     def test_substitute_cancellation(self):
         # det of [[t, 1], [t^2, t]] is t^2 - t^2 = 0
         m, N = 2, 8
         det = minor_poly(MinorIndex((1, 2), (1, 2)), m)
-        mat = [
-            [TruncatedSeries.monomial(1, N), TruncatedSeries.monomial(0, N)],
-            [TruncatedSeries.monomial(2, N), TruncatedSeries.monomial(1, N)],
-        ]
-        assert substitute_series(det, mat, N).is_zero
+        mat = [[monomial(1, N), monomial(0, N)], [monomial(2, N), monomial(1, N)]]
+        assert not any(substitute_series(det, mat, N))
+
+    def test_truncation_mismatch_rejected(self):
+        m, N = 2, 5
+        mat = [[monomial(1, N), monomial(0, N)], [monomial(2, N), monomial(1, N + 1)]]
+        with pytest.raises(PreconditionError):
+            substitute_series(x(m, 1, 1), mat, N)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(PreconditionError):
+            substitute_series(x(2, 1, 1), [[monomial(0, 3)] * 2], 3)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
     )
     def test_order_multiplicative_below_truncation(self, a, b):
+        # x11 * x22 on diag(a, b) is the product of the two series
         N = 16
-        sa = TruncatedSeries(a + [0] * (N + 1 - len(a)))
-        sb = TruncatedSeries(b + [0] * (N + 1 - len(b)))
-        oa, ob = sa.order(), sb.order()
+        sa = a + [0] * (N + 1 - len(a))
+        sb = b + [0] * (N + 1 - len(b))
+        zero = [0] * (N + 1)
+        product = substitute_series(x(2, 1, 1) * x(2, 2, 2), [[sa, zero], [zero, sb]], N)
+        oa, ob, op = (next((i for i, c in enumerate(s) if c), None) for s in (sa, sb, product))
         if oa is None or ob is None or oa + ob > N:
             return
-        assert (sa * sb).order() == oa + ob
+        assert op == oa + ob

@@ -39,10 +39,14 @@ def test_nash_survey(tmp_path):
     proc = run_script("nash_survey.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
-    assert len(list(tmp_path.glob("nash_m*_k*.json"))) == 5
+    assert len(list(tmp_path.glob("nash_m*_k*.json"))) == 9
     # Each printed digest is that of the JSON report written beside it.
     printed = re.findall(r"\(m=(\d), k=(\d)\):.* digest=([0-9a-f]{16})$", proc.stdout, re.M)
-    assert len(printed) == 5
+    assert len(printed) == 9
+    # The m = 4 reports are those pinned in test_forms.
+    assert [digest for m, _, digest in printed if m == "4"] == [
+        "e36002069fddab80", "ccd60f92c4738333", "d6eda88fa7139c10", "dfd6805906558773",
+    ]
     for m, k, digest in printed:
         data = json.loads((tmp_path / f"nash_m{m}_k{k}.json").read_text())
         data.pop("elapsed_seconds")
