@@ -38,6 +38,7 @@ from .oracle import (
     ABOVE_TRUNCATION,
     LocusTarget,
     PointTarget,
+    _validate_target,
     compare_with_closed_form,
     series_minor_order,
 )
@@ -160,15 +161,10 @@ def _cmd_lc_check(args) -> dict:
     if (args.q is None) == (args.j is None):
         raise PreconditionError("provide exactly one of --q or --j")
     if args.q is not None:
-        if not 0 <= args.q <= pair.k:
-            raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={args.q}")
-        count = pair.k - args.q
-        where = {"q": args.q}
+        target, count, where = PointTarget(args.q), pair.k - args.q, {"q": args.q}
     else:
-        if not 1 <= args.j <= pair.k:
-            raise PreconditionError(f"need 1 <= j <= k={pair.k}, got j={args.j}")
-        count = pair.k
-        where = {"j": args.j}
+        target, count, where = LocusTarget(args.j), pair.k, {"j": args.j}
+    _validate_target(pair, target)
     violation = first_lc_violation(pair, count)
     out = {"m": pair.m, "k": pair.k, **where, "lc": violation is None, "violated": None}
     if violation is not None:
@@ -264,11 +260,10 @@ def _cmd_semicontinuity(args) -> dict:
         lower, upper = profile[q - 1], profile[q]
         if lower is not None and upper is not None:
             diff = upper - lower
-            # diff / D == base + alpha_prefix, checked with cross-multiplied integers.
-            expected = pair.alpha_prefix(pair.k - q + 1)
+            # diff / D == base + alpha_prefix(k - q + 1), cross-multiplied in integers.
             differences.append(_format_scaled(diff, den))
-            identity = identity and diff * expected.denominator == (
-                base * expected.denominator + expected.numerator
+            identity = identity and diff * pair._denominator == (
+                base * pair._denominator + pair._scaled_prefix[pair.k - q + 1]
             ) * den
         else:
             differences.append(None)

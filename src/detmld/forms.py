@@ -15,7 +15,9 @@ of the top differential forms is (up to sign) D**-(m-k) times the wedge of
 their differentials in lexicographic order.  Any top-form on the ambient
 space restricts to F times that generator; F is found by repeatedly
 eliminating differentials dx_ij with both indices outside the chart, using
-the vanishing of d(minor) for each (k+1) x (k+1) minor.  Each step trades
+the vanishing of d(minor) for each (k+1) x (k+1) minor (R | C).  Each
+coefficient there is a cofactor (R - p | C - q) with the parity sign of
+(p, q), read straight off the index sets; the pivot's is D.  Each step trades
 one such differential for one on the chart, so every wedge the elimination
 meets is a top-form of its own; its numerator is memoized per wedge, per
 chart and per elimination order, and shared by every top-form that reaches
@@ -36,7 +38,7 @@ from itertools import combinations
 from typing import Dict, Tuple
 
 from .core import PreconditionError
-from .polynomials import MinorIndex, MultiPoly, minor_poly
+from .polynomials import MultiPoly, _minor_poly
 from .tableaux import (
     DoubleTableau,
     Membership,
@@ -53,37 +55,18 @@ Wedge = Tuple[IndexPair, ...]
 VERIFY_GUARD_M = 4
 
 
-_D_MINOR_CACHE: Dict[tuple, Dict[IndexPair, MultiPoly]] = {}
+def _cofactors(rows: tuple, cols: tuple) -> Dict[IndexPair, Tuple[int, tuple, tuple]]:
+    """The differential of the minor (rows | cols), read off its index sets.
 
-
-def d_minor_terms(idx: MinorIndex, m: int) -> Dict[IndexPair, MultiPoly]:
-    """Coefficients of the differential of a minor, keyed by (i, j).
-
-    The coefficient of dx_ij is the complementary minor with the antidiagonal
-    parity sign of (i, j) inside the submatrix.
+    The coefficient of dx_ij is the complementary minor (rows - i | cols - j)
+    with the parity sign of (i, j) inside the submatrix; it is returned as
+    (sign, rows - i, cols - j), keyed by (i, j).
     """
-    key = (m, idx.rows, idx.cols)
-    cached = _D_MINOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if idx.rows[-1] > m or idx.cols[-1] > m:
-        raise PreconditionError(f"minor {idx} does not fit in a {m}x{m} matrix")
-    out: Dict[IndexPair, MultiPoly] = {}
-    for r, i in enumerate(idx.rows, start=1):
-        for c, j in enumerate(idx.cols, start=1):
-            if idx.size == 1:
-                comp = MultiPoly.one(m)
-            else:
-                comp = minor_poly(
-                    MinorIndex(
-                        tuple(x for x in idx.rows if x != i),
-                        tuple(x for x in idx.cols if x != j),
-                    ),
-                    m,
-                )
-            out[(i, j)] = comp if (r + c) % 2 == 0 else -comp
-    _D_MINOR_CACHE[key] = out
-    return out
+    return {
+        (i, j): ((-1) ** (r + c), rows[:r] + rows[r + 1:], cols[:c] + cols[c + 1:])
+        for r, i in enumerate(rows)
+        for c, j in enumerate(cols)
+    }
 
 
 def chart_variable_set(rows, cols, m: int) -> Wedge:
@@ -218,7 +201,6 @@ def _reduce_positions(
         raise PreconditionError(f"unknown elimination order {order!r}")
     good_rows = set(rows)
     good_cols = set(cols)
-    delta = minor_poly(MinorIndex(rows, cols), m)
     full_good = chart_variable_set(rows, cols, m)
     memo = _ELIMINATION_CACHE.setdefault((m, rows, cols, order), {})
 
@@ -233,21 +215,13 @@ def _reduce_positions(
             memo[wedge] = result = (MultiPoly.one(m), True)
             return result
         i, j = bad[0] if order == "lex" else bad[-1]
-        minor_idx = MinorIndex(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
-        dm = d_minor_terms(minor_idx, m)
-        pivot = dm[(i, j)]
-        if pivot == delta:
-            pivot_sign = 1
-        elif pivot == -delta:
-            pivot_sign = -1
-        else:
-            raise RuntimeError("pivot coefficient is not the chart minor")
-        # d(minor) = 0 on the locus gives dx_ij = -sum(comp dx_pq) / pivot.
+        cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
+        # The pivot's cofactor is delta itself: (rows + i) - i is rows.
+        pivot_sign = cofactors.pop((i, j))[0]
+        # d(minor) = 0 on the locus gives dx_ij = -sum(cofactor dx_pq) / delta.
         total = MultiPoly.zero(m)
         reached = False
-        for (p, q), comp in dm.items():
-            if (p, q) == (i, j):
-                continue
+        for (p, q), (sign, sub_rows, sub_cols) in cofactors.items():
             new_wedge, swap_sign = _replace_in_wedge(wedge, (i, j), (p, q))
             if new_wedge is None:
                 continue
@@ -255,8 +229,8 @@ def _reduce_positions(
             if not sub_reached:
                 continue
             reached = True
-            term = comp * sub
-            total = total - term if pivot_sign * swap_sign > 0 else total + term
+            term = _minor_poly(m, sub_rows, sub_cols) * sub
+            total = total - term if pivot_sign * sign * swap_sign > 0 else total + term
         memo[wedge] = result = (total, reached)
         return result
 
@@ -415,29 +389,25 @@ def _transition_identity(
     times the differential of that minor has exactly the terms dx_i,j and
     dx_i2,j, with coefficients the two chart minors up to sign.  Every other
     differential repeats one of the wedge, so the two coefficients are read
-    off the differential directly.
+    off the differential directly, and they are compared on their index sets:
+    minors on distinct index sets are distinct, and none is minus another.
     """
     i, i2 = swap
     others = [j for j in range(1, m + 1) if j not in fixed]
-    minor_a = minor_poly(
-        _oriented_minor(tuple(sorted(set(swapped) - {i} | {i2})), fixed, transpose), m
-    )
-    minor_b = minor_poly(_oriented_minor(swapped, fixed, transpose), m)
+    minor_a = _oriented_minor(tuple(sorted(set(swapped) - {i} | {i2})), fixed, transpose)
+    minor_b = _oriented_minor(swapped, fixed, transpose)
     for j in others:
         big = _oriented_minor(tuple(sorted(set(swapped) | {i2})), tuple(sorted(fixed + (j,))), transpose)
-        dm = d_minor_terms(big, m)
+        cofactors = _cofactors(*big)
         pair_1 = (j, i) if transpose else (i, j)
         pair_2 = (j, i2) if transpose else (i2, j)
-        c1, c2 = dm[pair_1], dm[pair_2]
-        if c1 != minor_a and c1 != -minor_a:
-            return False
-        if c2 != minor_b and c2 != -minor_b:
+        if cofactors[pair_1][1:] != minor_a or cofactors[pair_2][1:] != minor_b:
             return False
     return True
 
 
-def _oriented_minor(rows: tuple, cols: tuple, transpose: bool) -> MinorIndex:
-    return MinorIndex(cols, rows) if transpose else MinorIndex(rows, cols)
+def _oriented_minor(rows: tuple, cols: tuple, transpose: bool) -> tuple:
+    return (cols, rows) if transpose else (rows, cols)
 
 
 @dataclass

@@ -356,6 +356,8 @@ def enumerate_standard_basis(
     """
     if (degree is None) == (content is None):
         raise PreconditionError("specify exactly one of degree or content")
+    if k_bound is not None and k_bound < 0:
+        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
     if content is not None:
         left_content, right_content = (tuple(c) for c in content)
         if len(left_content) != m or len(right_content) != m:
@@ -551,6 +553,8 @@ def standard_coordinates(
     """
     if p.m != m:
         raise PreconditionError(f"polynomial lives in a {p.m}x{p.m} layout, expected {m}")
+    if k_bound is not None and k_bound < 0:
+        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
     by_content: Dict[tuple, Dict[Exponents, Fraction]] = {}
     for exp, coef in p.terms.items():
         by_content.setdefault(p.monomial_content(exp), {})[exp] = coef

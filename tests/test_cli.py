@@ -174,6 +174,14 @@ class TestStraightenCommand:
         out = run_cli_json(["straighten", "--file", str(path), "--kbound", "1"])
         assert len(out["terms"]) == 1
 
+    def test_negative_kbound_is_precondition_error(self, run_cli, tmp_path):
+        path = tmp_path / "dt.json"
+        path.write_text(json.dumps({"left": {"rows": [[1]]}, "right": {"rows": [[2]]}}))
+        code, out, err = run_cli(["straighten", "--file", str(path), "--kbound", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "k_bound" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "doc",
         [

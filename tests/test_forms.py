@@ -12,7 +12,6 @@ from detmld.core import PreconditionError
 from detmld.forms import (
     chart_form,
     chart_variable_set,
-    d_minor_terms,
     reduce_top_form,
     reference_chart_indices,
     verify_chart_transition,
@@ -77,15 +76,20 @@ def tree_walk_reduce(positions, rows, cols, m, k, order):
             collected.append((coeff, bpow))
             continue
         i, j = bad[0] if order == "lex" else bad[-1]
-        dm = d_minor_terms(MinorIndex(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,)))), m)
-        pivot_sign = 1 if dm[(i, j)] == delta else -1
-        assert dm[(i, j)] == pivot_sign * delta
-        for (p, q), comp in dm.items():
-            if (p, q) == (i, j):
-                continue
-            new_wedge, swap_sign = forms._replace_in_wedge(wedge, (i, j), (p, q))
-            if new_wedge is not None:
-                stack.append((-pivot_sign * swap_sign * (coeff * comp), new_wedge, bpow + 1))
+        # The differential of the (k+1)-minor, as its formal gradient.
+        big_rows, big_cols = sorted(rows + (i,)), sorted(cols + (j,))
+        big = minor_poly(MinorIndex(big_rows, big_cols), m)
+        pivot = partial_derivative(big, m, i, j)
+        pivot_sign = 1 if pivot == delta else -1
+        assert pivot == pivot_sign * delta
+        for p in big_rows:
+            for q in big_cols:
+                if (p, q) == (i, j):
+                    continue
+                new_wedge, swap_sign = forms._replace_in_wedge(wedge, (i, j), (p, q))
+                if new_wedge is not None:
+                    comp = partial_derivative(big, m, p, q)
+                    stack.append((-pivot_sign * swap_sign * (coeff * comp), new_wedge, bpow + 1))
     if not collected:
         return MultiPoly.zero(m), 0
     top = max(b for _, b in collected)
@@ -95,38 +99,44 @@ def tree_walk_reduce(positions, rows, cols, m, k, order):
     return total, top
 
 
-class TestDMinor:
+def cofactor_poly(m, sign, rows, cols):
+    """sign * the minor (rows | cols), which is 1 when both are empty."""
+    poly = minor_poly(MinorIndex(rows, cols), m) if rows else MultiPoly.one(m)
+    return poly if sign > 0 else -poly
+
+
+class TestCofactors:
     def test_two_by_two(self):
-        m = 2
-        dm = d_minor_terms(MinorIndex((1, 2), (1, 2)), m)
-        assert dm[(1, 1)] == x(m, 2, 2)
-        assert dm[(1, 2)] == -x(m, 2, 1)
-        assert dm[(2, 1)] == -x(m, 1, 2)
-        assert dm[(2, 2)] == x(m, 1, 1)
+        assert forms._cofactors((1, 2), (1, 2)) == {
+            (1, 1): (1, (2,), (2,)),
+            (1, 2): (-1, (2,), (1,)),
+            (2, 1): (-1, (1,), (2,)),
+            (2, 2): (1, (1,), (1,)),
+        }
 
     def test_single_entry(self):
-        dm = d_minor_terms(MinorIndex((1,), (3,)), 3)
-        assert dm == {(1, 3): MultiPoly.one(3)}
+        assert forms._cofactors((1,), (3,)) == {(1, 3): (1, (), ())}
 
     def test_full_three_by_three_center(self):
-        m = 3
-        dm = d_minor_terms(MinorIndex((1, 2, 3), (1, 2, 3)), m)
-        assert dm[(2, 2)] == minor_poly(MinorIndex((1, 3), (1, 3)), m)
+        assert forms._cofactors((1, 2, 3), (1, 2, 3))[(2, 2)] == (1, (1, 3), (1, 3))
 
     def test_matches_partial_derivatives(self):
-        # the differential agrees with the formal gradient, for all minors m <= 3
-        for m in (2, 3):
+        # sign * (rows - i | cols - j) is the formal partial derivative at every
+        # (i, j) of the minor, and every other partial vanishes; all minors, m <= 3
+        for m in (1, 2, 3):
             for size in range(1, m + 1):
                 for rows in combinations(range(1, m + 1), size):
                     for cols in combinations(range(1, m + 1), size):
-                        idx = MinorIndex(rows, cols)
-                        poly = minor_poly(idx, m)
-                        dm = d_minor_terms(idx, m)
+                        poly = minor_poly(MinorIndex(rows, cols), m)
+                        cofactors = forms._cofactors(rows, cols)
+                        assert set(cofactors) == {(i, j) for i in rows for j in cols}
                         for i in range(1, m + 1):
                             for j in range(1, m + 1):
                                 expected = partial_derivative(poly, m, i, j)
-                                got = dm.get((i, j), MultiPoly.zero(m))
-                                assert got == expected
+                                if (i, j) in cofactors:
+                                    assert cofactor_poly(m, *cofactors[i, j]) == expected
+                                else:
+                                    assert expected == MultiPoly.zero(m)
 
 
 class TestChartForm:
@@ -365,16 +375,16 @@ class TestChartTransitions:
         m = 3
         k = len(swapped)
         assert forms._transition_identity(swapped, fixed, swap, m, k, transpose)
-        real = forms.d_minor_terms
+        real = forms._cofactors
 
-        def swapped_terms(idx, m):
-            terms = dict(real(idx, m))
+        def swapped_terms(rows, cols):
+            terms = real(rows, cols)
             first, second = entries
             if first in terms and second in terms:
                 terms[first], terms[second] = terms[second], terms[first]
             return terms
 
-        monkeypatch.setattr(forms, "d_minor_terms", swapped_terms)
+        monkeypatch.setattr(forms, "_cofactors", swapped_terms)
         assert not forms._transition_identity(swapped, fixed, swap, m, k, transpose)
 
 

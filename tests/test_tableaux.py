@@ -195,6 +195,10 @@ class TestEnumeration:
         with pytest.raises(PreconditionError):
             enumerate_standard_basis(3, degree=9)
 
+    def test_negative_row_bound_rejected(self):
+        with pytest.raises(PreconditionError, match="k_bound"):
+            enumerate_standard_basis(2, degree=2, k_bound=-1)
+
     def test_standard_filling_counts(self):
         # hook content (1,1,0): fillings of shape (2) with entries {1,2}: [1,2]
         got = enumerate_standard_tableaux(3, (2,), (1, 1, 0))
@@ -256,6 +260,20 @@ class TestStraighten:
         assert len(exp) == 1
         coef, term = exp.terms[0]
         assert coef == 1 and term.sort_key() == (((1,), (2,)), ((1,), (2,)))
+
+    def test_negative_row_bound_rejected(self):
+        p = MultiPoly.one(2) + MultiPoly.variable(2, 1, 2)
+        with pytest.raises(PreconditionError, match="k_bound"):
+            standard_coordinates(p, 2, k_bound=-1)
+
+    def test_row_bound_zero_keeps_only_the_constant(self):
+        # Every 1-minor is in the ideal, so only the empty tableau survives.
+        m = 2
+        constant = MultiPoly.one(m) * 3
+        p = constant + MultiPoly.variable(m, 1, 2) + minor_poly(MinorIndex((1, 2), (1, 2)), m)
+        exp = standard_coordinates(p, m, k_bound=0)
+        assert exp.terms == ((3, dt((), ())),)
+        assert standard_coordinates(p - constant, m, k_bound=0).is_zero
 
     def test_input_vanishing_mod_ideal(self):
         m = 2
