@@ -21,12 +21,14 @@ coefficient there is a cofactor (R - p | C - q) with the parity sign of
 one such differential for one on the chart, so every wedge the elimination
 meets is a top-form of its own; its numerator is memoized per wedge, per
 chart and per elimination order, and shared by every top-form that reaches
-it.  The elimination leaves N / D**B; the power of D is cleared on N's
-standard coordinates modulo the (k+1)-minor ideal: with the chart rows and
-columns relabelled first, D is the leading minor, and multiplying or
-dividing by it adds or strips the top row (1..k | 1..k) of each standard
+it.  Numerators are integer polynomials: each is one dict of `int`
+coefficients, into which every cofactor times sub-numerator is accumulated
+term by term.  The elimination leaves N / D**B; the power of D is cleared
+on N's standard coordinates modulo the (k+1)-minor ideal: with the chart
+rows and columns relabelled first, D is the leading minor, and multiplying
+or dividing by it adds or strips the top row (1..k | 1..k) of each standard
 double tableau, so the division needs no solver of its own.  No fraction
-fields appear anywhere.
+fields appear anywhere, and the first `Fraction` is a standard coordinate.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ import bisect
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 from typing import Dict, Tuple
 
 from .core import PreconditionError
-from .polynomials import MultiPoly, _minor_poly
+from .polynomials import Exponents, MultiPoly, _minor_poly
 from .tableaux import (
     DoubleTableau,
     Membership,
@@ -179,7 +182,19 @@ def _replace_in_wedge(wedge: Wedge, old: IndexPair, new: IndexPair):
     return new_wedge, (-1) ** (pos_old + pos_new)
 
 
-_ELIMINATION_CACHE: Dict[tuple, Dict[Wedge, Tuple[MultiPoly, bool]]] = {}
+_ELIMINATION_CACHE: Dict[tuple, Dict[Wedge, Tuple[Dict[Exponents, int], bool]]] = {}
+_MINOR_TERMS_CACHE: Dict[tuple, list] = {}
+
+
+def _minor_terms(m: int, rows: tuple, cols: tuple) -> list:
+    """The minor (rows | cols) as (exponents, +1 or -1) pairs."""
+    key = (m, rows, cols)
+    terms = _MINOR_TERMS_CACHE.get(key)
+    if terms is None:
+        terms = _MINOR_TERMS_CACHE[key] = [
+            (exp, int(sign)) for exp, sign in _minor_poly(m, rows, cols).terms.items()
+        ]
+    return terms
 
 
 def _reduce_positions(
@@ -188,14 +203,17 @@ def _reduce_positions(
     """Eliminate all differentials with both indices outside the chart.
 
     Returns (N, B) with  wedge(positions) = N / delta**B * wedge(S_chart),
-    where delta is the chart minor; N is a polynomial and B >= 0.
+    where delta is the chart minor; N is a polynomial with `int`
+    coefficients and B >= 0.
 
     A step trades the first (lex) or last (revlex) bad differential for one
     sharing a row or column with the chart, so every wedge it meets is another
     wedge of the same size with one bad differential fewer.  Its numerator
-    N(w) is memoized per chart and order, together with whether any branch
-    reached the chart set: B is the start wedge's bad count when one did, and
-    0 when every branch died on a repeated differential.
+    N(w) is memoized per chart and order as an {exponents: int} dict,
+    together with whether any branch reached the chart set: B is the start
+    wedge's bad count when one did, and 0 when every branch died on a
+    repeated differential.  N(w) is the signed sum of cofactor * N(w') over
+    the branches; each product is accumulated term by term into one dict.
     """
     if order not in ("lex", "revlex"):
         raise PreconditionError(f"unknown elimination order {order!r}")
@@ -204,7 +222,7 @@ def _reduce_positions(
     full_good = chart_variable_set(rows, cols, m)
     memo = _ELIMINATION_CACHE.setdefault((m, rows, cols, order), {})
 
-    def numerator(wedge: Wedge) -> Tuple[MultiPoly, bool]:
+    def numerator(wedge: Wedge) -> Tuple[Dict[Exponents, int], bool]:
         hit = memo.get(wedge)
         if hit is not None:
             return hit
@@ -212,14 +230,15 @@ def _reduce_positions(
         if not bad:
             if wedge != full_good:
                 raise RuntimeError("terminal wedge differs from the chart variable set")
-            memo[wedge] = result = (MultiPoly.one(m), True)
+            memo[wedge] = result = ({(0,) * (m * m): 1}, True)
             return result
         i, j = bad[0] if order == "lex" else bad[-1]
         cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
         # The pivot's cofactor is delta itself: (rows + i) - i is rows.
         pivot_sign = cofactors.pop((i, j))[0]
         # d(minor) = 0 on the locus gives dx_ij = -sum(cofactor dx_pq) / delta.
-        total = MultiPoly.zero(m)
+        acc: Dict[Exponents, int] = {}
+        get = acc.get
         reached = False
         for (p, q), (sign, sub_rows, sub_cols) in cofactors.items():
             new_wedge, swap_sign = _replace_in_wedge(wedge, (i, j), (p, q))
@@ -229,15 +248,22 @@ def _reduce_positions(
             if not sub_reached:
                 continue
             reached = True
-            term = _minor_poly(m, sub_rows, sub_cols) * sub
-            total = total - term if pivot_sign * sign * swap_sign > 0 else total + term
-        memo[wedge] = result = (total, reached)
+            step_sign = -pivot_sign * sign * swap_sign
+            sub_items = sub.items()
+            for e1, c1 in _minor_terms(m, sub_rows, sub_cols):
+                c1 *= step_sign
+                for e2, c2 in sub_items:
+                    exp = tuple(map(add, e1, e2))
+                    acc[exp] = get(exp, 0) + c1 * c2
+        memo[wedge] = result = ({exp: c for exp, c in acc.items() if c}, reached)
         return result
 
     start = tuple(sorted(positions))
-    total, reached = numerator(start)
+    terms, reached = numerator(start)
+    total = MultiPoly(m)
     if not reached:
-        return MultiPoly.zero(m), 0
+        return total, 0
+    total.terms = terms
     return total, sum(1 for i, j in start if i not in good_rows and j not in good_cols)
 
 

@@ -32,7 +32,11 @@ def var_index(m: int, i: int, j: int) -> int:
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent vectors (length m*m) to nonzero Fractions."""
+    """Sparse polynomial: map from exponent vectors (length m*m) to nonzero Fractions.
+
+    Internally a polynomial may carry `int` coefficients instead (the Nash
+    elimination's numerators do); arithmetic and `standard_coordinates`
+    accept both, and what the public API returns is always `Fraction`s."""
 
     __slots__ = ("m", "terms")
 

@@ -563,7 +563,8 @@ def standard_coordinates(
         if k_bound == 1:
             coef = sum(chunk.values())
             if coef:
-                terms.append((coef, DoubleTableau(_single_box_rows(rc), _single_box_rows(cc))))
+                dt = DoubleTableau(_single_box_rows(rc), _single_box_rows(cc))
+                terms.append((Fraction(coef), dt))
             continue
         block, rows, cols = _content_block(rc, cc)
         # Variable x_{r, c} of the support is block variable (a, b), the
