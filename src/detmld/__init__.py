@@ -73,15 +73,15 @@ def clear_caches() -> None:
     """Empty the module-level caches (minor polynomials, the standard
     tableaux of each (m, shape, content), the packed-integer minors of the
     content-block columns, content blocks, the per-chart elimination
-    numerators and the integer-signed minors they multiply), so that the next
-    computation starts cold."""
+    numerators and each chart's pivot table of signed cofactor minors), so
+    that the next computation starts cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._TABLEAU_CACHE,
         tableaux._PACKED_MINOR_CACHE,
         tableaux._BLOCK_CACHE,
         forms._ELIMINATION_CACHE,
-        forms._MINOR_TERMS_CACHE,
+        forms._CHART_CACHE,
     ):
         cache.clear()
 

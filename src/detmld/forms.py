@@ -17,18 +17,18 @@ space restricts to F times that generator; F is found by repeatedly
 eliminating differentials dx_ij with both indices outside the chart, using
 the vanishing of d(minor) for each (k+1) x (k+1) minor (R | C).  Each
 coefficient there is a cofactor (R - p | C - q) with the parity sign of
-(p, q), read straight off the index sets; the pivot's is D.  Each step trades
-one such differential for one on the chart, so every wedge the elimination
-meets is a top-form of its own; its numerator is memoized per wedge, per
-chart and per elimination order, and shared by every top-form that reaches
-it.  Numerators are integer polynomials: each is one dict of `int`
-coefficients, into which every cofactor times sub-numerator is accumulated
-term by term.  The elimination leaves N / D**B; the power of D is cleared
-on N's standard coordinates modulo the (k+1)-minor ideal: with the chart
-rows and columns relabelled first, D is the leading minor, and multiplying
-or dividing by it adds or strips the top row (1..k | 1..k) of each standard
-double tableau, so the division needs no solver of its own.  No fraction
-fields appear anywhere, and the first `Fraction` is a standard coordinate.
+(p, q), read straight off the index sets; the pivot's is D.  Each chart
+tabulates its signed cofactors once, per pivot, for both elimination orders.
+Each step trades one such differential for one on the chart, so every wedge
+the elimination meets is a top-form of its own; its numerator, one dict of
+`int` coefficients, is memoized per wedge, per chart and per elimination
+order, and shared by every top-form that reaches it.  The elimination
+leaves N / D**B; the power of D is cleared on N's standard coordinates
+modulo the (k+1)-minor ideal: with the chart rows and columns relabelled
+first, D is the leading minor, and multiplying or dividing by it adds or
+strips the top row (1..k | 1..k) of each standard double tableau, so the
+division needs no solver of its own.  No fraction fields appear anywhere,
+and the first `Fraction` is a standard coordinate.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _validate_chart(rows, cols, m: int, k: int) -> tuple:
         raise PreconditionError(f"repeated chart index in {rows} or {cols}")
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if rows[-1] > m or cols[-1] > m:
+    if rows[0] < 1 or cols[0] < 1 or rows[-1] > m or cols[-1] > m:
         raise PreconditionError(f"chart {rows} x {cols} does not fit in m={m}")
     return rows, cols
 
@@ -183,18 +183,28 @@ def _replace_in_wedge(wedge: Wedge, old: IndexPair, new: IndexPair):
 
 
 _ELIMINATION_CACHE: Dict[tuple, Dict[Wedge, Tuple[Dict[Exponents, int], bool]]] = {}
-_MINOR_TERMS_CACHE: Dict[tuple, list] = {}
+_CHART_CACHE: Dict[tuple, tuple] = {}
 
 
-def _minor_terms(m: int, rows: tuple, cols: tuple) -> list:
-    """The minor (rows | cols) as (exponents, +1 or -1) pairs."""
-    key = (m, rows, cols)
-    terms = _MINOR_TERMS_CACHE.get(key)
-    if terms is None:
-        terms = _MINOR_TERMS_CACHE[key] = [
-            (exp, int(sign)) for exp, sign in _minor_poly(m, rows, cols).terms.items()
-        ]
-    return terms
+def _chart_steps(m: int, rows: tuple, cols: tuple) -> tuple:
+    """A chart's good rows and columns, variable set and pivot table, built
+    once.  d(rows + i | cols + j) = 0 gives dx_ij = -sum(cofactor dx_pq) / delta
+    for each bad pivot (i, j), so steps[i, j] lists ((p, q), the cofactor's
+    (exponents, int) terms times -(pivot sign) * (its own sign))."""
+    chart = _CHART_CACHE.get((m, rows, cols))
+    if chart is None:
+        steps = {}
+        for i in set(range(1, m + 1)).difference(rows):
+            for j in set(range(1, m + 1)).difference(cols):
+                cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
+                pivot_sign = cofactors.pop((i, j))[0]
+                steps[i, j] = [
+                    (pq, [(e, -pivot_sign * sign * int(c)) for e, c in _minor_poly(m, *sub).terms.items()])
+                    for pq, (sign, *sub) in cofactors.items()
+                ]
+        chart = (set(rows), set(cols), chart_variable_set(rows, cols, m), steps)
+        _CHART_CACHE[m, rows, cols] = chart
+    return chart
 
 
 def _reduce_positions(
@@ -213,13 +223,11 @@ def _reduce_positions(
     together with whether any branch reached the chart set: B is the start
     wedge's bad count when one did, and 0 when every branch died on a
     repeated differential.  N(w) is the signed sum of cofactor * N(w') over
-    the branches; each product is accumulated term by term into one dict.
+    the branches, summed term by term into one dict off the chart's pivot table.
     """
     if order not in ("lex", "revlex"):
         raise PreconditionError(f"unknown elimination order {order!r}")
-    good_rows = set(rows)
-    good_cols = set(cols)
-    full_good = chart_variable_set(rows, cols, m)
+    good_rows, good_cols, full_good, steps = _chart_steps(m, rows, cols)
     memo = _ELIMINATION_CACHE.setdefault((m, rows, cols, order), {})
 
     def numerator(wedge: Wedge) -> Tuple[Dict[Exponents, int], bool]:
@@ -232,26 +240,21 @@ def _reduce_positions(
                 raise RuntimeError("terminal wedge differs from the chart variable set")
             memo[wedge] = result = ({(0,) * (m * m): 1}, True)
             return result
-        i, j = bad[0] if order == "lex" else bad[-1]
-        cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
-        # The pivot's cofactor is delta itself: (rows + i) - i is rows.
-        pivot_sign = cofactors.pop((i, j))[0]
-        # d(minor) = 0 on the locus gives dx_ij = -sum(cofactor dx_pq) / delta.
+        pivot = bad[0] if order == "lex" else bad[-1]
         acc: Dict[Exponents, int] = {}
         get = acc.get
         reached = False
-        for (p, q), (sign, sub_rows, sub_cols) in cofactors.items():
-            new_wedge, swap_sign = _replace_in_wedge(wedge, (i, j), (p, q))
+        for pq, terms in steps[pivot]:
+            new_wedge, swap_sign = _replace_in_wedge(wedge, pivot, pq)
             if new_wedge is None:
                 continue
             sub, sub_reached = numerator(new_wedge)
             if not sub_reached:
                 continue
             reached = True
-            step_sign = -pivot_sign * sign * swap_sign
             sub_items = sub.items()
-            for e1, c1 in _minor_terms(m, sub_rows, sub_cols):
-                c1 *= step_sign
+            for e1, c1 in terms:
+                c1 *= swap_sign
                 for e2, c2 in sub_items:
                     exp = tuple(map(add, e1, e2))
                     acc[exp] = get(exp, 0) + c1 * c2
@@ -261,10 +264,9 @@ def _reduce_positions(
     start = tuple(sorted(positions))
     terms, reached = numerator(start)
     total = MultiPoly(m)
-    if not reached:
-        return total, 0
-    total.terms = terms
-    return total, sum(1 for i, j in start if i not in good_rows and j not in good_cols)
+    total.terms = terms  # empty, with B = 0, when no branch reached the chart set
+    bad = sum(1 for i, j in start if i not in good_rows and j not in good_cols)
+    return total, bad if reached else 0
 
 
 def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:

@@ -30,10 +30,10 @@ longer than k.
 
 Modulo the 2-minors (k = 1) the same grouping by content builds no block:
 x_ij x_pq = x_iq x_pj there, so every monomial of a content equals the one
-standard product of that content, whose double tableau has one box per
-row, the row indices in sorted order on the left and the column indices on
-the right.  That content's coordinate is the sum of its coefficients (the
-rank-one case of the straightening law).
+standard product of that content, whose two sides are the only standard
+fillings of one column with the row and with the column content, read from
+the enumeration memo.  That content's coordinate is the sum of its
+coefficients (the rank-one case of the straightening law).
 """
 
 from __future__ import annotations
@@ -286,7 +286,10 @@ def enumerate_standard_tableaux(
     With `content` (a length-m tuple of multiplicities) only fillings of that
     content are produced.  Order is lexicographic on the rows.
     """
-    return list(_standard_tableaux(m, tuple(shape), None if content is None else tuple(content)))
+    shape = YoungDiagram(tuple(shape)).rows
+    if content is not None and (len(content) != m or min(content, default=0) < 0):
+        raise PreconditionError(f"content must be m={m} multiplicities >= 0, got {content}")
+    return list(_standard_tableaux(m, shape, None if content is None else tuple(content)))
 
 
 _TABLEAU_CACHE: Dict[tuple, tuple] = {}
@@ -563,8 +566,8 @@ def standard_coordinates(
         if k_bound == 1:
             coef = sum(chunk.values())
             if coef:
-                dt = DoubleTableau(_single_box_rows(rc), _single_box_rows(cc))
-                terms.append((Fraction(coef), dt))
+                left, right = (_standard_tableaux(m, (1,) * sum(rc), c)[0] for c in (rc, cc))
+                terms.append((Fraction(coef), DoubleTableau(left, right)))
             continue
         block, rows, cols = _content_block(rc, cc)
         # Variable x_{r, c} of the support is block variable (a, b), the
@@ -585,11 +588,6 @@ def standard_coordinates(
             terms.append((coef, d))
     terms.sort(key=lambda t: t[1].sort_key())
     return StandardExpansion(tuple(terms))
-
-
-def _single_box_rows(counts: tuple) -> Tableau:
-    """The one-column tableau of the given content, entries in sorted order."""
-    return _trusted_tableau(tuple((v,) for v, n in enumerate(counts, start=1) for _ in range(n)))
 
 
 def straighten(

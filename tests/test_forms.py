@@ -163,6 +163,16 @@ class TestChartForm:
         with pytest.raises(PreconditionError):
             chart_form((1, 2), (1,), 3, 2)
 
+    @pytest.mark.parametrize(
+        "rows, cols", [((0,), (1,)), ((-1,), (1,)), ((1,), (0,)), ((3,), (1,)), ((1,), (3,))]
+    )
+    def test_index_outside_the_matrix_rejected(self, rows, cols):
+        # an index below 1 used to reach the elimination's soundness alarm
+        with pytest.raises(PreconditionError, match="does not fit"):
+            chart_form(rows, cols, 2, 1)
+        with pytest.raises(PreconditionError, match="does not fit"):
+            verify_chart_transition(rows, cols, (1,), (1,), 2, 1)
+
 
 class TestReduceTopForm:
     def test_chart_set_yields_minor_power(self):
@@ -379,6 +389,45 @@ class TestMemoizedElimination:
                 result = forms._reduce_positions(subset, ref, ref, 3, 1, order)
                 assert result == (MultiPoly.zero(3), bpow)
                 assert result == tree_walk_reduce(subset, ref, ref, 3, 1, order)
+
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+    def test_pivot_tables_match_partial_derivatives(self, m, k):
+        # Every chart's table against the formal partials of each (k+1)-minor
+        # (rows + i | cols + j): its partial at the bad pivot (i, j) is
+        # +-delta, and the terms at (p, q) are -(that sign) * its partial there.
+        charts = list(combinations(range(1, m + 1), k))
+        for rows in charts:
+            for cols in charts:
+                good_rows, good_cols, full_good, steps = forms._chart_steps(m, rows, cols)
+                assert (good_rows, good_cols) == (set(rows), set(cols))
+                assert full_good == chart_variable_set(rows, cols, m)
+                delta = minor_poly(MinorIndex(rows, cols), m)
+                bad = {(i, j) for i in range(1, m + 1) for j in range(1, m + 1)}
+                assert set(steps) == bad - set(full_good)
+                for (i, j), branches in steps.items():
+                    big_rows, big_cols = sorted(rows + (i,)), sorted(cols + (j,))
+                    big = minor_poly(MinorIndex(big_rows, big_cols), m)
+                    pivot = partial_derivative(big, m, i, j)
+                    pivot_sign = 1 if pivot == delta else -1
+                    assert pivot == pivot_sign * delta
+                    expected = {
+                        (p, q) for p in big_rows for q in big_cols if (p, q) != (i, j)
+                    }
+                    assert {pq for pq, _ in branches} == expected
+                    for (p, q), terms in branches:
+                        assert all(type(c) is int for _, c in terms)
+                        assert MultiPoly(m, dict(terms)) == (
+                            -pivot_sign * partial_derivative(big, m, p, q)
+                        ), (rows, cols, (i, j), (p, q))
+
+    def test_orders_share_one_pivot_table_per_chart(self):
+        clear_caches()
+        subset = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+        for rows, cols in (((1,), (1,)), ((3,), (2,))):
+            for order in ("lex", "revlex"):
+                reduce_top_form(subset, chart_form(rows, cols, 3, 1), elimination_order=order)
+        charts = {key[:3] for key in forms._ELIMINATION_CACHE}
+        assert charts == set(forms._CHART_CACHE) == {(3, (1,), (1,)), (3, (3,), (2,))}
 
     def test_orders_keep_separate_memos(self):
         clear_caches()

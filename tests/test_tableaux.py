@@ -199,6 +199,21 @@ class TestEnumeration:
         with pytest.raises(PreconditionError, match="k_bound"):
             enumerate_standard_basis(2, degree=2, k_bound=-1)
 
+    @pytest.mark.parametrize(
+        "m, shape, content",
+        [
+            (2, (1,), (1,)),  # content shorter than m
+            (2, (1,), (1, 0, 0)),  # content longer than m
+            (2, (2,), (1, -1)),  # negative multiplicity
+            (2, (0,), None),  # empty row
+            (2, (1, 2), None),  # rows not nonincreasing
+            (2, (1, 2), (2, 1)),
+        ],
+    )
+    def test_malformed_input_rejected(self, m, shape, content):
+        with pytest.raises(PreconditionError):
+            enumerate_standard_tableaux(m, shape, content)
+
     def test_standard_filling_counts(self):
         # hook content (1,1,0): fillings of shape (2) with entries {1,2}: [1,2]
         got = enumerate_standard_tableaux(3, (2,), (1, 1, 0))
@@ -437,6 +452,16 @@ class TestRankOneClosedForm:
         p = MultiPoly.variable(3, 1, 2) * MultiPoly.variable(3, 3, 1) + MultiPoly.variable(3, 2, 2)
         assert len(standard_coordinates(p, 3, k_bound=1)) == 2
         assert not tableaux._BLOCK_CACHE
+
+    def test_columns_come_from_the_enumeration_memo(self):
+        # each content's one-column tableau is the only standard filling of
+        # shape (1^d) with that content, read from the enumeration memo
+        clear_caches()
+        p = MultiPoly.variable(3, 1, 2) * MultiPoly.variable(3, 3, 1) + MultiPoly.variable(3, 2, 2)
+        for _, d in standard_coordinates(p, 3, k_bound=1):
+            shape = (1,) * d.shape.size
+            assert (d.left,) == tableaux._TABLEAU_CACHE[3, shape, d.left.content(3)]
+            assert (d.right,) == tableaux._TABLEAU_CACHE[3, shape, d.right.content(3)]
 
     def test_cancelling_content_is_dropped(self):
         # the 2-minor x11 x22 - x12 x21 is one content whose coefficients
