@@ -223,7 +223,7 @@ def _reduce_positions(
     together with whether any branch reached the chart set: B is the start
     wedge's bad count when one did, and 0 when every branch died on a
     repeated differential.  N(w) is the signed sum of cofactor * N(w') over
-    the branches, summed term by term into one dict off the chart's pivot table.
+    the branches (see `_chart_steps`), accumulated term by term into one dict.
     """
     if order not in ("lex", "revlex"):
         raise PreconditionError(f"unknown elimination order {order!r}")

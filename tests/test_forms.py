@@ -402,8 +402,8 @@ class TestMemoizedElimination:
                 assert (good_rows, good_cols) == (set(rows), set(cols))
                 assert full_good == chart_variable_set(rows, cols, m)
                 delta = minor_poly(MinorIndex(rows, cols), m)
-                bad = {(i, j) for i in range(1, m + 1) for j in range(1, m + 1)}
-                assert set(steps) == bad - set(full_good)
+                everywhere = {(i, j) for i in range(1, m + 1) for j in range(1, m + 1)}
+                assert set(steps) == everywhere - set(full_good)
                 for (i, j), branches in steps.items():
                     big_rows, big_cols = sorted(rows + (i,)), sorted(cols + (j,))
                     big = minor_poly(MinorIndex(big_rows, big_cols), m)
