@@ -90,11 +90,15 @@ def _render_pretty(data, indent: int = 0) -> str:
                 lines.append(f"{pad}{str(key).ljust(width)}  {rendered}")
         return "\n".join(lines)
     if isinstance(data, list):
-        return "\n".join(
-            _render_pretty(item, indent) if isinstance(item, (dict, list))
-            else f"{pad}{json.dumps(item)}"
-            for item in data
-        )
+        # A dict or nested list item opens with a "-" line; a scalar or a
+        # list of scalars is one line of JSON.
+        lines = []
+        for item in data:
+            if item and isinstance(item, (dict, list)) and not _is_scalar_list(item):
+                lines += [f"{pad}-", _render_pretty(item, indent)]
+            else:
+                lines.append(f"{pad}{json.dumps(item)}")
+        return "\n".join(lines)
     return f"{pad}{json.dumps(data)}"
 
 

@@ -273,8 +273,5 @@ class MldValue:
     def __str__(self) -> str:
         return "-inf" if self._value is None else format_rational(self._value)
 
-    def to_json(self) -> str:
-        return str(self)
-
 
 MldValue.NEG_INFINITY = MldValue(None)

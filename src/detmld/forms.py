@@ -361,23 +361,15 @@ def reduce_top_form(
     )
 
 
-def _swap_data(a: tuple, b: tuple):
-    """For tuples differing in one element, return (removed, added)."""
-    removed = sorted(set(a) - set(b))
-    added = sorted(set(b) - set(a))
-    if len(removed) == 1 and len(added) == 1:
-        return removed[0], added[0]
-    return None
-
-
 def verify_chart_transition(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
-    """Verify that two charts one swap apart induce the same canonical form.
+    """Verify that two charts one row swap or one column swap apart induce
+    the same canonical form.
 
-    Structurally: for each transported index, wedging the appropriate
-    (k+1)-minor differential with the common wedge leaves exactly the two
-    predicted terms, whose coefficients are the two chart minors.  Globally:
-    each chart's variable wedge reduces in the reference chart to plus or
-    minus its own minor power.  Identical charts verify trivially.
+    Structurally: for each (k+1)-minor spanned by the two charts and one
+    more index, the coefficients of its differential at the two charts'
+    positions are the two chart minors (`_swap_identity`).  Globally: each
+    chart's variable wedge reduces in the reference chart to plus or minus
+    its own minor power.  Identical charts verify trivially.
     """
     rows1, cols1 = _validate_chart(rows1, cols1, m, k)
     rows2, cols2 = _validate_chart(rows2, cols2, m, k)
@@ -394,48 +386,35 @@ def verify_chart_transition(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
 
 
 def _swap_identity(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
-    """The structural half of a transition check, for distinct valid charts."""
-    row_swap = _swap_data(rows1, rows2)
-    col_swap = _swap_data(cols1, cols2)
-    if row_swap and cols1 == cols2 and col_swap is None:
-        return _transition_identity(rows1, cols1, row_swap, m, k, transpose=False)
-    if col_swap and rows1 == rows2 and row_swap is None:
-        return _transition_identity(cols1, rows1, col_swap, m, k, transpose=True)
-    raise PreconditionError(
-        "charts must differ by exactly one row swap or one column swap"
-    )
+    """The two-term elimination identity of a transition, for distinct valid
+    charts, one path for a row swap and a column swap alike.
 
-
-def _transition_identity(
-    swapped: tuple, fixed: tuple, swap, m: int, k: int, transpose: bool
-) -> bool:
-    """The two-term elimination identity for one transported index.
-
-    For a row swap i -> i2 (transpose=False), every column j outside the
-    chart must satisfy: the common wedge (every position of the (k+1)-minor
-    on rows (swapped + i2) and columns (fixed + j) but (i, j) and (i2, j))
-    times the differential of that minor has exactly the terms dx_i,j and
-    dx_i2,j, with coefficients the two chart minors up to sign.  Every other
-    differential repeats one of the wedge, so the two coefficients are read
-    off the differential directly, and they are compared on their index sets:
-    minors on distinct index sets are distinct, and none is minus another.
+    The union of the two charts' rows and the union of their columns have
+    k+1 and k entries, in either order.  For each index e outside the size-k
+    side, take the (k+1)-minor on the unions plus e.  For each chart, the
+    coefficient of its position (minor rows - chart rows, minor cols - chart
+    cols) in that minor's differential must be the chart's own minor (rows |
+    cols).  Minors are compared on their index sets: minors on distinct index
+    sets are distinct, and none is minus another.
     """
-    i, i2 = swap
-    others = [j for j in range(1, m + 1) if j not in fixed]
-    minor_a = _oriented_minor(tuple(sorted(set(swapped) - {i} | {i2})), fixed, transpose)
-    minor_b = _oriented_minor(swapped, fixed, transpose)
-    for j in others:
-        big = _oriented_minor(tuple(sorted(set(swapped) | {i2})), tuple(sorted(fixed + (j,))), transpose)
-        cofactors = _cofactors(*big)
-        pair_1 = (j, i) if transpose else (i, j)
-        pair_2 = (j, i2) if transpose else (i2, j)
-        if cofactors[pair_1][1:] != minor_a or cofactors[pair_2][1:] != minor_b:
-            return False
+    big_rows = tuple(sorted(set(rows1) | set(rows2)))
+    big_cols = tuple(sorted(set(cols1) | set(cols2)))
+    if sorted((len(big_rows), len(big_cols))) != [k, k + 1]:
+        raise PreconditionError("charts must differ by exactly one row swap or one column swap")
+    grow_rows = len(big_rows) == k
+    side = big_rows if grow_rows else big_cols
+    for e in range(1, m + 1):
+        if e in side:
+            continue
+        grown = tuple(sorted(side + (e,)))
+        minor_rows, minor_cols = (grown, big_cols) if grow_rows else (big_rows, grown)
+        cofactors = _cofactors(minor_rows, minor_cols)
+        for rows, cols in ((rows1, cols1), (rows2, cols2)):
+            (i,) = set(minor_rows).difference(rows)
+            (j,) = set(minor_cols).difference(cols)
+            if cofactors[i, j][1:] != (rows, cols):
+                return False
     return True
-
-
-def _oriented_minor(rows: tuple, cols: tuple, transpose: bool) -> tuple:
-    return (cols, rows) if transpose else (rows, cols)
 
 
 @dataclass
@@ -552,13 +531,12 @@ def verify_nash(m: int, k: int) -> NashReport:
 
 
 def _single_swap_pairs(chart_indices: list):
-    for a_pos, rows_a in enumerate(chart_indices):
-        for rows_b in chart_indices[a_pos + 1:]:
-            if len(set(rows_a) ^ set(rows_b)) == 2:
-                for cols in chart_indices:
-                    yield rows_a, cols, rows_b, cols
-    for cols_pos, cols_a in enumerate(chart_indices):
-        for cols_b in chart_indices[cols_pos + 1:]:
-            if len(set(cols_a) ^ set(cols_b)) == 2:
-                for rows in chart_indices:
-                    yield rows, cols_a, rows, cols_b
+    """Every pair of charts one row swap apart, then every pair one column
+    swap apart, from one list of index sets one swap apart."""
+    swaps = [(a, b) for a, b in combinations(chart_indices, 2) if len(set(a) ^ set(b)) == 2]
+    for a, b in swaps:
+        for fixed in chart_indices:
+            yield a, fixed, b, fixed
+    for a, b in swaps:
+        for fixed in chart_indices:
+            yield fixed, a, fixed, b

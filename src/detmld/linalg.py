@@ -8,8 +8,11 @@ of A, pivoting on the shortest free row that holds the pivot column; a
 column -> rows index means each step touches only the rows that hold that
 column, and every row operation is recorded.  A solve scales the right-hand
 side to integers, replays those operations on it, back-substitutes on the
-pivot rows (scaling a common denominator only when a division is inexact),
-then checks A x == b on every sparse row.
+pivot rows, then checks A x == b on every sparse row.  Every division is
+exact integer division: the blocks solved here are unimodular (the standard
+bideterminants are a basis of the integer polynomials, De Concini,
+Eisenbud and Procesi 1980), so a right-hand side scaled to integers has an
+integer solution, and a remainder means there is none.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ _ZERO = Fraction(0)
 
 
 class PreparedSolver:
-    """Solve A x = b exactly for a fixed full-column-rank A and many b.
+    """Solve A x = b exactly, in integers, for a fixed full-column-rank A
+    and many b.
 
     Entries of A are `int`s, entries of b `int`s or `Fraction`s; solutions
-    are `Fraction`s.
+    are `Fraction`s.  With `scale` the lcm of b's denominators, a solution x
+    is returned exactly when x * scale is an integer vector, which always
+    holds when A is unimodular; otherwise the result is None.
     """
 
     def __init__(self, columns: Sequence[Sequence[int]]):
@@ -87,42 +93,30 @@ class PreparedSolver:
         ]
 
     def solve(self, rhs: Sequence[int | Fraction]) -> Optional[List[Fraction]]:
-        """Exact solution vector, or None when the system is inconsistent."""
+        """The solution vector, or None when the system has no solution x with
+        x * scale integral (in particular when it is inconsistent)."""
         if self.ncols == 0:
             return [] if all(v == 0 for v in rhs) else None
         if len(rhs) != self.nrows:
             raise ValueError(f"rhs length {len(rhs)}, expected {self.nrows}")
-        # In integers: b = B / scale, the eliminated right-hand side is
-        # R / (D * scale), and x = X / (D * t * scale).
+        # In integers: b = B / scale and x = X / scale.
         scale = lcm(*(b.denominator for b in rhs if b))
         B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
         R = B[:]
-        D = 1
         for r, p, op_scale, f, content in self.row_ops:
             v = op_scale * R[r] - f * R[p]
             if content > 1:
-                if v % content:
-                    grow = content // gcd(v, content)
-                    R = [w * grow for w in R]
-                    D *= grow
-                    v *= grow
-                v //= content
+                v, rem = divmod(v, content)
+                if rem:
+                    return None
             R[r] = v
         X = [0] * self.ncols
-        t = 1
         for j in range(self.ncols - 1, -1, -1):
             diag, rest = self.upper[j]
-            num = R[self.pivot_rows[j]] * t - sum(v * X[c] for c, v in rest)
-            if num % diag:
-                g = gcd(num, diag)
-                grow = abs(diag) // g
-                X = [w * grow for w in X]
-                t *= grow
-                diag //= grow
-            X[j] = num // diag
-        den = D * t
-        for row, b in zip(self.sparse_rows, B):
-            if sum(v * X[c] for c, v in row) != b * den:
+            X[j], rem = divmod(R[self.pivot_rows[j]] - sum(v * X[c] for c, v in rest), diag)
+            if rem:
                 return None
-        den *= scale
-        return [Fraction(v, den) if v else _ZERO for v in X]
+        for row, b in zip(self.sparse_rows, B):
+            if sum(v * X[c] for c, v in row) != b:
+                return None
+        return [Fraction(v, scale) if v else _ZERO for v in X]

@@ -127,12 +127,6 @@ class OracleComparison:
     closed_form: MldValue
     agree: bool
 
-    def to_json(self) -> dict:
-        out = self.oracle.to_json()
-        out["closed_form"] = str(self.closed_form)
-        out["agree"] = self.agree
-        return out
-
 
 def _validate_target(pair: DeterminantalPair, target: Target) -> None:
     if isinstance(target, PointTarget):
@@ -143,14 +137,6 @@ def _validate_target(pair: DeterminantalPair, target: Target) -> None:
             raise PreconditionError(f"need 1 <= j <= k={pair.k}, got j={target.j}")
     else:
         raise PreconditionError(f"unknown target {target!r}")
-
-
-def full_partition(pair: DeterminantalPair, tail) -> ExtendedPartition:
-    """Prepend the INF prefix of length m-k to a finite tail of length k."""
-    tail = tuple(tail)
-    if len(tail) != pair.k:
-        raise PreconditionError(f"tail must have length k={pair.k}, got {len(tail)}")
-    return ExtendedPartition((INF,) * (pair.m - pair.k) + tail)
 
 
 def _scaled_alphas(pair: DeterminantalPair) -> tuple:

@@ -349,7 +349,6 @@ def enumerate_standard_basis(
     degree: Optional[int] = None,
     content: Optional[tuple] = None,
     k_bound: Optional[int] = None,
-    max_degree: int = MAX_DEGREE,
 ) -> List[DoubleTableau]:
     """All standard double tableaux of the given total degree or content.
 
@@ -370,8 +369,15 @@ def enumerate_standard_basis(
         degree = sum(left_content)
     else:
         left_content = right_content = None
-    if degree > max_degree:
-        raise PreconditionError(f"degree {degree} exceeds enumeration guard {max_degree}")
+    if degree > MAX_DEGREE:
+        raise PreconditionError(f"degree {degree} exceeds enumeration guard {MAX_DEGREE}")
+    return _standard_basis(m, degree, left_content, right_content, k_bound)
+
+
+def _standard_basis(
+    m: int, degree: int, left_content, right_content, k_bound: Optional[int]
+) -> List[DoubleTableau]:
+    """enumerate_standard_basis on checked input, without the degree guard."""
     max_part = min(m, k_bound) if k_bound is not None else m
     out: List[DoubleTableau] = []
     for shape in _partitions(degree, max_part):
@@ -390,9 +396,7 @@ class _ContentBlock:
         self.bits = bits = sum(row_content).bit_length()
         monomials = _monomials_with_content(m, row_content, col_content)
         self.row_of = {_pack(exp, bits): i for i, exp in enumerate(monomials)}
-        self.tableaux = enumerate_standard_basis(
-            m, content=(row_content, col_content), max_degree=max(sum(row_content), MAX_DEGREE)
-        )
+        self.tableaux = _standard_basis(m, sum(row_content), row_content, col_content, None)
         if len(self.tableaux) != len(self.row_of):
             raise RuntimeError(
                 "standard basis size does not match the monomial count for content "
@@ -421,8 +425,8 @@ class _ContentBlock:
         solution = self.solver.solve(rhs)
         if solution is None:
             raise RuntimeError(
-                "monomials of a content block escaped the standard span: this "
-                "contradicts the straightening law"
+                "the standard bideterminants of a content block have no integer "
+                "coordinates for the input: this contradicts the straightening law over Z"
             )
         return [
             (coef, self.tableaux[i]) for i, coef in enumerate(solution) if coef != 0

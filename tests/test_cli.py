@@ -376,6 +376,20 @@ class TestCliContract:
             json.loads(out)
 
 
+    def test_pretty_nested_lists(self, run_cli, run_cli_json):
+        # A list of scalars inside a list is one JSON line, and each dict item
+        # of a list opens with a "-" line.
+        args = ["nash", "verify", "--m", "2", "--k", "1"]
+        code, out, _ = run_cli(args + ["--pretty"])
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("  positions:")
+        assert lines[start - 1:start + 4] == ["  -", "  positions:", "    [1, 1]", "    [1, 2]", "    [2, 1]"]
+        data = run_cli_json(args)
+        assert lines.count("  -") == len(data["subsets"]) + len(data["charts"]) == 8
+        assert "        [1]" in lines
+
+
 class TestParserReuse:
     """The parser is built once per process; no call may leak into the next."""
 

@@ -467,20 +467,21 @@ class TestChartTransitions:
             assert forms._swap_identity(*pair, m, k), pair
 
     @pytest.mark.parametrize(
-        "swapped, fixed, swap, transpose, entries",
+        "rows1, cols1, rows2, cols2, entries",
         [
-            ((1, 2), (1, 2), (2, 3), False, ((2, 3), (3, 3))),
-            ((1,), (2,), (1, 3), True, ((1, 1), (1, 3))),
+            ((1, 2), (1, 2), (1, 3), (1, 2), ((2, 3), (3, 3))),
+            ((2,), (1,), (2,), (3,), ((1, 1), (1, 3))),
         ],
+        ids=["row_swap", "column_swap"],
     )
     def test_identity_fails_on_swapped_coefficients(
-        self, monkeypatch, swapped, fixed, swap, transpose, entries
+        self, monkeypatch, rows1, cols1, rows2, cols2, entries
     ):
-        # Exchanging the dx_ij and dx_i2j coefficients of every differential
-        # puts each chart minor against the other's position.
+        # Exchanging the coefficients of the two chart positions in every
+        # differential puts each chart minor against the other's position.
         m = 3
-        k = len(swapped)
-        assert forms._transition_identity(swapped, fixed, swap, m, k, transpose)
+        k = len(rows1)
+        assert forms._swap_identity(rows1, cols1, rows2, cols2, m, k)
         real = forms._cofactors
 
         def swapped_terms(rows, cols):
@@ -491,7 +492,7 @@ class TestChartTransitions:
             return terms
 
         monkeypatch.setattr(forms, "_cofactors", swapped_terms)
-        assert not forms._transition_identity(swapped, fixed, swap, m, k, transpose)
+        assert not forms._swap_identity(rows1, cols1, rows2, cols2, m, k)
 
 
 class TestVerifyNash:
@@ -605,7 +606,7 @@ class TestVerifyNash:
         assert not report.passed
 
     def test_failed_swap_identity_fails_transitions(self, monkeypatch):
-        monkeypatch.setattr(forms, "_transition_identity", lambda *args, **kwargs: False)
+        monkeypatch.setattr(forms, "_swap_identity", lambda *args: False)
         report = verify_nash(2, 1)
         assert report.minors_realized
         assert not report.transitions_ok
@@ -784,3 +785,42 @@ def _substitution_oracle(subset):
             term = term * rows[r][0][perm[r]]
         det = det + (term if sign > 0 else -term)
     return det, power
+
+
+_CHART_2_1 = ((1,), (1,), 2, 1)
+_WEDGE_2_1 = ((1, 1), (1, 2), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: chart_form((1, 1), (1, 2), 3, 2), id="repeated_chart_index"),
+        pytest.param(lambda: chart_form((1, 2, 3), (1, 2, 3), 2, 3), id="k_above_m"),
+        pytest.param(
+            lambda: reduce_top_form(_WEDGE_2_1, chart_form(*_CHART_2_1), "diagonal"),
+            id="unknown_elimination_order",
+        ),
+        pytest.param(
+            lambda: reduce_top_form(((1, 1), (1, 2), (3, 1)), chart_form(*_CHART_2_1)),
+            id="position_outside_the_matrix",
+        ),
+    ],
+)
+def test_preconditions_raise(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, replacement",
+    [
+        # The structural identity fails.
+        ("_swap_identity", lambda *args: False),
+        # A chart's own wedge is not +-(its minor)^(m-k), so _chart_sign raises.
+        ("_sign_against_minor_power", lambda *args: 0),
+    ],
+)
+def test_transition_check_returns_false(monkeypatch, name, replacement):
+    assert verify_chart_transition((1,), (1,), (2,), (1,), 2, 1)
+    monkeypatch.setattr(forms, name, replacement)
+    assert verify_chart_transition((1,), (1,), (2,), (1,), 2, 1) is False

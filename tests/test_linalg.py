@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -41,18 +42,20 @@ def apply(columns, x):
 def full_rank_systems(draw):
     """Sparse integer matrices of full column rank, as column lists.
 
-    An upper-triangular block with a nonzero diagonal, stacked on sparse
-    extra rows; then a few integer column operations (rank-preserving) and a
-    row shuffle hide the triangular structure.
+    An upper-triangular block with a +-1 diagonal, stacked on sparse extra
+    rows; then a few integer column operations (unimodular) and a row
+    shuffle hide the triangular structure.  The triangular rows stay a
+    unimodular square block, so a consistent right-hand side b has a
+    solution x with x * scale integral whenever b * scale is.
     """
     ncols = draw(st.integers(1, 7))
     nrows = ncols + draw(st.integers(0, 5))
     sparse = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
-    nonzero = st.integers(1, 5).flatmap(lambda v: st.sampled_from([v, -v]))
+    unit = st.sampled_from([1, -1])
     rows = []
     for r in range(nrows):
         if r < ncols:
-            rows.append([0] * r + [draw(nonzero)] + [draw(sparse) for _ in range(ncols - r - 1)])
+            rows.append([0] * r + [draw(unit)] + [draw(sparse) for _ in range(ncols - r - 1)])
         else:
             rows.append([draw(sparse) for _ in range(ncols)])
     columns = [[row[c] for row in rows] for c in range(ncols)]
@@ -145,27 +148,40 @@ def scaled_systems(draw):
     return [[f * v for v in col] for f, col in zip(factors, columns)]
 
 
+def integral_reference_solve(columns, rhs):
+    """reference_solve, or None when its solution times the lcm of the rhs
+    denominators is not an integer vector."""
+    x = reference_solve(columns, rhs)
+    scale = lcm(*(Fraction(b).denominator for b in rhs))
+    if x is None or any((v * scale).denominator != 1 for v in x):
+        return None
+    return x
+
+
 @given(scaled_systems(), st.data())
 def test_scaled_columns_match_reference(columns, data):
-    # Rational right-hand sides make the replayed row divisions and the
-    # back-substitution divisions inexact, so the common denominator grows.
+    # Scaled columns are not unimodular: a rational right-hand side often
+    # has a solution off the lattice of b's denominators, and then a
+    # replayed row division or a back-substitution division is inexact.
     nrows = len(columns[0])
     solver = PreparedSolver(columns)
     x = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
-    assert solver.solve(apply(columns, x)) == x
+    rhs = apply(columns, x)
+    assert reference_solve(columns, rhs) == x
+    assert solver.solve(rhs) == integral_reference_solve(columns, rhs)
     rhs = data.draw(st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=nrows, max_size=nrows))
-    assert solver.solve(rhs) == reference_solve(columns, rhs)
+    assert solver.solve(rhs) == integral_reference_solve(columns, rhs)
 
 
-def test_inexact_divisions_grow_the_denominator():
+def test_solution_off_the_integer_lattice_is_none():
     # Column 0 pivots on row 0 (value 2); row 1 becomes (0, 2), whose content
-    # 2 is divided out, and the replayed division of its right-hand side by
-    # 2 is inexact.  The back-substitution then divides by the pivot 2.
+    # 2 is divided out.  b = (1, 2) has the solution (1/2, 1/2), which is not
+    # integral, and the replayed division of its right-hand side by 2 is
+    # inexact; b = (2, 4) has the integer solution (1, 1).
     solver = PreparedSolver([[2, 2], [0, 2]])
     assert solver.pivot_rows == [0, 1]
     assert solver.row_ops == [(1, 0, 1, 1, 2)]
     assert [diag for diag, _ in solver.upper] == [2, 1]
-    assert solver.solve([1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
-    assert solver.solve([Fraction(1, 3), 1]) == [Fraction(1, 6), Fraction(1, 3)]
-    assert solver.solve([1, 2]) == reference_solve([[2, 2], [0, 2]], [1, 2])
-
+    assert solver.solve([1, 2]) is None
+    assert reference_solve([[2, 2], [0, 2]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
+    assert solver.solve([2, 4]) == [1, 1]

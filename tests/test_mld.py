@@ -285,3 +285,22 @@ class TestIntegerRouteMatchesFractions:
                 first_lc_violation(p, p.k) is None for s in sizes for p in _integer_route_pairs(s)
             ]
             assert any(lc) and not all(lc), sizes
+
+
+_PAIR = new_pair(3, 2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: first_lc_violation(_PAIR, -1), id="lc_violation_count_below_0"),
+        pytest.param(lambda: first_lc_violation(_PAIR, 3), id="lc_violation_count_above_k"),
+        pytest.param(lambda: is_lc_at_rank(_PAIR, -1), id="lc_at_rank_q_below_0"),
+        pytest.param(lambda: is_lc_at_rank(_PAIR, 3), id="lc_at_rank_q_above_k"),
+        pytest.param(lambda: is_lc_along(_PAIR, 0), id="lc_along_j_below_1"),
+        pytest.param(lambda: is_lc_along(_PAIR, 3), id="lc_along_j_above_k"),
+    ],
+)
+def test_preconditions_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

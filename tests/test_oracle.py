@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from detmld import oracle
 from detmld.core import (
     INF,
+    ExtendedPartition,
     MldValue,
     PreconditionError,
     _trusted_partition,
@@ -32,12 +33,18 @@ from detmld.oracle import (
     PointTarget,
     compare_with_closed_form,
     discrepancy_objective,
-    full_partition,
     iter_tails,
     minimize_objective,
     series_minor_order,
 )
 from detmld.polynomials import MinorIndex, minor_poly, substitute_series
+
+
+def full_partition(pair, tail):
+    """Prepend the INF prefix of length m-k to a finite tail of length k."""
+    tail = tuple(tail)
+    assert len(tail) == pair.k
+    return ExtendedPartition((INF,) * (pair.m - pair.k) + tail)
 
 
 def naive_tail_count(pair, target, bound):
@@ -637,3 +644,21 @@ class TestSeriesBounds:
     def test_truncation_above_bound_rejected(self, truncation):
         with pytest.raises(PreconditionError, match="exceeds the supported"):
             series_minor_order((1,), 1, 1, truncation)
+
+
+_PAIR = new_pair(3, 2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: minimize_objective(_PAIR, PointTarget(3), 2), id="q_above_k"),
+        pytest.param(lambda: minimize_objective(_PAIR, LocusTarget(0), 2), id="j_below_1"),
+        pytest.param(lambda: oracle._validate_target(_PAIR, "point"), id="unknown_target"),
+        pytest.param(lambda: list(iter_tails(_PAIR, PointTarget(0), 0)), id="tail_bound_below_1"),
+        pytest.param(lambda: series_minor_order((0, 0), 2, 1, -1), id="truncation_below_0"),
+    ],
+)
+def test_preconditions_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

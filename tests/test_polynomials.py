@@ -247,3 +247,20 @@ class TestSeries:
         if oa is None or ob is None or oa + ob > N:
             return
         assert op == oa + ob
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: MultiPoly.variable(2, 3, 1), id="var_index_outside_the_matrix"),
+        pytest.param(lambda: MultiPoly(2, {(1, 0, 0): 1}), id="exponent_length"),
+        pytest.param(lambda: MultiPoly.one(2) ** -1, id="negative_power"),
+        pytest.param(lambda: MinorIndex((1, 2), (1,)), id="minor_not_square"),
+        pytest.param(lambda: MinorIndex((1, 1), (1, 2)), id="minor_repeated_index"),
+        pytest.param(lambda: MinorIndex((0, 1), (1, 2)), id="minor_index_below_1"),
+        pytest.param(lambda: minor_poly(MinorIndex((), ()), 2), id="empty_minor"),
+    ],
+)
+def test_preconditions_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

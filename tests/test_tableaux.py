@@ -758,3 +758,58 @@ class TestSubalgebraMembership:
         non_member = MultiPoly.variable(m, 1, 1) * MultiPoly.variable(m, 2, 2)
         assert not subalgebra_membership(non_member, m, k).is_member
         assert not subalgebra_membership(delta * non_member, m, k).is_member
+
+
+_ONE_2 = MultiPoly.one(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Tableau(((1, 3),)).content(2), id="content_entry_above_m"),
+        pytest.param(lambda: enumerate_standard_basis(2), id="neither_degree_nor_content"),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, degree=1, content=((1, 0), (1, 0))),
+            id="both_degree_and_content",
+        ),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, content=((1, 0, 0), (1, 0))), id="content_length"
+        ),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, content=((1, 1), (1, 0))), id="content_totals"
+        ),
+        pytest.param(lambda: standard_coordinates(_ONE_2, 3), id="coordinates_layout"),
+        pytest.param(lambda: standard_coordinates(_ONE_2, 2, k_bound=-1), id="coordinates_k"),
+        pytest.param(lambda: subalgebra_membership(_ONE_2, 3, 1), id="membership_layout"),
+        pytest.param(lambda: subalgebra_membership(_ONE_2, 2, 0), id="membership_k_below_1"),
+        pytest.param(lambda: subalgebra_membership(_ONE_2, 2, 3), id="membership_k_above_m"),
+    ],
+)
+def test_preconditions_raise(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_integer_polynomials_have_integer_coordinates():
+    # The standard bideterminants are a basis of Z[X] over Z, so every
+    # content block is unimodular: an integer polynomial has integer
+    # standard coordinates, and so does every Nash certificate.
+    from detmld.forms import verify_nash
+
+    rng = random.Random(7)
+    for m in (1, 2, 3, 4):
+        for _ in range(25):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                exp = [0] * (m * m)
+                for _ in range(rng.randint(0, 4)):
+                    exp[rng.randrange(m * m)] += 1
+                terms[tuple(exp)] = rng.randint(-9, 9)
+            p = MultiPoly(m, terms)
+            for k_bound in (None, 2):
+                expansion = standard_coordinates(p, m, k_bound=k_bound)
+                assert all(coef.denominator == 1 for coef, _ in expansion), p
+    for m, k in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
+        for entry in verify_nash(m, k).subsets:
+            for term in entry["certificate"]:
+                assert Fraction(term["coef"]).denominator == 1, (m, k, entry["positions"])
