@@ -362,14 +362,19 @@ def reduce_top_form(
 
 
 def verify_chart_transition(rows1, cols1, rows2, cols2, m: int, k: int) -> bool:
-    """Verify that two charts one row swap or one column swap apart induce
-    the same canonical form.
+    """Check the transition between two charts one row swap or one column
+    swap apart.
 
-    Structurally: for each (k+1)-minor spanned by the two charts and one
-    more index, the coefficients of its differential at the two charts'
-    positions are the two chart minors (`_swap_identity`).  Globally: each
-    chart's variable wedge reduces in the reference chart to plus or minus
-    its own minor power.  Identical charts verify trivially.
+    Two things are checked.  The index-set identity (`_swap_identity`): for
+    each (k+1)-minor spanned by the two charts and one more index, the
+    coefficients of its differential at the two charts' positions carry the
+    two chart minors' index sets.  The two chart signs: each chart's
+    variable wedge reduces in the reference chart to plus or minus its own
+    minor power.  The gluing sign of the canonical form across the overlap,
+    which would relate the two cofactor signs to the two chart signs, is not
+    checked.  The identity fails only if `_cofactors` mislabels its own index
+    sets, so in effect the result reads the two chart signs.  Identical
+    charts verify trivially.
     """
     rows1, cols1 = _validate_chart(rows1, cols1, m, k)
     rows2, cols2 = _validate_chart(rows2, cols2, m, k)
@@ -459,8 +464,12 @@ def verify_nash(m: int, k: int) -> NashReport:
     """Reduce every top-form of the right degree and certify the Nash-ideal
     containment: each coefficient F lies in the subalgebra of k x k minors
     in degree m-k, every chart minor power is realized by its own chart
-    wedge, reductions are elimination-order independent, and all single-swap
-    chart transitions verify.  Guarded to m <= 4 (exhaustive: 11,440 subsets at (4, 1))."""
+    wedge, and reductions are elimination-order independent.
+    `transitions_ok` checks, on every pair of charts one swap apart, the
+    index-set identity and the two chart signs, not the gluing sign (see
+    `verify_chart_transition`); every chart has a swap neighbour when k < m,
+    so there it equals `minors_realized`.  Guarded to m <= 4 (exhaustive:
+    11,440 subsets at (4, 1))."""
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > VERIFY_GUARD_M:

@@ -19,11 +19,14 @@ columns a content uses are relabelled, in order, to 1..m', so contents that
 differ only by zero rows or columns, at any m, share one block (an
 order-preserving relabelling keeps standardness and every minor's sign); a
 content on the first rows and columns takes the block's own tableaux.
-Monomials go packed from a content's terms to the solver (one int per
-monomial, so a monomial product is one addition), and a block's integer
-columns, the standard bideterminants, are multiplied out on them.
+Monomials go packed to the solver (one int per monomial, so a monomial
+product is one addition).  A block's integer columns, the standard
+bideterminants, are multiplied out on them, and so is the input of
+`straighten`, a product of minors with one content, relabelled onto that
+content's support: straightening builds no polynomial.
+`standard_coordinates` packs a polynomial's terms content by content.
 `bideterminant` itself stays on `MultiPoly`, and re-expanding a result with
-it checks the block route independently.  The standard tableaux of each
+it checks the packed route independently.  The standard tableaux of each
 (m, shape, content) are enumerated once and cached.  Working modulo the
 ideal of (k+1)-minors is realized by dropping standard terms with a row
 longer than k.
@@ -257,15 +260,21 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
     Rows are read as index sets, so the value is insensitive to the order of
     entries within a row; repeated entries within a row are rejected.
     """
+    _check_rows(dt, m)
     result = None
+    for lrow, rrow in zip(dt.left.rows, dt.right.rows):
+        minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
+        result = minor if result is None else result * minor
+    return MultiPoly.one(m) if result is None else result
+
+
+def _check_rows(dt: DoubleTableau, m: int) -> None:
+    """Reject a row pair of dt that repeats an entry or does not fit in m."""
     for lrow, rrow in zip(dt.left.rows, dt.right.rows):
         if len(set(lrow)) != len(lrow) or len(set(rrow)) != len(rrow):
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
         if max(lrow) > m or max(rrow) > m:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
-        minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
-        result = minor if result is None else result * minor
-    return MultiPoly.one(m) if result is None else result
 
 
 def _partitions(total: int, max_part: int) -> Iterable[tuple]:
@@ -545,6 +554,32 @@ def _relabel(t: Tableau, labels: tuple) -> Tableau:
     return _trusted_tableau(tuple(tuple(labels[v - 1] + 1 for v in row) for row in t.rows))
 
 
+def _onto_support(t: Tableau, support: tuple) -> Tableau:
+    """The inverse of `_relabel`: t, whose entries lie in the support
+    (0-based, increasing), with each entry replaced by its place 1..len(support)
+    there and each row sorted."""
+    place = {v + 1: a + 1 for a, v in enumerate(support)}
+    return _trusted_tableau(tuple(tuple(sorted(place[v] for v in row)) for row in t.rows))
+
+
+def _support_terms(
+    block: _ContentBlock, rows: tuple, cols: tuple, packed: dict, k_bound: Optional[int]
+) -> List[tuple]:
+    """The block's coordinates of the packed terms of one content on the
+    support rows and columns.  With k_bound set, a solved term whose first
+    (longest) row is longer than k_bound is dropped; unless the support is
+    already the first rows and columns, the rest are relabelled back onto it."""
+    identity = rows == tuple(range(len(rows))) and cols == tuple(range(len(cols)))
+    terms: List[tuple] = []
+    for coef, d in block.coordinates(packed):
+        if k_bound is not None and d.left.rows and len(d.left.rows[0]) > k_bound:
+            continue
+        if not identity:
+            d = DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))
+        terms.append((coef, d))
+    return terms
+
+
 def standard_coordinates(
     p: MultiPoly, m: int, k_bound: Optional[int] = None
 ) -> StandardExpansion:
@@ -583,13 +618,7 @@ def standard_coordinates(
             for b, c in enumerate(cols)
         ]
         packed = {sum(exp[i] << shift for i, shift in layout): coef for exp, coef in chunk.items()}
-        identity = rows == tuple(range(len(rows))) and cols == tuple(range(len(cols)))
-        for coef, d in block.coordinates(packed):
-            if k_bound is not None and d.left.rows and len(d.left.rows[0]) > k_bound:
-                continue
-            if not identity:
-                d = DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))
-            terms.append((coef, d))
+        terms.extend(_support_terms(block, rows, cols, packed, k_bound))
     terms.sort(key=lambda t: t[1].sort_key())
     return StandardExpansion(tuple(terms))
 
@@ -604,6 +633,15 @@ def straighten(
     Every resulting shape dominates the shape of dt and the content is
     preserved.  With k_bound, the expansion is taken modulo the ideal of
     (k_bound+1)-minors by dropping terms with rows longer than k_bound.
+
+    The bideterminant has one content, so dt goes straight to that
+    content's block: its rows, relabelled onto the block's support and
+    sorted, are multiplied out by the packed kernel of the block's own
+    columns and solved, and no `MultiPoly` is built.  The block's tableaux
+    are sorted and relabelling keeps their order, so the terms come in
+    `sort_key` order.  At k_bound = 1 no block is built: the content's one
+    standard product has coefficient 1 when every row is a single entry and
+    0 otherwise (the bideterminant at the all-ones matrix).
     """
     if dt.shape.size > MAX_DEGREE:
         raise PreconditionError(
@@ -611,8 +649,19 @@ def straighten(
         )
     if m > MAX_M:
         raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
-    p = bideterminant(dt, m)
-    return standard_coordinates(p, m, k_bound=k_bound)
+    _check_rows(dt, m)
+    if k_bound is not None and k_bound < 0:
+        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
+    rc, cc = dt.left.content(m), dt.right.content(m)
+    if k_bound == 1:
+        if dt.left.rows and len(dt.left.rows[0]) > 1:
+            return StandardExpansion(())
+        left, right = (_standard_tableaux(m, (1,) * dt.shape.size, c)[0] for c in (rc, cc))
+        return StandardExpansion(((Fraction(1), DoubleTableau(left, right)),))
+    block, rows, cols = _content_block(rc, cc)
+    rel = DoubleTableau(_onto_support(dt.left, rows), _onto_support(dt.right, cols))
+    packed = _packed_bideterminant(rel, block.m, block.bits)
+    return StandardExpansion(tuple(_support_terms(block, rows, cols, packed, k_bound)))
 
 
 @dataclass(frozen=True)
