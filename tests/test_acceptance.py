@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import pytest
 
+from detmld import tableaux
 from detmld.core import INF, MldValue, new_pair, new_partition
 from detmld.forms import chart_form, reduce_top_form, verify_nash
 from detmld.mld import beta_coefficients, is_terminal, mld_at_rank, semicontinuity_profile
@@ -282,6 +283,28 @@ def test_criterion_7_straightening_soundness():
         f"{straightened} expansions re-expand exactly, bases independent, {elapsed:.1f}s (<120s)",
     )
     assert elapsed < 120.0
+
+
+def test_criterion_7_fails_on_a_negated_packed_minor_term(monkeypatch):
+    # straighten multiplies out both its input and the block columns from
+    # packed minors, while criterion 7 re-expands with bideterminant on
+    # MultiPoly.  One wrong sign in one packed minor must fail the criterion.
+    real = tableaux._packed_minor
+
+    def negated(m, bits, rows, cols):
+        minor = real(m, bits, rows, cols)
+        if rows == cols == (1, 2):
+            (mono, sign), *rest = minor
+            return [(mono, -sign), *rest]
+        return minor
+
+    monkeypatch.setattr(tableaux, "_packed_minor", negated)
+    monkeypatch.setattr(tableaux, "_BLOCK_CACHE", {})
+    with pytest.raises(AssertionError):
+        test_criterion_7_straightening_soundness()
+    # The unbounded re-expansion alone catches it: x12 x21 is not standard.
+    d = DoubleTableau(Tableau(((1,), (2,))), Tableau(((2,), (1,))))
+    assert straighten(d, 2).to_poly(2) != bideterminant(d, 2)
 
 
 def _substitution_oracle_m2(subset):

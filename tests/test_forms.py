@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -459,12 +459,29 @@ class TestChartTransitions:
     def test_k_two_row_swap(self):
         assert verify_chart_transition((1, 2), (1, 2), (1, 3), (1, 2), 3, 2)
 
-    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     def test_identity_holds_for_every_single_swap(self, m, k):
         pairs = list(forms._single_swap_pairs(list(combinations(range(1, m + 1), k))))
         assert pairs
         for pair in pairs:
             assert forms._swap_identity(*pair, m, k), pair
+
+    def test_every_chart_has_a_swap_neighbour_below_full_rank(self):
+        # _swap_identity compares the index sets _cofactors returns with the
+        # ones it removed, so it fails only if _cofactors mislabels them: it
+        # holds on all 280 single-swap pairs at m <= 4.  Every chart lies in
+        # a pair when k < m, so transitions_ok reads the chart signs only and
+        # equals minors_realized (checked on the reports in TestVerifyNash
+        # and TestFrontier).
+        count = 0
+        for m in range(2, 5):
+            for k in range(1, m):
+                charts = list(combinations(range(1, m + 1), k))
+                pairs = list(forms._single_swap_pairs(charts))
+                ends = {end for a1, b1, a2, b2 in pairs for end in ((a1, b1), (a2, b2))}
+                assert ends == set(product(charts, charts)), (m, k)
+                count += len(pairs)
+        assert count == 280
 
     @pytest.mark.parametrize(
         "rows1, cols1, rows2, cols2, entries",
@@ -565,7 +582,8 @@ class TestVerifyNash:
                 for rows_a, cols_a, rows_b, cols_b in forms._single_swap_pairs(charts)
             )
             assert expected
-            assert verify_nash(m, k).transitions_ok == expected
+            report = verify_nash(m, k)
+            assert report.transitions_ok == expected == report.minors_realized
 
     def test_unrealized_chart_fails_its_transitions(self, monkeypatch):
         # A chart whose own wedge does not reduce to +-(its minor)^(m-k) has
@@ -656,6 +674,7 @@ class TestFrontier:
     def test_rank_in_four_reports_are_pinned(self, k, expected):
         report = verify_nash(4, k)
         assert report.passed
+        assert report.transitions_ok == report.minors_realized
         assert hashlib.sha256(_untimed_json(report).encode()).hexdigest() == expected
 
 

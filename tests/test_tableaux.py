@@ -330,6 +330,50 @@ class TestStraighten:
                 reprojected = standard_coordinates(exp.to_poly(m), m, k_bound=k_bound)
                 assert reprojected == exp
 
+    def test_matches_the_polynomial_route_on_seeded_tableaux(self):
+        # Reference: the bideterminant multiplied out on MultiPoly and
+        # expanded by standard_coordinates.  The terms come in sort_key order.
+        rng = random.Random(2022)
+        cases = [(m, dt((), ())) for m in range(1, 6)]
+        cases += [_random_double_tableau(rng) for _ in range(200)]
+        for m, d in cases:
+            p = bideterminant(d, m)
+            for k_bound in (None, 0, 1, 2):
+                got = straighten(d, m, k_bound)
+                assert got == standard_coordinates(p, m, k_bound=k_bound), (m, d, k_bound)
+                keys = [term.sort_key() for _, term in got]
+                assert keys == sorted(keys), (m, d, k_bound)
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("straighten built a polynomial")
+
+        clear_caches()
+        monkeypatch.setattr(tableaux, "bideterminant", refuse)
+        monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+        inputs = (dt([(3, 1), (2,)], [(2, 3), (1,)]), dt([(3,), (2,)], [(1,), (3,)]))
+        cases = [(d, k_bound) for d in inputs for k_bound in (None, 0, 1, 2)]
+        got = [straighten(d, 3, k_bound) for d, k_bound in cases]
+        assert tableaux._BLOCK_CACHE
+        monkeypatch.undo()
+        for (d, k_bound), expansion in zip(cases, got):
+            assert expansion == standard_coordinates(bideterminant(d, 3), 3, k_bound=k_bound)
+        assert sum(len(expansion) for expansion in got) > 2
+
+
+def _random_double_tableau(rng):
+    """(m, double tableau) with m <= 5 and degree <= 6.  Each side's rows are
+    drawn, in random order, from a random support of 1..m of at most four
+    entries, so supports often miss the first rows and columns."""
+    m = rng.randint(1, 5)
+    row_support = rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+    col_support = rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+    width = min(len(row_support), len(col_support))
+    shape = rng.choice(list(_shapes(rng.randint(1, 6), width)))
+    left = [tuple(rng.sample(row_support, length)) for length in shape]
+    right = [tuple(rng.sample(col_support, length)) for length in shape]
+    return m, dt(left, right)
+
 
 def cell_by_cell_monomials(m, row_content, col_content):
     """Reference enumeration: every entry of the matrix chosen in turn,
@@ -783,6 +827,21 @@ _ONE_2 = MultiPoly.one(2)
         pytest.param(lambda: subalgebra_membership(_ONE_2, 3, 1), id="membership_layout"),
         pytest.param(lambda: subalgebra_membership(_ONE_2, 2, 0), id="membership_k_below_1"),
         pytest.param(lambda: subalgebra_membership(_ONE_2, 2, 3), id="membership_k_above_m"),
+        pytest.param(
+            lambda: straighten(dt([(1, 1)], [(1, 2)]), 2), id="straighten_repeated_left_entry"
+        ),
+        pytest.param(
+            lambda: straighten(dt([(1, 2)], [(2, 2)]), 2), id="straighten_repeated_right_entry"
+        ),
+        pytest.param(lambda: straighten(dt([(1, 3)], [(1, 2)]), 2), id="straighten_left_above_m"),
+        pytest.param(lambda: straighten(dt([(1,)], [(3,)]), 2), id="straighten_right_above_m"),
+        pytest.param(lambda: straighten(dt([(1,)], [(2,)]), 2, -1), id="straighten_k_below_0"),
+        pytest.param(
+            lambda: straighten(dt([(1,)], [(1,)]), tableaux.MAX_M + 1), id="straighten_m_above_max"
+        ),
+        pytest.param(
+            lambda: straighten(dt([(1,)] * 7, [(1,)] * 7), 2), id="straighten_degree_above_max"
+        ),
     ],
 )
 def test_preconditions_raise(call):
