@@ -332,7 +332,8 @@ class TestStraighten:
 
     def test_matches_the_polynomial_route_on_seeded_tableaux(self):
         # Reference: the bideterminant multiplied out on MultiPoly and
-        # expanded by standard_coordinates.  The terms come in sort_key order.
+        # expanded by standard_coordinates.  The terms come in sort_key
+        # order, with Fraction coefficients.
         rng = random.Random(2022)
         cases = [(m, dt((), ())) for m in range(1, 6)]
         cases += [_random_double_tableau(rng) for _ in range(200)]
@@ -343,6 +344,7 @@ class TestStraighten:
                 assert got == standard_coordinates(p, m, k_bound=k_bound), (m, d, k_bound)
                 keys = [term.sort_key() for _, term in got]
                 assert keys == sorted(keys), (m, d, k_bound)
+                assert all(type(coef) is Fraction for coef, _ in got), (m, d, k_bound)
 
     def test_builds_no_polynomial(self, monkeypatch):
         def refuse(*args):
