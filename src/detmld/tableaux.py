@@ -277,6 +277,11 @@ def _check_rows(dt: DoubleTableau, m: int) -> None:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
 
 
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise PreconditionError(f"matrix size must be >= 1, got m={m}")
+
+
 def _partitions(total: int, max_part: int) -> Iterable[tuple]:
     """Nonincreasing compositions of `total` with parts in 1..max_part."""
     if total == 0:
@@ -295,6 +300,7 @@ def enumerate_standard_tableaux(
     With `content` (a length-m tuple of multiplicities) only fillings of that
     content are produced.  Order is lexicographic on the rows.
     """
+    _check_m(m)
     shape = YoungDiagram(tuple(shape)).rows
     if content is not None and (len(content) != m or min(content, default=0) < 0):
         raise PreconditionError(f"content must be m={m} multiplicities >= 0, got {content}")
@@ -365,6 +371,7 @@ def enumerate_standard_basis(
     tuples with equal totals.  `k_bound` keeps only shapes with rows <= k_bound.
     Enumeration beyond the guards is rejected rather than attempted.
     """
+    _check_m(m)
     if (degree is None) == (content is None):
         raise PreconditionError("specify exactly one of degree or content")
     if k_bound is not None and k_bound < 0:
@@ -639,9 +646,10 @@ def straighten(
     sorted, are multiplied out by the packed kernel of the block's own
     columns and solved, and no `MultiPoly` is built.  The block's tableaux
     are sorted and relabelling keeps their order, so the terms come in
-    `sort_key` order.  At k_bound = 1 no block is built: the content's one
-    standard product has coefficient 1 when every row is a single entry and
-    0 otherwise (the bideterminant at the all-ones matrix).
+    `sort_key` order.  No block is built when the first (longest) row of dt
+    is longer than k_bound: every term's shape dominates dt's, so no term
+    survives.  Nor at k_bound = 1, where every row is then a single entry
+    and the content's one standard product has coefficient 1.
     """
     if dt.shape.size > MAX_DEGREE:
         raise PreconditionError(
@@ -649,13 +657,14 @@ def straighten(
         )
     if m > MAX_M:
         raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
+    _check_m(m)
     _check_rows(dt, m)
     if k_bound is not None and k_bound < 0:
         raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
+    if k_bound is not None and dt.left.rows and len(dt.left.rows[0]) > k_bound:
+        return StandardExpansion(())
     rc, cc = dt.left.content(m), dt.right.content(m)
     if k_bound == 1:
-        if dt.left.rows and len(dt.left.rows[0]) > 1:
-            return StandardExpansion(())
         left, right = (_standard_tableaux(m, (1,) * dt.shape.size, c)[0] for c in (rc, cc))
         return StandardExpansion(((Fraction(1), DoubleTableau(left, right)),))
     block, rows, cols = _content_block(rc, cc)

@@ -201,6 +201,15 @@ class TestStraightenCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_matrix_size_below_one_is_precondition_error(self, run_cli, tmp_path, m):
+        path = tmp_path / "dt.json"
+        path.write_text(json.dumps({"m": m, "left": {"rows": []}, "right": {"rows": []}}))
+        code, out, err = run_cli(["straighten", "--file", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: matrix size must be >= 1, got m={m}\n"
+
     def test_missing_file_is_argument_error(self, run_cli):
         code, _, err = run_cli(["straighten", "--file", "/nonexistent/dt.json"])
         assert code == 2

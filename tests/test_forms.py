@@ -442,6 +442,91 @@ class TestMemoizedElimination:
             )
 
 
+def _single_swap_pairs(chart_indices):
+    """Every pair of charts one row swap apart, then every pair one column
+    swap apart, as (rows1, cols1, rows2, cols2), from one list of index sets."""
+    swaps = [(a, b) for a, b in combinations(chart_indices, 2) if len(set(a) ^ set(b)) == 2]
+    for a, b in swaps:
+        for fixed in chart_indices:
+            yield a, fixed, b, fixed
+    for a, b in swaps:
+        for fixed in chart_indices:
+            yield fixed, a, fixed, b
+
+
+def _transition_minors(rows1, cols1, rows2, cols2, m, k):
+    """For two charts one swap apart: the union of their rows and the union
+    of their columns have k+1 and k entries, in either order.  For each index
+    e outside the size-k side, the (k+1)-minor on the unions plus e, as its
+    differential from `forms._cofactors` and each chart's position in it
+    (minor rows - chart rows, minor cols - chart cols): (cofactors, p1, p2)."""
+    big_rows = tuple(sorted(set(rows1) | set(rows2)))
+    big_cols = tuple(sorted(set(cols1) | set(cols2)))
+    grow_rows = len(big_rows) == k
+    side = big_rows if grow_rows else big_cols
+    for e in sorted(set(range(1, m + 1)).difference(side)):
+        grown = tuple(sorted(side + (e,)))
+        minor_rows, minor_cols = (grown, big_cols) if grow_rows else (big_rows, grown)
+        p1, p2 = (
+            (*set(minor_rows).difference(rows), *set(minor_cols).difference(cols))
+            for rows, cols in ((rows1, cols1), (rows2, cols2))
+        )
+        yield forms._cofactors(minor_rows, minor_cols), p1, p2
+
+
+def _swap_identity(rows1, cols1, rows2, cols2, m, k):
+    """Each chart's position in every transition minor's differential has
+    that chart's own minor as its coefficient, compared on index sets."""
+    return all(
+        cofactors[p1][1:] == (rows1, cols1) and cofactors[p2][1:] == (rows2, cols2)
+        for cofactors, p1, p2 in _transition_minors(rows1, cols1, rows2, cols2, m, k)
+    )
+
+
+def _gluing_sign(rows1, cols1, rows2, cols2, m, k):
+    """(wedge, eps) with wedge(S_C2) = eps * (delta2 / delta1)**(m-k) * wedge(S_C1)
+    on the overlap of the charts C1 and C2, one swap apart.
+
+    In each transition minor's differential, sigma1 * delta1 * dx_p1 +
+    sigma2 * delta2 * dx_p2 vanishes modulo positions both charts share, where
+    p1 lies on C2 only and p2 on C1 only.  So each dx_p1 of wedge(S_C2) becomes
+    -sigma1 * sigma2 * (delta2 / delta1) * dx_p2, and eps collects those signs
+    and the re-sort signs; the wedge left must be wedge(S_C1)."""
+    wedge = chart_variable_set(rows2, cols2, m)
+    eps = 1
+    for cofactors, p1, p2 in _transition_minors(rows1, cols1, rows2, cols2, m, k):
+        wedge, resort = forms._replace_in_wedge(wedge, p1, p2)
+        eps *= -cofactors[p1][0] * cofactors[p2][0] * resort
+    return wedge, eps
+
+
+def _swap_pairs_up_to_four():
+    """Every single-swap pair at 2 <= m <= 4, k < m, as (m, k, pair), and the
+    chart_form sign of every chart involved, keyed by (m, rows, cols)."""
+    pairs, signs = [], {}
+    for m in range(2, 5):
+        for k in range(1, m):
+            charts = list(combinations(range(1, m + 1), k))
+            pairs += [(m, k, pair) for pair in _single_swap_pairs(charts)]
+            for rows, cols in product(charts, charts):
+                signs[m, rows, cols] = chart_form(rows, cols, m, k).sign
+    return pairs, signs
+
+
+def _gluing_failures(pairs, signs):
+    """The pairs whose wedge does not end as wedge(S_C1) or whose chart signs
+    break s1 = eps * s2, and the number of pairs with eps = -1."""
+    failures, negative = [], 0
+    for m, k, (rows1, cols1, rows2, cols2) in pairs:
+        wedge, eps = _gluing_sign(rows1, cols1, rows2, cols2, m, k)
+        negative += eps < 0
+        if wedge != chart_variable_set(rows1, cols1, m) or (
+            signs[m, rows1, cols1] != eps * signs[m, rows2, cols2]
+        ):
+            failures.append((m, k, rows1, cols1, rows2, cols2))
+    return failures, negative
+
+
 class TestChartTransitions:
     def test_row_swap_two_by_two(self):
         assert verify_chart_transition((1,), (1,), (2,), (1,), 2, 1)
@@ -455,33 +540,55 @@ class TestChartTransitions:
     def test_double_swap_rejected(self):
         with pytest.raises(PreconditionError):
             verify_chart_transition((1,), (1,), (2,), (2,), 2, 1)
+        with pytest.raises(PreconditionError, match="one row swap or one column swap"):
+            verify_chart_transition((1, 2), (1, 2), (3, 4), (1, 2), 4, 2)
 
     def test_k_two_row_swap(self):
         assert verify_chart_transition((1, 2), (1, 2), (1, 3), (1, 2), 3, 2)
 
     @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     def test_identity_holds_for_every_single_swap(self, m, k):
-        pairs = list(forms._single_swap_pairs(list(combinations(range(1, m + 1), k))))
+        pairs = list(_single_swap_pairs(list(combinations(range(1, m + 1), k))))
         assert pairs
         for pair in pairs:
-            assert forms._swap_identity(*pair, m, k), pair
+            assert _swap_identity(*pair, m, k), pair
 
     def test_every_chart_has_a_swap_neighbour_below_full_rank(self):
-        # _swap_identity compares the index sets _cofactors returns with the
-        # ones it removed, so it fails only if _cofactors mislabels them: it
-        # holds on all 280 single-swap pairs at m <= 4.  Every chart lies in
-        # a pair when k < m, so transitions_ok reads the chart signs only and
-        # equals minors_realized (checked on the reports in TestVerifyNash
-        # and TestFrontier).
+        # Every chart lies in a single-swap pair when k < m, so a report's
+        # transitions_ok, which reads the chart signs, equals minors_realized
+        # (checked on the reports in TestVerifyNash and TestFrontier).
         count = 0
         for m in range(2, 5):
             for k in range(1, m):
                 charts = list(combinations(range(1, m + 1), k))
-                pairs = list(forms._single_swap_pairs(charts))
+                pairs = list(_single_swap_pairs(charts))
                 ends = {end for a1, b1, a2, b2 in pairs for end in ((a1, b1), (a2, b2))}
                 assert ends == set(product(charts, charts)), (m, k)
                 count += len(pairs)
         assert count == 280
+
+    def test_gluing_sign_holds_on_every_single_swap(self):
+        # The canonical form s_C * delta_C**-(m-k) * wedge(S_C) is one form:
+        # with wedge(S_C2) = eps * (delta2 / delta1)**(m-k) * wedge(S_C1) it
+        # glues across two charts exactly when s1 = eps * s2.
+        pairs, signs = _swap_pairs_up_to_four()
+        failures, negative = _gluing_failures(pairs, signs)
+        assert len(pairs) == 280
+        assert failures == []
+        assert negative == 34
+
+    def test_gluing_sign_fails_without_the_parity_sign(self, monkeypatch):
+        # Chart signs come from the real cofactors; only the transition
+        # minors' differentials lose their parity signs.
+        pairs, signs = _swap_pairs_up_to_four()
+        real = forms._cofactors
+
+        def unsigned(rows, cols):
+            return {pq: (1, *rest) for pq, (_, *rest) in real(rows, cols).items()}
+
+        monkeypatch.setattr(forms, "_cofactors", unsigned)
+        failures, _ = _gluing_failures(pairs, signs)
+        assert len(failures) == 96
 
     @pytest.mark.parametrize(
         "rows1, cols1, rows2, cols2, entries",
@@ -498,7 +605,7 @@ class TestChartTransitions:
         # differential puts each chart minor against the other's position.
         m = 3
         k = len(rows1)
-        assert forms._swap_identity(rows1, cols1, rows2, cols2, m, k)
+        assert _swap_identity(rows1, cols1, rows2, cols2, m, k)
         real = forms._cofactors
 
         def swapped_terms(rows, cols):
@@ -509,7 +616,7 @@ class TestChartTransitions:
             return terms
 
         monkeypatch.setattr(forms, "_cofactors", swapped_terms)
-        assert not forms._swap_identity(rows1, cols1, rows2, cols2, m, k)
+        assert not _swap_identity(rows1, cols1, rows2, cols2, m, k)
 
 
 class TestVerifyNash:
@@ -579,7 +686,7 @@ class TestVerifyNash:
             charts = list(combinations(range(1, m + 1), k))
             expected = all(
                 verify_chart_transition(rows_a, cols_a, rows_b, cols_b, m, k)
-                for rows_a, cols_a, rows_b, cols_b in forms._single_swap_pairs(charts)
+                for rows_a, cols_a, rows_b, cols_b in _single_swap_pairs(charts)
             )
             assert expected
             report = verify_nash(m, k)
@@ -622,12 +729,6 @@ class TestVerifyNash:
         assert not any(entry["order_independent"] for entry in report.subsets)
         assert not report.order_independent
         assert not report.passed
-
-    def test_failed_swap_identity_fails_transitions(self, monkeypatch):
-        monkeypatch.setattr(forms, "_swap_identity", lambda *args: False)
-        report = verify_nash(2, 1)
-        assert report.minors_realized
-        assert not report.transitions_ok
 
     def test_cold_run_after_clear_caches_matches_warm_run(self):
         verify_nash(3, 1)
@@ -833,8 +934,6 @@ def test_preconditions_raise(call):
 @pytest.mark.parametrize(
     "name, replacement",
     [
-        # The structural identity fails.
-        ("_swap_identity", lambda *args: False),
         # A chart's own wedge is not +-(its minor)^(m-k), so _chart_sign raises.
         ("_sign_against_minor_power", lambda *args: 0),
     ],

@@ -325,7 +325,7 @@ class TestStraighten:
     def test_bounded_soundness(self):
         m = 3
         for d in all_double_tableaux(m, 2):
-            for k_bound in (1, 2):
+            for k_bound in (0, 1, 2):
                 exp = straighten(d, m, k_bound=k_bound)
                 reprojected = standard_coordinates(exp.to_poly(m), m, k_bound=k_bound)
                 assert reprojected == exp
@@ -339,7 +339,7 @@ class TestStraighten:
         cases += [_random_double_tableau(rng) for _ in range(200)]
         for m, d in cases:
             p = bideterminant(d, m)
-            for k_bound in (None, 0, 1, 2):
+            for k_bound in (None, 0, 1, 2, 3):
                 got = straighten(d, m, k_bound)
                 assert got == standard_coordinates(p, m, k_bound=k_bound), (m, d, k_bound)
                 keys = [term.sort_key() for _, term in got]
@@ -361,6 +361,21 @@ class TestStraighten:
         for (d, k_bound), expansion in zip(cases, got):
             assert expansion == standard_coordinates(bideterminant(d, 3), 3, k_bound=k_bound)
         assert sum(len(expansion) for expansion in got) > 2
+
+
+    def test_row_longer_than_the_bound_builds_no_block(self, monkeypatch):
+        # Every term's shape dominates the input's, so no term has its first
+        # row as short as k_bound and the answer is the zero expansion.
+        def refuse(*args):
+            raise AssertionError("straighten built a content block")
+
+        d = dt([(1, 2, 3), (4, 5, 6)], [(2, 1, 3), (4, 6, 5)])
+        monkeypatch.setattr(tableaux, "_content_block", refuse)
+        for k_bound in (0, 1, 2):
+            assert straighten(d, 6, k_bound) == StandardExpansion(())
+        monkeypatch.undo()
+        assert standard_coordinates(bideterminant(d, 6), 6, k_bound=2) == StandardExpansion(())
+        assert len(straighten(d, 6, 3)) > 0
 
 
 def _random_double_tableau(rng):
@@ -844,6 +859,12 @@ _ONE_2 = MultiPoly.one(2)
         pytest.param(
             lambda: straighten(dt([(1,)] * 7, [(1,)] * 7), 2), id="straighten_degree_above_max"
         ),
+        pytest.param(lambda: straighten(dt((), ()), 0), id="straighten_m_zero"),
+        pytest.param(lambda: straighten(dt((), ()), -3), id="straighten_m_negative"),
+        pytest.param(lambda: enumerate_standard_tableaux(0, ()), id="tableaux_m_zero"),
+        pytest.param(lambda: enumerate_standard_tableaux(-1, (1,)), id="tableaux_m_negative"),
+        pytest.param(lambda: enumerate_standard_basis(0, degree=0), id="basis_m_zero"),
+        pytest.param(lambda: enumerate_standard_basis(-2, degree=1), id="basis_m_negative"),
     ],
 )
 def test_preconditions_raise(call):
