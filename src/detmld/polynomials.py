@@ -52,9 +52,9 @@ class MultiPoly:
                 if coef == 0:
                     continue
                 exp = tuple(exp)
-                if len(exp) != n:
+                if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                     raise PreconditionError(
-                        f"exponent vector of length {len(exp)}, expected {n}"
+                        f"exponent vector {exp} is not {n} nonnegative integers"
                     )
                 clean[exp] = coef
         self.terms = clean

@@ -52,8 +52,9 @@ from .linalg import PreparedSolver
 from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
 
 MAX_DEGREE = 6
-# Matrix sizes straighten accepts: monomials are dense exponent vectors of
-# length m * m, and content blocks are enumerated to depth m * m.
+# Matrix sizes straighten accepts.  Blocks are built at the size of their
+# zero-free content and straighten builds no exponent vector, so this bounds
+# only the length-m content tuples that `Tableau.content(m)` allocates.
 MAX_M = 16
 
 
@@ -64,10 +65,10 @@ class YoungDiagram:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        if any(r < 1 for r in rows):
-            raise PreconditionError(f"row lengths must be positive: {rows}")
+        if any(type(r) is not int or r < 1 for r in rows):
+            raise PreconditionError(f"row lengths must be positive integers: {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise PreconditionError(f"row lengths must be nonincreasing: {rows}")
 
@@ -97,11 +98,11 @@ class Tableau:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         for row in rows:
-            if any(v < 1 for v in row):
-                raise PreconditionError(f"entries must be >= 1: {row}")
+            if any(type(v) is not int or v < 1 for v in row):
+                raise PreconditionError(f"entries must be integers >= 1: {row}")
             if not row:
                 raise PreconditionError("empty tableau row")
         lengths = tuple(len(row) for row in rows)
@@ -378,13 +379,15 @@ def enumerate_standard_basis(
         raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
     if content is not None:
         left_content, right_content = (tuple(c) for c in content)
-        if len(left_content) != m or len(right_content) != m:
-            raise PreconditionError(f"content tuples must have length m={m}")
+        if any(len(c) != m or min(c) < 0 for c in (left_content, right_content)):
+            raise PreconditionError(f"content must be two tuples of m={m} multiplicities >= 0")
         if sum(left_content) != sum(right_content):
             raise PreconditionError("left and right contents must have equal totals")
         degree = sum(left_content)
     else:
         left_content = right_content = None
+    if degree < 0:
+        raise PreconditionError(f"degree must be >= 0, got {degree}")
     if degree > MAX_DEGREE:
         raise PreconditionError(f"degree {degree} exceeds enumeration guard {MAX_DEGREE}")
     return _standard_basis(m, degree, left_content, right_content, k_bound)

@@ -730,6 +730,28 @@ class TestVerifyNash:
         assert not report.order_independent
         assert not report.passed
 
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
+    def test_revlex_numerator_plus_an_ideal_element_fails_order_independence(
+        self, monkeypatch, m, k
+    ):
+        # Adding the (k+1)-minor (1..k+1 | 1..k+1) to every revlex numerator
+        # leaves each revlex expansion modulo the (k+1)-minors as it was, but
+        # the two orders must return the same numerator exactly.
+        real = forms._reduce_positions
+        lead = tuple(range(1, k + 2))
+        minor = minor_poly(MinorIndex(lead, lead), m)
+
+        def shifted_revlex(*args):
+            numerator, bpow = real(*args)
+            return (numerator + minor if args[-1] == "revlex" else numerator), bpow
+
+        monkeypatch.setattr(forms, "_reduce_positions", shifted_revlex)
+        report = verify_nash(m, k)
+        assert report.all_member and report.minors_realized and report.transitions_ok
+        assert not any(entry["order_independent"] for entry in report.subsets)
+        assert not report.order_independent
+        assert not report.passed
+
     def test_cold_run_after_clear_caches_matches_warm_run(self):
         verify_nash(3, 1)
         warm = _untimed_json(verify_nash(3, 1))

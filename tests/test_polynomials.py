@@ -254,6 +254,18 @@ class TestSeries:
     [
         pytest.param(lambda: MultiPoly.variable(2, 3, 1), id="var_index_outside_the_matrix"),
         pytest.param(lambda: MultiPoly(2, {(1, 0, 0): 1}), id="exponent_length"),
+        pytest.param(lambda: MultiPoly(2, {(-1, 0, 0, 0): 1}), id="exponent_negative"),
+        pytest.param(lambda: MultiPoly(2, {(1.0, 0, 0, 0): 1}), id="exponent_float"),
+        pytest.param(lambda: MultiPoly(2, {("1", 0, 0, 0): 1}), id="exponent_str"),
+        pytest.param(lambda: MultiPoly(2, {(True, 0, 0, 0): 1}), id="exponent_bool"),
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, -2], "coef": "1"}]),
+            id="from_json_exponent_negative",
+        ),
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [True, 0, 0, 0], "coef": "1"}]),
+            id="from_json_exponent_bool",
+        ),
         pytest.param(lambda: MultiPoly.one(2) ** -1, id="negative_power"),
         pytest.param(lambda: MinorIndex((1, 2), (1,)), id="minor_not_square"),
         pytest.param(lambda: MinorIndex((1, 1), (1, 2)), id="minor_repeated_index"),

@@ -865,6 +865,18 @@ _ONE_2 = MultiPoly.one(2)
         pytest.param(lambda: enumerate_standard_tableaux(-1, (1,)), id="tableaux_m_negative"),
         pytest.param(lambda: enumerate_standard_basis(0, degree=0), id="basis_m_zero"),
         pytest.param(lambda: enumerate_standard_basis(-2, degree=1), id="basis_m_negative"),
+        pytest.param(lambda: enumerate_standard_basis(2, degree=-1), id="basis_degree_negative"),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, content=((2, -1), (1, 0))),
+            id="basis_content_negative",
+        ),
+        pytest.param(lambda: Tableau(((1.9, 2.2),)), id="tableau_float_entry"),
+        pytest.param(lambda: Tableau((("3",),)), id="tableau_str_entry"),
+        pytest.param(lambda: Tableau(((True,),)), id="tableau_bool_entry"),
+        pytest.param(lambda: YoungDiagram((2.0,)), id="diagram_float_row"),
+        pytest.param(lambda: YoungDiagram(("3",)), id="diagram_str_row"),
+        pytest.param(lambda: YoungDiagram((True,)), id="diagram_bool_row"),
+        pytest.param(lambda: enumerate_standard_tableaux(2, (1.5,)), id="tableaux_float_shape"),
     ],
 )
 def test_preconditions_raise(call):
