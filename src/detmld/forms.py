@@ -28,12 +28,14 @@ order, and shared by every top-form that reaches it.  The elimination leaves
 N / D**B, the same (N, B) in both orders, as every complete path is a
 bijection from the bad positions onto the missing chart positions; the Nash
 check compares the two, with a memo per order, since a shared memo would
-make that vacuous.  The power of D is cleared on N's standard coordinates
-modulo the (k+1)-minor ideal: with the chart rows and columns relabelled
-first, D is the leading minor, and multiplying or dividing by it adds or
-strips the top row (1..k | 1..k) of each standard double tableau, so the
-division needs no solver of its own.  No fraction fields appear anywhere,
-and the first `Fraction` is a standard coordinate.
+make that vacuous.  The canonical generator is one global form, so F is
+resolved on the reference chart, whatever the chart asked for: there D is
+the leading minor (1..k | 1..k), and its power is cleared on N's standard
+coordinates modulo the (k+1)-minor ideal, where multiplying or dividing by
+D adds or strips the top row (1..k | 1..k) of each standard double
+tableau, so the division needs no solver of its own.  Another chart's own
+elimination gives only its B.  No fraction fields appear anywhere, and the
+first `Fraction` is a standard coordinate.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .tableaux import (
     Membership,
     StandardExpansion,
     Tableau,
+    _check_int,
     _rectangular_membership,
     _trusted_tableau,
     standard_coordinates,
@@ -115,6 +118,8 @@ class ChartForm:
 
 
 def _validate_chart(rows, cols, m: int, k: int) -> tuple:
+    _check_int("m", m, 1)
+    _check_int("k", k, 1)
     rows = tuple(sorted(rows))
     cols = tuple(sorted(cols))
     if len(rows) != k or len(cols) != k:
@@ -144,7 +149,7 @@ def _chart_sign(rows, cols, m: int, k: int) -> int:
     reduction in the reference chart."""
     ref = reference_chart_indices(k)
     numerator, bpow = _reduce_positions(chart_variable_set(rows, cols, m), ref, ref, m, k, "lex")
-    expansion = _resolve_coefficient(numerator, bpow, ref, ref, m, k)
+    expansion = _resolve_coefficient(numerator, bpow, m, k)
     sign = _sign_against_minor_power(expansion, rows, cols, m, k)
     if not sign:
         raise RuntimeError(
@@ -277,43 +282,18 @@ def _reduce_positions(
     return total, bad if reached else 0
 
 
-def _chart_first(rows: tuple, cols: tuple, m: int) -> tuple:
-    """Exponent positions read by the relabelling that puts the chart rows and
-    columns first, each keeping its order: entry n of a relabelled exponent
-    vector is entry perm[n] of the original.  It carries the chart minor to
-    the leading minor [1..k | 1..k] with sign +1."""
+def _resolve_coefficient(numerator: MultiPoly, bpow: int, m: int, k: int) -> StandardExpansion:
+    """Clear the collected denominator on the reference chart: the standard
+    expansion, with rows <= k, of numerator * delta**(m - k - bpow) modulo
+    the (k+1)-minor ideal, where delta is the leading minor [1..k | 1..k].
 
-    def order(chosen: tuple) -> tuple:
-        return chosen + tuple(i for i in range(1, m + 1) if i not in chosen)
-
-    return tuple((i - 1) * m + j - 1 for i in order(rows) for j in order(cols))
-
-
-def _relabel(p: MultiPoly, perm: tuple) -> MultiPoly:
-    out = MultiPoly(p.m)
-    out.terms = {tuple(exp[i] for i in perm): coef for exp, coef in p.terms.items()}
-    return out
-
-
-def _resolve_coefficient(
-    numerator: MultiPoly, bpow: int, rows: tuple, cols: tuple, m: int, k: int
-) -> StandardExpansion:
-    """Clear the collected denominator: the standard expansion, with rows
-    <= k, of numerator * delta**(m - k - bpow) modulo the (k+1)-minor ideal.
-
-    After relabelling, delta is the leading minor [1..k | 1..k], and times a
-    standard bideterminant with rows <= k it only puts the row 1..k on top of
-    both sides, which stays standard.  So the power of delta is applied, or
-    divided out, on the numerator's standard coordinates: each term gains or
-    loses that many top rows (1..k | 1..k), which keeps the terms in order.
-    A term that lacks a row to strip means delta does not divide the
-    numerator modulo the ideal.
+    Times a standard bideterminant with rows <= k, delta only puts the row
+    1..k on top of both sides, which stays standard.  So the power of delta
+    is applied, or divided out, on the numerator's standard coordinates:
+    each term gains or loses that many top rows (1..k | 1..k), which keeps
+    the terms in order.  A term that lacks a row to strip means delta does
+    not divide the numerator modulo the ideal.
     """
-    # The reference chart is already first; only other charts are relabelled.
-    identity = rows == cols == reference_chart_indices(k)
-    if not identity:
-        perm = _chart_first(rows, cols, m)
-        numerator = _relabel(numerator, perm)
     spare = (m - k) - bpow
     lead = (tuple(range(1, k + 1)),) * abs(spare)
     terms = []
@@ -326,11 +306,7 @@ def _resolve_coefficient(
         else:
             raise RuntimeError("division by the chart minor failed; reduction is unsound")
         terms.append((coef, DoubleTableau(_trusted_tableau(left), _trusted_tableau(right))))
-    expansion = StandardExpansion(tuple(terms))
-    if identity:
-        return expansion
-    inverse = tuple(sorted(range(m * m), key=perm.__getitem__))
-    return standard_coordinates(_relabel(expansion.to_poly(m), inverse), m, k_bound=k)
+    return StandardExpansion(tuple(terms))
 
 
 def reduce_top_form(
@@ -339,10 +315,13 @@ def reduce_top_form(
     """Write the wedge of the given differentials (lexicographic order) as
     F * w on the chart, returning F and its minor-subalgebra certificate.
 
-    F is reported as the canonical representative modulo the (k+1)-minor
-    ideal, together with its standard expansion, which is unique; the
-    certificate is read off the same expansion.  A form that restricts to
-    zero yields F = 0, not an error.
+    The canonical generator w is one global form, so F is the same on every
+    chart: it is resolved from the reference chart's (N, B), and another
+    chart only reads its own elimination's B as `denominator_power`.  F is
+    reported as the canonical representative modulo the (k+1)-minor ideal,
+    together with its standard expansion, which is unique; the certificate
+    is read off the same expansion.  A form that restricts to zero yields
+    F = 0, not an error.
     """
     m, k = chart.m, chart.k
     positions = tuple(sorted(tuple(p) for p in positions))
@@ -354,12 +333,11 @@ def reduce_top_form(
     for i, j in positions:
         if not (1 <= i <= m and 1 <= j <= m):
             raise PreconditionError(f"position ({i},{j}) outside the {m}x{m} matrix")
-    numerator, bpow = _reduce_positions(
-        positions, chart.rows, chart.cols, m, k, elimination_order
-    )
-    expansion = _resolve_coefficient(numerator, bpow, chart.rows, chart.cols, m, k)
-    if chart.sign < 0:
-        expansion = StandardExpansion(tuple((-coef, dt) for coef, dt in expansion))
+    ref = reference_chart_indices(k)
+    numerator, bpow = _reduce_positions(positions, ref, ref, m, k, elimination_order)
+    expansion = _resolve_coefficient(numerator, bpow, m, k)
+    if chart.rows != ref or chart.cols != ref:
+        bpow = _reduce_positions(positions, chart.rows, chart.cols, m, k, elimination_order)[1]
     return ReductionResult(
         coefficient=expansion.to_poly(m),
         certificate=_rectangular_membership(expansion, k),
@@ -439,7 +417,9 @@ def verify_nash(m: int, k: int) -> NashReport:
     such a pair when k < m and k = m has one chart, so it equals
     `minors_realized`.  Guarded to m <= 4 (exhaustive: 11,440 subsets at
     (4, 1))."""
-    if not 1 <= k <= m:
+    _check_int("m", m, 1)
+    _check_int("k", k, 1)
+    if k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > VERIFY_GUARD_M:
         raise PreconditionError(

@@ -217,7 +217,13 @@ class MultiPoly:
     def from_json(cls, m: int, data: Iterable[dict]) -> "MultiPoly":
         terms: Dict[Exponents, Fraction] = {}
         for item in data:
-            exp = tuple(item["exp"])
+            exp = item.get("exp") if isinstance(item, dict) else None
+            shaped = isinstance(exp, (list, tuple)) and "coef" in item
+            if not shaped or any(type(e) is not int for e in exp):
+                raise PreconditionError(
+                    f'polynomial term must be {{"exp": [integers], "coef": rational}}, got {item!r}'
+                )
+            exp = tuple(exp)
             terms[exp] = terms.get(exp, Fraction(0)) + parse_rational(str(item["coef"]))
         return cls(m, terms)
 

@@ -278,9 +278,10 @@ def _check_rows(dt: DoubleTableau, m: int) -> None:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
 
 
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise PreconditionError(f"matrix size must be >= 1, got m={m}")
+def _check_int(name: str, value, low: int = 0) -> None:
+    """Reject a size or count that is not an `int` (a bool is not one) or is below low."""
+    if type(value) is not int or value < low:
+        raise PreconditionError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _partitions(total: int, max_part: int) -> Iterable[tuple]:
@@ -301,10 +302,14 @@ def enumerate_standard_tableaux(
     With `content` (a length-m tuple of multiplicities) only fillings of that
     content are produced.  Order is lexicographic on the rows.
     """
-    _check_m(m)
+    _check_int("m", m, 1)
     shape = YoungDiagram(tuple(shape)).rows
-    if content is not None and (len(content) != m or min(content, default=0) < 0):
-        raise PreconditionError(f"content must be m={m} multiplicities >= 0, got {content}")
+    if content is not None and (
+        len(content) != m or any(type(c) is not int or c < 0 for c in content)
+    ):
+        raise PreconditionError(
+            f"content must be m={m} integer multiplicities >= 0, got {content}"
+        )
     return list(_standard_tableaux(m, shape, None if content is None else tuple(content)))
 
 
@@ -372,22 +377,26 @@ def enumerate_standard_basis(
     tuples with equal totals.  `k_bound` keeps only shapes with rows <= k_bound.
     Enumeration beyond the guards is rejected rather than attempted.
     """
-    _check_m(m)
+    _check_int("m", m, 1)
     if (degree is None) == (content is None):
         raise PreconditionError("specify exactly one of degree or content")
-    if k_bound is not None and k_bound < 0:
-        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
+    if k_bound is not None:
+        _check_int("k_bound", k_bound)
     if content is not None:
         left_content, right_content = (tuple(c) for c in content)
-        if any(len(c) != m or min(c) < 0 for c in (left_content, right_content)):
-            raise PreconditionError(f"content must be two tuples of m={m} multiplicities >= 0")
+        if any(
+            len(c) != m or any(type(v) is not int or v < 0 for v in c)
+            for c in (left_content, right_content)
+        ):
+            raise PreconditionError(
+                f"content must be two tuples of m={m} integer multiplicities >= 0"
+            )
         if sum(left_content) != sum(right_content):
             raise PreconditionError("left and right contents must have equal totals")
         degree = sum(left_content)
     else:
         left_content = right_content = None
-    if degree < 0:
-        raise PreconditionError(f"degree must be >= 0, got {degree}")
+    _check_int("degree", degree)
     if degree > MAX_DEGREE:
         raise PreconditionError(f"degree {degree} exceeds enumeration guard {MAX_DEGREE}")
     return _standard_basis(m, degree, left_content, right_content, k_bound)
@@ -603,10 +612,11 @@ def standard_coordinates(
     the image of p modulo the ideal of (k_bound+1)-minors.  At k_bound = 1 a
     content's coordinate is the sum of its coefficients, and no block is built.
     """
+    _check_int("m", m, 1)
     if p.m != m:
         raise PreconditionError(f"polynomial lives in a {p.m}x{p.m} layout, expected {m}")
-    if k_bound is not None and k_bound < 0:
-        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
+    if k_bound is not None:
+        _check_int("k_bound", k_bound)
     by_content: Dict[tuple, Dict[Exponents, Fraction]] = {}
     for exp, coef in p.terms.items():
         by_content.setdefault(p.monomial_content(exp), {})[exp] = coef
@@ -658,12 +668,12 @@ def straighten(
         raise PreconditionError(
             f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
         )
+    _check_int("m", m, 1)
     if m > MAX_M:
         raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
-    _check_m(m)
     _check_rows(dt, m)
-    if k_bound is not None and k_bound < 0:
-        raise PreconditionError(f"k_bound must be >= 0, got {k_bound}")
+    if k_bound is not None:
+        _check_int("k_bound", k_bound)
     if k_bound is not None and dt.left.rows and len(dt.left.rows[0]) > k_bound:
         return StandardExpansion(())
     rc, cc = dt.left.content(m), dt.right.content(m)
@@ -699,7 +709,9 @@ def subalgebra_membership(F: MultiPoly, m: int, k: int) -> Membership:
     expanded in the standard basis with rows <= k; membership holds exactly
     when every surviving shape is the rectangle (k, ..., k).
     """
-    if not 1 <= k <= m:
+    _check_int("m", m, 1)
+    _check_int("k", k, 1)
+    if k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if F.m != m:
         raise PreconditionError(f"polynomial layout {F.m} does not match m={m}")

@@ -208,7 +208,7 @@ class TestStraightenCommand:
         code, out, err = run_cli(["straighten", "--file", str(path)])
         assert code == 1
         assert out == ""
-        assert err == f"error: matrix size must be >= 1, got m={m}\n"
+        assert err == f"error: m must be an integer >= 1, got {m}\n"
 
     def test_missing_file_is_argument_error(self, run_cli):
         code, _, err = run_cli(["straighten", "--file", "/nonexistent/dt.json"])

@@ -105,6 +105,30 @@ def cofactor_poly(m, sign, rows, cols):
     return poly if sign > 0 else -poly
 
 
+_RESIDUAL_CASES = ((2, 1), (3, 1), (3, 2), (4, 3))
+
+
+def _residual_failures(m, k):
+    """Pairs (chart, subset) at (m, k) whose own elimination (N_C, B_C) does
+    not glue with F: sign * N_C * delta_C**spare differs from F modulo the
+    (k+1)-minor ideal, with spare = m - k - B_C and a negative power of
+    delta_C moved to F's side.  Every chart and every subset is checked."""
+    positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    failures = 0
+    for rows, cols in product(combinations(range(1, m + 1), k), repeat=2):
+        chart = chart_form(rows, cols, m, k)
+        delta = minor_poly(MinorIndex(rows, cols), m)
+        for subset in combinations(positions, k * (2 * m - k)):
+            numerator, bpow = forms._reduce_positions(subset, rows, cols, m, k, "lex")
+            spare = m - k - bpow
+            coeff = reduce_top_form(subset, chart).coefficient
+            lhs = chart.sign * numerator * delta ** max(spare, 0)
+            rhs = coeff * delta ** max(-spare, 0)
+            if standard_coordinates(lhs, m, k_bound=k) != standard_coordinates(rhs, m, k_bound=k):
+                failures += 1
+    return failures
+
+
 class TestCofactors:
     def test_two_by_two(self):
         assert forms._cofactors((1, 2), (1, 2)) == {
@@ -217,33 +241,49 @@ class TestReduceTopForm:
         degree = result.coefficient.homogeneous_degree()
         assert degree in (None, 2)  # zero polynomial reports no degree
 
-    @pytest.mark.parametrize("rows, cols", [((1,), (1,)), ((2,), (2,))])
-    def test_indivisible_numerator_is_rejected(self, rows, cols):
+    def test_indivisible_numerator_is_rejected(self):
         # x12 / delta**2 with m - k = 1 would need delta to divide x12
         with pytest.raises(RuntimeError):
-            forms._resolve_coefficient(x(2, 1, 2), 2, rows, cols, 2, 1)
+            forms._resolve_coefficient(x(2, 1, 2), 2, 2, 1)
 
     def test_division_residual_in_every_chart(self):
-        # F * delta**(B - (m - k)) is the chart sign times N, modulo the ideal:
-        # the residual check of every division, in all nine (3,1) charts
-        m, k = 3, 1
-        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-        divisions = 0
-        for rows, cols in [((i,), (j,)) for i in range(1, m + 1) for j in range(1, m + 1)]:
-            chart = chart_form(rows, cols, m, k)
-            delta = minor_poly(MinorIndex(rows, cols), m)
-            for subset in combinations(positions, k * (2 * m - k)):
-                numerator, bpow = forms._reduce_positions(subset, rows, cols, m, k, "lex")
-                if bpow <= m - k:
-                    continue
-                divisions += 1
-                coeff = reduce_top_form(subset, chart).coefficient
-                assert standard_coordinates(
-                    coeff * delta ** (bpow - (m - k)), m, k_bound=k
-                ).to_poly(m) == chart.sign * standard_coordinates(
-                    numerator, m, k_bound=k
-                ).to_poly(m), (rows, cols, subset)
-        assert divisions
+        # F, resolved on the reference chart, glues with each chart's own
+        # elimination: sign * N_C / delta_C**B_C = F / delta_C**(m - k)
+        for m, k in _RESIDUAL_CASES:
+            assert _residual_failures(m, k) == 0, (m, k)
+
+    def test_negated_chart_numerator_fails_the_residual(self, monkeypatch):
+        reduce_positions = forms._reduce_positions
+
+        def negated(positions, rows, cols, m, k, order):
+            numerator, bpow = reduce_positions(positions, rows, cols, m, k, order)
+            if rows == cols == reference_chart_indices(k):
+                return numerator, bpow
+            return -numerator, bpow
+
+        monkeypatch.setattr(forms, "_reduce_positions", negated)
+        for m, k in _RESIDUAL_CASES:
+            assert _residual_failures(m, k) > 0, (m, k)
+
+    def test_reference_chart_is_eliminated_once(self, monkeypatch):
+        # F always comes from the reference chart; another chart adds one
+        # elimination of its own, for its B.
+        calls = []
+        reduce_positions = forms._reduce_positions
+
+        def counted(positions, rows, cols, m, k, order):
+            calls.append((rows, cols))
+            return reduce_positions(positions, rows, cols, m, k, order)
+
+        monkeypatch.setattr(forms, "_reduce_positions", counted)
+        subset = [(1, 1), (1, 2), (2, 2)]
+        for chart, expected in (
+            (chart_form((1,), (1,), 2, 1), [((1,), (1,))]),
+            (chart_form((2,), (2,), 2, 1), [((1,), (1,)), ((2,), (2,))]),
+        ):
+            calls.clear()
+            reduce_top_form(subset, chart)
+            assert calls == expected
 
     @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2)])
     def test_certificate_matches_public_membership(self, m, k):
@@ -669,7 +709,7 @@ class TestVerifyNash:
                 numerator, bpow = forms._reduce_positions(
                     chart_variable_set(rows, cols, m), ref, ref, m, k, "lex"
                 )
-                expansion = forms._resolve_coefficient(numerator, bpow, ref, ref, m, k)
+                expansion = forms._resolve_coefficient(numerator, bpow, m, k)
                 coeff = expansion.to_poly(m)
                 power = minor_poly(MinorIndex(rows, cols), m) ** (m - k)
                 expected = standard_coordinates(power, m, k_bound=k).to_poly(m)
@@ -946,6 +986,15 @@ _WEDGE_2_1 = ((1, 1), (1, 2), (2, 1))
             lambda: reduce_top_form(((1, 1), (1, 2), (3, 1)), chart_form(*_CHART_2_1)),
             id="position_outside_the_matrix",
         ),
+        # m and k are ints, and a bool is not one.
+        pytest.param(lambda: chart_form((1,), (1,), 2, 1.0), id="chart_float_k"),
+        pytest.param(lambda: chart_form((1,), (1,), 2.0, 1), id="chart_float_m"),
+        pytest.param(
+            lambda: verify_chart_transition((1,), (1,), (2,), (1,), 2, True),
+            id="transition_bool_k",
+        ),
+        pytest.param(lambda: verify_nash(2.0, 1), id="nash_float_m"),
+        pytest.param(lambda: verify_nash(2, True), id="nash_bool_k"),
     ],
 )
 def test_preconditions_raise(call):

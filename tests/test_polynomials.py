@@ -266,6 +266,19 @@ class TestSeries:
             lambda: MultiPoly.from_json(2, [{"exp": [True, 0, 0, 0], "coef": "1"}]),
             id="from_json_exponent_bool",
         ),
+        # A malformed item is rejected before any dict is built from it.
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [[0], 0, 0, 0], "coef": "1"}]),
+            id="from_json_exponent_nested",
+        ),
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": 5, "coef": "1"}]), id="from_json_exponent_int"
+        ),
+        pytest.param(lambda: MultiPoly.from_json(2, [[0, 0, 0, 0]]), id="from_json_item_list"),
+        pytest.param(lambda: MultiPoly.from_json(2, ["1"]), id="from_json_item_str"),
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, 0]}]), id="from_json_missing_coef"
+        ),
         pytest.param(lambda: MultiPoly.one(2) ** -1, id="negative_power"),
         pytest.param(lambda: MinorIndex((1, 2), (1,)), id="minor_not_square"),
         pytest.param(lambda: MinorIndex((1, 1), (1, 2)), id="minor_repeated_index"),

@@ -877,6 +877,35 @@ _ONE_2 = MultiPoly.one(2)
         pytest.param(lambda: YoungDiagram(("3",)), id="diagram_str_row"),
         pytest.param(lambda: YoungDiagram((True,)), id="diagram_bool_row"),
         pytest.param(lambda: enumerate_standard_tableaux(2, (1.5,)), id="tableaux_float_shape"),
+        # Sizes, degrees, bounds and multiplicities are ints, and a bool is not one.
+        pytest.param(lambda: enumerate_standard_tableaux(2.0, (1,)), id="tableaux_float_m"),
+        pytest.param(
+            lambda: enumerate_standard_tableaux(2, (1,), (True, 0)), id="tableaux_bool_content"
+        ),
+        pytest.param(
+            lambda: enumerate_standard_tableaux(2, (1,), (1.0, 0)), id="tableaux_float_content"
+        ),
+        pytest.param(lambda: enumerate_standard_basis(2.0, degree=1), id="basis_float_m"),
+        pytest.param(lambda: enumerate_standard_basis(2, degree=True), id="basis_bool_degree"),
+        pytest.param(lambda: enumerate_standard_basis(2, degree=1.0), id="basis_float_degree"),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, degree=1, k_bound=1.5), id="basis_float_k_bound"
+        ),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, content=((True, 0), (1, 0))),
+            id="basis_bool_content",
+        ),
+        pytest.param(lambda: straighten(dt([(1,)], [(2,)]), 2.0), id="straighten_float_m"),
+        pytest.param(lambda: straighten(dt([(1,)], [(1,)]), True), id="straighten_bool_m"),
+        pytest.param(
+            lambda: straighten(dt([(1,)], [(2,)]), 2, k_bound=1.5), id="straighten_float_k_bound"
+        ),
+        pytest.param(lambda: standard_coordinates(_ONE_2, 2.0), id="coordinates_float_m"),
+        pytest.param(
+            lambda: standard_coordinates(_ONE_2, 2, k_bound=True), id="coordinates_bool_k_bound"
+        ),
+        pytest.param(lambda: subalgebra_membership(_ONE_2, 2.0, 1), id="membership_float_m"),
+        pytest.param(lambda: subalgebra_membership(_ONE_2, 2, 1.0), id="membership_float_k"),
     ],
 )
 def test_preconditions_raise(call):
