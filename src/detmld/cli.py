@@ -255,7 +255,7 @@ def _format_scaled(n: int, den: int) -> str:
 
 def _cmd_semicontinuity(args) -> dict:
     pair = new_pair(args.m, args.k, _parse_alphas(args.alphas))
-    # In integers over the profile's denominator D.
+    # In integers over the pair's denominator D, which the profile shares.
     den, profile = scaled_semicontinuity_profile(pair)
     base = pair.m - pair.k
     differences = []
@@ -264,11 +264,9 @@ def _cmd_semicontinuity(args) -> dict:
         lower, upper = profile[q - 1], profile[q]
         if lower is not None and upper is not None:
             diff = upper - lower
-            # diff / D == base + alpha_prefix(k - q + 1), cross-multiplied in integers.
+            # diff / D == base + alpha_prefix(k - q + 1)
             differences.append(_format_scaled(diff, den))
-            identity = identity and diff * pair._denominator == (
-                base * pair._denominator + pair._scaled_prefix[pair.k - q + 1]
-            ) * den
+            identity = identity and diff == base * den + pair._scaled_prefix[pair.k - q + 1]
         else:
             differences.append(None)
     return {
@@ -371,18 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_empty_values(args) -> None:
-    # argparse before Python 3.12 parses `--opt=--` to an empty list.
-    for name, value in vars(args).items():
-        if value == []:
-            raise _InputError(f"option {name!r} needs a value, got '--'")
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        _reject_empty_values(args)
+        # argparse reads `--opt=--` as an empty list up to Python 3.12 and
+        # as a two-line usage error from 3.13, so it is rejected here.
+        for token in argv:
+            if token.startswith("--") and token.endswith("=--"):
+                raise _InputError(f"option {token[:-3]!r} needs a value, got '--'")
+        args = parser.parse_args(argv)
         out = args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

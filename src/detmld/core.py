@@ -19,6 +19,14 @@ class PreconditionError(ValueError):
     """An argument violates a documented precondition of the operation."""
 
 
+def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
+    """Reject a size, count or index that is not an `int` (a bool is not one)
+    or lies outside low..high; with high None there is no upper limit."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise PreconditionError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 class _Infinity:
     """Formal infinity: larger than every integer, absorbing under + and *.
 
@@ -93,16 +101,10 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_entry(value) -> Entry:
-    if value is INF:
+    """A partition entry: a natural, or INF (also written "inf", as in to_json)."""
+    if value is INF or isinstance(value, str) and value.strip().lower() == "inf":
         return INF
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return INF
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"partition entries must be naturals or INF, got {value!r}")
-    if value < 0:
-        raise PreconditionError(f"partition entries must be nonnegative, got {value}")
+    _check_int("partition entry", value)
     return value
 
 
@@ -178,10 +180,8 @@ class DeterminantalPair:
     _scaled_prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise PreconditionError(f"matrix size m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise PreconditionError(f"rank bound k must be a positive integer, got {self.k!r}")
+        _check_int("m", self.m, 1)
+        _check_int("k", self.k, 1)
         if self.k > self.m:
             raise PreconditionError(f"rank bound k={self.k} exceeds matrix size m={self.m}")
         if self.k > MAX_RANK:
@@ -199,8 +199,7 @@ class DeterminantalPair:
 
     def alpha_prefix(self, j: int) -> Fraction:
         """Sum of the first j >= 0 coefficients (all of them when j > k), in O(1)."""
-        if j < 0:
-            raise PreconditionError(f"prefix length must be >= 0, got {j}")
+        _check_int("prefix length j", j)
         return Fraction(self._scaled_prefix[min(j, self.k)], self._denominator)
 
 
@@ -213,7 +212,7 @@ def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     The padding is one shared Fraction(0), which the constructor keeps as is.
     """
     alphas = tuple(alphas)
-    if isinstance(k, int) and isinstance(m, int) and k <= min(m, MAX_RANK):
+    if type(m) is int and type(k) is int and k <= min(m, MAX_RANK):
         alphas += (_ZERO,) * (k - len(alphas))
     return DeterminantalPair(m, k, alphas)
 

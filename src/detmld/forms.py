@@ -47,14 +47,13 @@ from itertools import combinations, product
 from operator import add
 from typing import Dict, Tuple
 
-from .core import PreconditionError
+from .core import PreconditionError, _check_int
 from .polynomials import Exponents, MultiPoly, _minor_poly
 from .tableaux import (
     DoubleTableau,
     Membership,
     StandardExpansion,
     Tableau,
-    _check_int,
     _rectangular_membership,
     _trusted_tableau,
     standard_coordinates,
@@ -119,17 +118,15 @@ class ChartForm:
 
 def _validate_chart(rows, cols, m: int, k: int) -> tuple:
     _check_int("m", m, 1)
-    _check_int("k", k, 1)
-    rows = tuple(sorted(rows))
-    cols = tuple(sorted(cols))
+    _check_int("k", k, 1, m)
+    rows, cols = tuple(rows), tuple(cols)
+    if not all(type(v) is int and 1 <= v <= m for v in rows + cols):
+        raise PreconditionError(f"chart {rows} x {cols} does not fit in m={m}")
+    rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
     if len(rows) != k or len(cols) != k:
         raise PreconditionError(f"chart needs k={k} rows and columns, got {rows}, {cols}")
     if len(set(rows)) != k or len(set(cols)) != k:
         raise PreconditionError(f"repeated chart index in {rows} or {cols}")
-    if not 1 <= k <= m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if rows[0] < 1 or cols[0] < 1 or rows[-1] > m or cols[-1] > m:
-        raise PreconditionError(f"chart {rows} x {cols} does not fit in m={m}")
     return rows, cols
 
 
@@ -324,15 +321,16 @@ def reduce_top_form(
     F = 0, not an error.
     """
     m, k = chart.m, chart.k
-    positions = tuple(sorted(tuple(p) for p in positions))
+    positions = [tuple(p) for p in positions]
+    for i, j in positions:
+        if not (type(i) is int and type(j) is int and 1 <= i <= m and 1 <= j <= m):
+            raise PreconditionError(f"position ({i!r},{j!r}) outside the {m}x{m} matrix")
+    positions = tuple(sorted(positions))
     expected = k * (2 * m - k)
     if len(positions) != expected or len(set(positions)) != len(positions):
         raise PreconditionError(
             f"need {expected} distinct positions, got {len(positions)}"
         )
-    for i, j in positions:
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise PreconditionError(f"position ({i},{j}) outside the {m}x{m} matrix")
     ref = reference_chart_indices(k)
     numerator, bpow = _reduce_positions(positions, ref, ref, m, k, elimination_order)
     expansion = _resolve_coefficient(numerator, bpow, m, k)
@@ -418,9 +416,7 @@ def verify_nash(m: int, k: int) -> NashReport:
     `minors_realized`.  Guarded to m <= 4 (exhaustive: 11,440 subsets at
     (4, 1))."""
     _check_int("m", m, 1)
-    _check_int("k", k, 1)
-    if k > m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
+    _check_int("k", k, 1, m)
     if m > VERIFY_GUARD_M:
         raise PreconditionError(
             f"exhaustive verification is guarded to m <= {VERIFY_GUARD_M}, got m={m}"

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional
 
-from .core import DeterminantalPair, MldValue, PreconditionError
+from .core import DeterminantalPair, MldValue, PreconditionError, _check_int
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class BetaVector:
 
 def beta_coefficients(pair: DeterminantalPair, count: int) -> BetaVector:
     """The first `count` beta coefficients of the pair, 0 <= count <= k."""
-    if not 0 <= count <= pair.k:
-        raise PreconditionError(f"need 0 <= count <= k={pair.k}, got {count}")
+    _check_int("count", count, 0, pair.k)
     base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     return BetaVector(
         tuple(
@@ -67,8 +66,7 @@ def first_lc_violation(pair: DeterminantalPair, count: int) -> Optional[tuple]:
 
     Returns (j, lhs, rhs) for the violated inequality, else None.
     """
-    if not 0 <= count <= pair.k:
-        raise PreconditionError(f"need 0 <= count <= k={pair.k}, got {count}")
+    _check_int("count", count, 0, pair.k)
     base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     for j in range(1, count + 1):
         if prefix[j] > (base + 2 * j - 1) * denominator:
@@ -82,8 +80,7 @@ def is_lc_at_rank(pair: DeterminantalPair, q: int) -> bool:
     Holds exactly when alpha_1 + ... + alpha_j <= m - k + (2j - 1) for every
     j = 1, ..., k - q; vacuously true when q = k.
     """
-    if not 0 <= q <= pair.k:
-        raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={q}")
+    _check_int("q", q, 0, pair.k)
     return first_lc_violation(pair, pair.k - q) is None
 
 
@@ -107,8 +104,7 @@ def is_lc_along(pair: DeterminantalPair, j: int) -> bool:
     The criterion ranges over all prefix lengths: alpha_1 + ... + alpha_l
     <= m - k + (2l - 1) for every l = 1, ..., k, independent of j.
     """
-    if not 1 <= j <= pair.k:
-        raise PreconditionError(f"need 1 <= j <= k={pair.k}, got j={j}")
+    _check_int("j", j, 1, pair.k)
     return first_lc_violation(pair, pair.k) is None
 
 
@@ -132,8 +128,8 @@ def is_terminal(m: int, k: int) -> bool:
     True when k = m (the locus is smooth) and otherwise when the mld along
     the singular locus exceeds 1, i.e. m - k + 1 > 1.
     """
-    if not isinstance(m, int) or not isinstance(k, int) or not 1 <= k <= m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
+    _check_int("m", m, 1)
+    _check_int("k", k, 1, m)
     if k == m:
         return True
     pair = DeterminantalPair(m, k, (Fraction(0),) * k)
@@ -155,27 +151,19 @@ def semicontinuity_profile(pair: DeterminantalPair) -> list:
 
 
 def scaled_semicontinuity_profile(pair: DeterminantalPair) -> tuple:
-    """(D, numerators): D is the lcm of the alpha denominators, and the mld at
+    """(D, numerators): D is the pair's common denominator, and the mld at
     rank q is numerators[q] / D, or negative infinity where numerators[q] is
     None.  Nonnegative coefficients are required, as in semicontinuity_profile.
     """
-    denominator = lcm(*(a.denominator for a in pair.alphas))
-    scaled = [a.numerator * (denominator // a.denominator) for a in pair.alphas]
-    if any(a < 0 for a in scaled):
+    if any(a < 0 for a in pair.alphas):
         raise PreconditionError("semicontinuity profile requires nonnegative coefficients")
-    m, k = pair.m, pair.k
+    m, k, denominator = pair.m, pair.k, pair._denominator
     # Log canonical at rank q exactly when r = k - q is below the first
-    # violated prefix (alpha_1 + ... + alpha_r > m - k + 2r - 1); the
-    # correction at r is the sum of the first r prefix sums, so one running
-    # sum serves every rank.
-    corrections = [0]
-    prefix = 0
-    for r, a in enumerate(scaled, start=1):
-        prefix += a
-        if prefix > (m - k + 2 * r - 1) * denominator:
-            break
-        corrections.append(corrections[-1] + prefix)
-    lc_limit = len(corrections) - 1
+    # violated prefix; the correction at r is the sum of the first r prefix
+    # sums, so one running sum serves every rank.
+    violation = first_lc_violation(pair, k)
+    lc_limit = k if violation is None else violation[0] - 1
+    corrections = tuple(accumulate(pair._scaled_prefix[:lc_limit + 1]))
     return denominator, [
         (q * (m - k) + k * m) * denominator - corrections[k - q] if k - q <= lc_limit else None
         for q in range(k + 1)

@@ -44,6 +44,7 @@ from .core import (
     ExtendedPartition,
     MldValue,
     PreconditionError,
+    _check_int,
     _trusted_partition,
 )
 from .mld import BetaVector, beta_coefficients, mld_along, mld_at_rank
@@ -130,11 +131,9 @@ class OracleComparison:
 
 def _validate_target(pair: DeterminantalPair, target: Target) -> None:
     if isinstance(target, PointTarget):
-        if not 0 <= target.q <= pair.k:
-            raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={target.q}")
+        _check_int("q", target.q, 0, pair.k)
     elif isinstance(target, LocusTarget):
-        if not 1 <= target.j <= pair.k:
-            raise PreconditionError(f"need 1 <= j <= k={pair.k}, got j={target.j}")
+        _check_int("j", target.j, 1, pair.k)
     else:
         raise PreconditionError(f"unknown target {target!r}")
 
@@ -204,8 +203,7 @@ def iter_tails(pair: DeterminantalPair, target: Target, bound: int) -> Iterator[
     """All nonincreasing finite tails with entries in [0, bound] meeting the
     target's membership constraints, in descending lexicographic order."""
     _validate_target(pair, target)
-    if bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
+    _check_int("bound", bound, 1)
     k = pair.k
     if isinstance(target, PointTarget):
         zeros = (0,) * target.q
@@ -238,8 +236,7 @@ def minimize_objective(
     lexicographically smallest argmin.
     """
     _validate_target(pair, target)
-    if bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
+    _check_int("bound", bound, 1)
     count = pair.k - target.q if isinstance(target, PointTarget) else pair.k
     betas = beta_coefficients(pair, count)
     if any(s < 0 for s in betas.prefix_sums()):
@@ -357,20 +354,19 @@ def series_minor_order(
     Needs m <= MAX_SERIES_SIZE and truncation <= MAX_TRUNCATION.
     """
     exponents = tuple(exponents)
+    _check_int("m", m, 1)
     if m > MAX_SERIES_SIZE:
         raise PreconditionError(f"matrix size m={m} exceeds the supported {MAX_SERIES_SIZE}")
+    _check_int("truncation", truncation)
     if truncation > MAX_TRUNCATION:
         raise PreconditionError(
             f"truncation {truncation} exceeds the supported {MAX_TRUNCATION}"
         )
     if len(exponents) != m:
         raise PreconditionError(f"need m={m} exponents, got {len(exponents)}")
-    if any(not isinstance(e, int) or e < 0 for e in exponents):
-        raise PreconditionError(f"exponents must be nonnegative integers: {exponents}")
-    if not 1 <= size <= m:
-        raise PreconditionError(f"need 1 <= size <= m={m}, got {size}")
-    if truncation < 0:
-        raise PreconditionError(f"truncation must be >= 0, got {truncation}")
+    for e in exponents:
+        _check_int("exponent", e)
+    _check_int("size", size, 1, m)
     finite_total = sum(e for e in exponents if e <= truncation)
     if finite_total > truncation:
         raise PreconditionError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from .core import INF, DeterminantalPair, ExtendedPartition, PreconditionError
+from .core import INF, DeterminantalPair, ExtendedPartition, PreconditionError, _check_int
 
 
 def _check_lengths(lam: ExtendedPartition, pair: DeterminantalPair) -> None:
@@ -65,8 +65,7 @@ def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: 
     Requires lam_1, ..., lam_{m-q} > 0 and lam_{m-q+1} = ... = lam_m = 0.
     """
     _require_in_jet_space(lam, pair)
-    if not 0 <= q <= pair.k:
-        raise PreconditionError(f"need 0 <= q <= k={pair.k}, got q={q}")
+    _check_int("q", q, 0, pair.k)
     return _meets_point_fiber(lam, pair, q)
 
 
@@ -82,8 +81,7 @@ def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i:
     minors along the diagonal arc (INF-absorbing sum).
     """
     _require_in_jet_space(lam, pair)
-    if not 1 <= i <= pair.k:
-        raise PreconditionError(f"need 1 <= i <= k={pair.k}, got i={i}")
+    _check_int("i", i, 1, pair.k)
     return _contact_orders(lam, pair)[i - 1]
 
 

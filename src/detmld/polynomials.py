@@ -19,15 +19,15 @@ from math import lcm
 from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .core import PreconditionError, format_rational, parse_rational
+from .core import PreconditionError, _check_int, format_rational, parse_rational
 
 Exponents = Tuple[int, ...]
 
 
 def var_index(m: int, i: int, j: int) -> int:
     """Index of x_ij in the exponent vector, 1-based i, j."""
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise PreconditionError(f"entry ({i},{j}) outside a {m}x{m} matrix")
+    if not (type(i) is int and type(j) is int and 1 <= i <= m and 1 <= j <= m):
+        raise PreconditionError(f"entry ({i!r},{j!r}) outside a {m}x{m} matrix")
     return (i - 1) * m + (j - 1)
 
 
@@ -41,8 +41,7 @@ class MultiPoly:
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: Dict[Exponents, Fraction] | None = None):
-        if not isinstance(m, int) or m < 1:
-            raise PreconditionError(f"matrix size must be a positive integer, got {m}")
+        _check_int("m", m, 1)
         self.m = m
         clean: Dict[Exponents, Fraction] = {}
         if terms:
@@ -152,8 +151,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise PreconditionError(f"polynomial power must be a nonnegative integer, got {n}")
+        _check_int("power", n)
         result = MultiPoly.one(self.m)
         base = self
         while n:
@@ -258,6 +256,8 @@ class MinorIndex:
     cols: tuple
 
     def __post_init__(self):
+        for index in (*self.rows, *self.cols):
+            _check_int("minor index", index, 1)
         rows = tuple(sorted(self.rows))
         cols = tuple(sorted(self.cols))
         object.__setattr__(self, "rows", rows)
@@ -267,8 +267,6 @@ class MinorIndex:
         for seq in (rows, cols):
             if len(set(seq)) != len(seq):
                 raise PreconditionError(f"repeated index in {seq}")
-            if seq and seq[0] < 1:
-                raise PreconditionError(f"indices must be >= 1, got {seq}")
 
     @property
     def size(self) -> int:
@@ -280,6 +278,7 @@ _MINOR_CACHE: Dict[Tuple[int, tuple, tuple], MultiPoly] = {}
 
 def minor_poly(idx: MinorIndex, m: int) -> MultiPoly:
     """Determinant of the selected submatrix, by memoized Leibniz expansion."""
+    _check_int("m", m, 1)
     if idx.size == 0:
         raise PreconditionError("empty minor")
     if idx.rows[-1] > m or idx.cols[-1] > m:
@@ -338,6 +337,7 @@ def substitute_series(p: MultiPoly, assignment: Sequence[Sequence[list]], trunca
     t**0, ..., t**N; the result's are Fractions.  Every monomial is multiplied
     out, so this is the short minor-by-minor reference for the series oracle."""
     m = p.m
+    _check_int("truncation", truncation)
     if len(assignment) != m or any(len(row) != m for row in assignment):
         raise PreconditionError(f"assignment must be an {m}x{m} matrix of series")
     if any(len(s) != truncation + 1 for row in assignment for s in row):

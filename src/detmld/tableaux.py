@@ -47,7 +47,7 @@ from itertools import combinations
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .core import PreconditionError
+from .core import PreconditionError, _check_int
 from .linalg import PreparedSolver
 from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
 
@@ -123,6 +123,7 @@ class Tableau:
 
     def content(self, m: int) -> tuple:
         """Multiplicity of each value 1..m, as a length-m tuple."""
+        _check_int("m", m, 1)
         counts = [0] * m
         for row in self.rows:
             for v in row:
@@ -261,6 +262,7 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
     Rows are read as index sets, so the value is insensitive to the order of
     entries within a row; repeated entries within a row are rejected.
     """
+    _check_int("m", m, 1)
     _check_rows(dt, m)
     result = None
     for lrow, rrow in zip(dt.left.rows, dt.right.rows):
@@ -276,12 +278,6 @@ def _check_rows(dt: DoubleTableau, m: int) -> None:
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
         if max(lrow) > m or max(rrow) > m:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
-
-
-def _check_int(name: str, value, low: int = 0) -> None:
-    """Reject a size or count that is not an `int` (a bool is not one) or is below low."""
-    if type(value) is not int or value < low:
-        raise PreconditionError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _partitions(total: int, max_part: int) -> Iterable[tuple]:
@@ -710,9 +706,7 @@ def subalgebra_membership(F: MultiPoly, m: int, k: int) -> Membership:
     when every surviving shape is the rectangle (k, ..., k).
     """
     _check_int("m", m, 1)
-    _check_int("k", k, 1)
-    if k > m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
+    _check_int("k", k, 1, m)
     if F.m != m:
         raise PreconditionError(f"polynomial layout {F.m} does not match m={m}")
     if F.is_zero:

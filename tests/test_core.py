@@ -57,7 +57,7 @@ class TestPair:
     def test_non_integer_size_or_rank_rejected(self, m, k):
         with pytest.raises(PreconditionError) as info:
             new_pair(m, k, [1])
-        assert "must be a positive integer" in str(info.value)
+        assert "must be an integer >= 1" in str(info.value)
 
     def test_huge_rank_rejected_before_padding(self):
         # 10**20 zeros cannot be allocated, so padding first would raise

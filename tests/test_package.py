@@ -1,10 +1,61 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import detmld
+from detmld import (
+    INF,
+    DeterminantalPair,
+    DoubleTableau,
+    ExtendedPartition,
+    LocusTarget,
+    MinorIndex,
+    MldValue,
+    MultiPoly,
+    PointTarget,
+    PreconditionError,
+    Tableau,
+    YoungDiagram,
+    beta_coefficients,
+    bideterminant,
+    chart_form,
+    clear_caches,
+    compare_with_closed_form,
+    contact_order_subvariety,
+    discrepancy_objective,
+    dominance_leq,
+    enumerate_standard_basis,
+    is_lc_along,
+    is_lc_at_rank,
+    is_standard,
+    is_terminal,
+    minimize_objective,
+    minor_poly,
+    mld_along,
+    mld_at_rank,
+    nash_contact_order,
+    new_pair,
+    new_partition,
+    orbit_codim,
+    orbit_codim_point,
+    orbit_has_finite_codim,
+    orbit_in_jet_space,
+    orbit_meets_point_fiber,
+    reduce_top_form,
+    semicontinuity_profile,
+    series_minor_order,
+    straighten,
+    subalgebra_membership,
+    substitute_series,
+    tableau_leq,
+    verify_chart_transition,
+    verify_nash,
+)
 
 SUBMODULES = ("core", "forms", "linalg", "mld", "oracle", "orbits", "polynomials", "tableaux")
 
@@ -137,3 +188,109 @@ def test_benchmark_tracer_targets_exist():
                 missing.append(f"{module_name}:{attr_path}")
                 break
     assert not missing
+
+
+# The input contract of the public API: every size, count, rank or index
+# argument is an int (not a bool) in its documented range, and anything else
+# raises PreconditionError.  Each row is a known-good small call whose
+# parameters are exactly the size, count and index arguments it passes on,
+# with good defaults; a row without parameters has none.
+_PAIR = new_pair(2, 1, (0,))
+_LAM = new_partition((INF, 1))
+_T = Tableau(((1,),))
+_DT = DoubleTableau(_T, Tableau(((2,),)))
+_CHART = chart_form((1,), (1,), 2, 1)
+
+CONTRACT = {
+    "DeterminantalPair": lambda m=2, k=1: DeterminantalPair(m, k, (0,)),
+    "DoubleTableau": lambda: DoubleTableau(_T, _T),
+    "ExtendedPartition": lambda entry=0: ExtendedPartition((INF, entry)),
+    "MinorIndex": lambda row=1, col=2: MinorIndex((row,), (col,)),
+    "MldValue": lambda: MldValue(1),
+    "MultiPoly": lambda m=2: MultiPoly(m),
+    "Tableau": lambda entry=1: Tableau(((entry,),)),
+    "YoungDiagram": lambda row=1: YoungDiagram((row,)),
+    "beta_coefficients": lambda count=1: beta_coefficients(_PAIR, count),
+    "bideterminant": lambda m=2: bideterminant(_DT, m),
+    "chart_form": lambda row=1, col=2, m=2, k=1: chart_form((row,), (col,), m, k),
+    "clear_caches": lambda: clear_caches(),
+    "compare_with_closed_form": lambda j=1, bound=1: compare_with_closed_form(
+        _PAIR, LocusTarget(j), bound
+    ),
+    "contact_order_subvariety": lambda i=1: contact_order_subvariety(_LAM, _PAIR, i),
+    "discrepancy_objective": lambda q=0: discrepancy_objective(_PAIR, _LAM, PointTarget(q)),
+    "dominance_leq": lambda: dominance_leq(YoungDiagram((1,)), YoungDiagram((1,))),
+    "enumerate_standard_basis": lambda m=2, degree=1, k_bound=1: enumerate_standard_basis(
+        m, degree=degree, k_bound=k_bound
+    ),
+    "is_lc_along": lambda j=1: is_lc_along(_PAIR, j),
+    "is_lc_at_rank": lambda q=0: is_lc_at_rank(_PAIR, q),
+    "is_standard": lambda: is_standard(_T),
+    "is_terminal": lambda m=2, k=1: is_terminal(m, k),
+    "minimize_objective": lambda q=0, bound=1: minimize_objective(_PAIR, PointTarget(q), bound),
+    "minor_poly": lambda index=1, m=2: minor_poly(MinorIndex((index,), (1,)), m),
+    "mld_along": lambda j=1: mld_along(_PAIR, j),
+    "mld_at_rank": lambda q=0: mld_at_rank(_PAIR, q),
+    "nash_contact_order": lambda: nash_contact_order(_LAM, _PAIR),
+    "new_pair": lambda m=2, k=1: new_pair(m, k),
+    "new_partition": lambda entry=0: new_partition((INF, entry)),
+    "orbit_codim": lambda: orbit_codim(_LAM, _PAIR),
+    "orbit_codim_point": lambda q=0: orbit_codim_point(_LAM, _PAIR, q),
+    "orbit_has_finite_codim": lambda: orbit_has_finite_codim(_LAM, _PAIR),
+    "orbit_in_jet_space": lambda: orbit_in_jet_space(_LAM, _PAIR),
+    "orbit_meets_point_fiber": lambda q=0: orbit_meets_point_fiber(_LAM, _PAIR, q),
+    "reduce_top_form": lambda i=2, j=1: reduce_top_form(((1, 1), (1, 2), (i, j)), _CHART),
+    "semicontinuity_profile": lambda: semicontinuity_profile(_PAIR),
+    "series_minor_order": lambda exponent=0, m=2, size=1, truncation=2: series_minor_order(
+        (exponent, 1), m, size, truncation
+    ),
+    "straighten": lambda m=2, k_bound=1: straighten(_DT, m, k_bound),
+    "subalgebra_membership": lambda m=2, k=1: subalgebra_membership(MultiPoly.one(2), m, k),
+    "substitute_series": lambda truncation=1: substitute_series(
+        MultiPoly.one(1), [[[1, 0]]], truncation
+    ),
+    "tableau_leq": lambda: tableau_leq(_T, _T),
+    "verify_chart_transition": lambda row=1, m=2, k=1: verify_chart_transition(
+        (row,), (1,), (2,), (1,), m, k
+    ),
+    "verify_nash": lambda m=2, k=1: verify_nash(m, k),
+}
+
+# Public callables outside the table, with the reason.
+EXEMPT = {
+    "BetaVector": "output record of beta_coefficients",
+    "ChartForm": "output record of chart_form, which checks m, k and the chart indices",
+    "Membership": "output record of subalgebra_membership",
+    "NashReport": "output record of verify_nash",
+    "OracleComparison": "output record of compare_with_closed_form",
+    "OracleResult": "output record of minimize_objective",
+    "PointTarget": "record; q is checked against the pair wherever a target is used",
+    "LocusTarget": "record; j is checked against the pair wherever a target is used",
+    "PreconditionError": "the exception the contract raises",
+    "ReductionResult": "output record of reduce_top_form",
+    "StandardExpansion": "output record of straighten and the standard-basis routines",
+}
+
+NOT_INTEGERS = (True, 2.0, "2", -1)
+
+
+def test_contract_table_covers_every_public_callable():
+    public = {name for name in detmld.__all__ if callable(getattr(detmld, name))}
+    assert not public - CONTRACT.keys() - EXEMPT.keys()
+    assert not (CONTRACT.keys() | EXEMPT.keys()) - public
+    assert not CONTRACT.keys() & EXEMPT.keys()
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_sizes_counts_and_indices_must_be_integers(name):
+    call = CONTRACT[name]
+    call()
+    accepted = []
+    for argument in inspect.signature(call).parameters:
+        for value in NOT_INTEGERS:
+            try:
+                call(**{argument: value})
+            except PreconditionError:
+                continue
+            accepted.append(f"{argument}={value!r}")
+    assert not accepted

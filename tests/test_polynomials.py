@@ -280,6 +280,9 @@ class TestSeries:
             lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, 0]}]), id="from_json_missing_coef"
         ),
         pytest.param(lambda: MultiPoly.one(2) ** -1, id="negative_power"),
+        pytest.param(lambda: MultiPoly.one(2) ** True, id="bool_power"),
+        pytest.param(lambda: MultiPoly.variable(2, 1.0, 1), id="variable_float_index"),
+        pytest.param(lambda: MultiPoly.one(2).partial(1, True), id="partial_bool_index"),
         pytest.param(lambda: MinorIndex((1, 2), (1,)), id="minor_not_square"),
         pytest.param(lambda: MinorIndex((1, 1), (1, 2)), id="minor_repeated_index"),
         pytest.param(lambda: MinorIndex((0, 1), (1, 2)), id="minor_index_below_1"),

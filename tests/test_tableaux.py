@@ -828,6 +828,7 @@ _ONE_2 = MultiPoly.one(2)
     "call",
     [
         pytest.param(lambda: Tableau(((1, 3),)).content(2), id="content_entry_above_m"),
+        pytest.param(lambda: Tableau(((1,),)).content(2.0), id="content_float_m"),
         pytest.param(lambda: enumerate_standard_basis(2), id="neither_degree_nor_content"),
         pytest.param(
             lambda: enumerate_standard_basis(2, degree=1, content=((1, 0), (1, 0))),
