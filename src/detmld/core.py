@@ -27,6 +27,24 @@ def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
         raise PreconditionError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """The items of an iterable argument as a tuple; anything else is rejected."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _as_rational(name: str, value) -> Fraction:
+    """An exact coefficient: a Fraction, or an int (a bool is not one) as a
+    Fraction.  A str or a float is rejected rather than parsed or expanded."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 class _Infinity:
     """Formal infinity: larger than every integer, absorbing under + and *.
 
@@ -186,7 +204,7 @@ class DeterminantalPair:
             raise PreconditionError(f"rank bound k={self.k} exceeds matrix size m={self.m}")
         if self.k > MAX_RANK:
             raise PreconditionError(f"rank bound k={self.k} exceeds the supported {MAX_RANK}")
-        alphas = tuple(a if type(a) is Fraction else Fraction(a) for a in self.alphas)
+        alphas = tuple(_as_rational("coefficient", a) for a in self.alphas)
         if len(alphas) != self.k:
             raise PreconditionError(
                 f"need exactly k={self.k} coefficients, got {len(alphas)}"
@@ -229,9 +247,7 @@ class MldValue:
     NEG_INFINITY: "MldValue"
 
     def __init__(self, value):
-        if value is not None:
-            value = Fraction(value)
-        self._value = value
+        self._value = None if value is None else _as_rational("mld value", value)
 
     @classmethod
     def finite(cls, value) -> "MldValue":

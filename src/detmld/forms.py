@@ -321,10 +321,11 @@ def reduce_top_form(
     F = 0, not an error.
     """
     m, k = chart.m, chart.k
-    positions = [tuple(p) for p in positions]
-    for i, j in positions:
+    positions = [tuple(p) if isinstance(p, (tuple, list)) else p for p in positions]
+    for p in positions:
+        i, j = p if type(p) is tuple and len(p) == 2 else (None, None)
         if not (type(i) is int and type(j) is int and 1 <= i <= m and 1 <= j <= m):
-            raise PreconditionError(f"position ({i!r},{j!r}) outside the {m}x{m} matrix")
+            raise PreconditionError(f"position {p!r} is not a pair of indices in 1..{m}")
     positions = tuple(sorted(positions))
     expected = k * (2 * m - k)
     if len(positions) != expected or len(set(positions)) != len(positions):

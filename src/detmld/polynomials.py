@@ -19,7 +19,7 @@ from math import lcm
 from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .core import PreconditionError, _check_int, format_rational, parse_rational
+from .core import PreconditionError, _as_tuple, _check_int, format_rational, parse_rational
 
 Exponents = Tuple[int, ...]
 
@@ -256,10 +256,10 @@ class MinorIndex:
     cols: tuple
 
     def __post_init__(self):
-        for index in (*self.rows, *self.cols):
+        rows, cols = _as_tuple("minor rows", self.rows), _as_tuple("minor columns", self.cols)
+        for index in rows + cols:
             _check_int("minor index", index, 1)
-        rows = tuple(sorted(self.rows))
-        cols = tuple(sorted(self.cols))
+        rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         if len(rows) != len(cols):

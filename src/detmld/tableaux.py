@@ -21,9 +21,12 @@ order-preserving relabelling keeps standardness and every minor's sign); a
 content on the first rows and columns takes the block's own tableaux.
 Monomials go packed to the solver (one int per monomial, so a monomial
 product is one addition).  A block's integer columns, the standard
-bideterminants, are multiplied out on them, and so is the input of
-`straighten`, a product of minors with one content, relabelled onto that
-content's support: straightening builds no polynomial.
+bideterminants, are multiplied out on them first, and the packed monomials
+they reach, sorted, are its rows: by the straightening law these are all
+the monomials of the content, so none is enumerated.  The input of
+`straighten`, a product of minors with one content, is multiplied out the
+same way, relabelled onto that content's support: straightening builds no
+polynomial.
 `standard_coordinates` packs a polynomial's terms content by content.
 `bideterminant` itself stays on `MultiPoly`, and re-expanding a result with
 it checks the packed route independently.  The standard tableaux of each
@@ -44,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .core import PreconditionError, _check_int
+from .core import PreconditionError, _as_tuple, _check_int
 from .linalg import PreparedSolver
 from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
 
@@ -65,7 +67,7 @@ class YoungDiagram:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(self.rows)
+        rows = _as_tuple("row lengths", self.rows)
         object.__setattr__(self, "rows", rows)
         if any(type(r) is not int or r < 1 for r in rows):
             raise PreconditionError(f"row lengths must be positive integers: {rows}")
@@ -98,7 +100,7 @@ class Tableau:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+        rows = tuple(_as_tuple("tableau row", row) for row in _as_tuple("tableau rows", self.rows))
         object.__setattr__(self, "rows", rows)
         for row in rows:
             if any(type(v) is not int or v < 1 for v in row):
@@ -198,6 +200,8 @@ class DoubleTableau:
     right: Tableau
 
     def __post_init__(self):
+        if not (isinstance(self.left, Tableau) and isinstance(self.right, Tableau)):
+            raise PreconditionError(f"sides must be Tableaux, got {self.left!r}, {self.right!r}")
         if list(map(len, self.left.rows)) != list(map(len, self.right.rows)):
             raise PreconditionError(
                 f"sides have different shapes: {self.left.shape.rows} vs {self.right.shape.rows}"
@@ -272,7 +276,10 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
 
 
 def _check_rows(dt: DoubleTableau, m: int) -> None:
-    """Reject a row pair of dt that repeats an entry or does not fit in m."""
+    """Reject a dt that is not a DoubleTableau, or a row pair of it that
+    repeats an entry or does not fit in m."""
+    if not isinstance(dt, DoubleTableau):
+        raise PreconditionError(f"expected a DoubleTableau, got {dt!r}")
     for lrow, rrow in zip(dt.left.rows, dt.right.rows):
         if len(set(lrow)) != len(lrow) or len(set(rrow)) != len(rrow):
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
@@ -299,7 +306,7 @@ def enumerate_standard_tableaux(
     content are produced.  Order is lexicographic on the rows.
     """
     _check_int("m", m, 1)
-    shape = YoungDiagram(tuple(shape)).rows
+    shape = YoungDiagram(shape).rows
     if content is not None and (
         len(content) != m or any(type(c) is not int or c < 0 for c in content)
     ):
@@ -413,28 +420,28 @@ def _standard_basis(
 
 
 class _ContentBlock:
-    """Change of basis between packed monomials and standard bideterminants of one content."""
+    """Change of basis between packed monomials and standard bideterminants of one content.
+
+    The rows are the packed monomials the standard bideterminants reach, in
+    descending order.  By the straightening law they are all the monomials
+    of the content, one per tableau; the square and rank checks hold it.
+    """
 
     def __init__(self, m: int, row_content: tuple, col_content: tuple):
         self.m = m
         self.bits = bits = sum(row_content).bit_length()
-        monomials = _monomials_with_content(m, row_content, col_content)
-        self.row_of = {_pack(exp, bits): i for i, exp in enumerate(monomials)}
         self.tableaux = _standard_basis(m, sum(row_content), row_content, col_content, None)
-        if len(self.tableaux) != len(self.row_of):
+        packed = [_packed_bideterminant(dt, m, bits) for dt in self.tableaux]
+        rows = sorted({mono for col in packed for mono, coef in col.items() if coef}, reverse=True)
+        if len(rows) != len(self.tableaux):
             raise RuntimeError(
-                "standard basis size does not match the monomial count for content "
+                "standard basis size does not match the monomials it reaches for content "
                 f"{row_content} | {col_content}: this contradicts the straightening law"
             )
+        self.row_of = {mono: i for i, mono in enumerate(rows)}
         # Bideterminants have integer coefficients, so the columns are integers.
-        columns = []
-        for dt in self.tableaux:
-            vec = [0] * len(self.row_of)
-            for mono, coef in _packed_bideterminant(dt, m, bits).items():
-                vec[self.row_of[mono]] = coef
-            columns.append(vec)
         try:
-            self.solver = PreparedSolver(columns)
+            self.solver = PreparedSolver([[col.get(mono, 0) for mono in rows] for col in packed])
         except ArithmeticError as exc:
             raise RuntimeError(
                 "standard bideterminants are linearly dependent within a content "
@@ -444,8 +451,14 @@ class _ContentBlock:
     def coordinates(self, terms: Dict[int, Fraction]) -> List[tuple]:
         """(coefficient, standard double tableau) pairs of the packed terms."""
         rhs = [0] * len(self.row_of)
-        for mono, coef in terms.items():
-            rhs[self.row_of[mono]] = coef
+        try:
+            for mono, coef in terms.items():
+                rhs[self.row_of[mono]] = coef
+        except KeyError:
+            raise RuntimeError(
+                "an input monomial of the content is reached by no standard "
+                "bideterminant: this contradicts the straightening law"
+            ) from None
         solution = self.solver.solve(rhs)
         if solution is None:
             raise RuntimeError(
@@ -458,18 +471,12 @@ class _ContentBlock:
 
 
 # Packed monomials.  A block monomial of degree d is one int with a field of
-# d.bit_length() bits per variable, x_ij's exponent in the field of its
-# row-major index.  Every exponent of a column, and of every partial product
-# of its rows, is at most d, so adding two packed monomials never carries
-# from one field into the next: the sum is the packed product.
-
-
-def _pack(exp: Exponents, bits: int) -> int:
-    packed = 0
-    for idx, e in enumerate(exp):
-        if e:
-            packed |= e << (idx * bits)
-    return packed
+# d.bit_length() bits per variable, first variable most significant: x_ij's
+# exponent in an m x m block sits at shift (m * m - 1 - idx) * bits, idx its
+# row-major index, so descending packed order is descending lexicographic
+# order of exponent vectors.  Every exponent of a column, and of every partial
+# product of its rows, is at most d, so adding two packed monomials never
+# carries from one field into the next: the sum is the packed product.
 
 
 _PACKED_MINOR_CACHE: Dict[tuple, list] = {}
@@ -480,7 +487,7 @@ def _packed_minor(m: int, bits: int, rows: tuple, cols: tuple) -> list:
     key = (m, bits, rows, cols)
     minor = _PACKED_MINOR_CACHE.get(key)
     if minor is None:
-        fields = [[((i - 1) * m + j - 1) * bits for j in cols] for i in rows]
+        fields = [[((m - i) * m + m - j) * bits for j in cols] for i in rows]
         minor = [
             (sum(1 << row[p] for row, p in zip(fields, perm)), int(sign))
             for perm, sign in _signed_permutations(len(rows))
@@ -503,39 +510,6 @@ def _packed_bideterminant(dt: DoubleTableau, m: int, bits: int) -> Dict[int, int
                 product[key] = get(key, 0) + coef * sign
         column = product
     return column
-
-
-def _monomials_with_content(m: int, row_content: tuple, col_content: tuple) -> List[Exponents]:
-    """Exponent vectors of all monomials with the prescribed row/column
-    contents, in descending lexicographic order.  The matrix is filled one
-    row at a time, so the recursion is m deep; the last row takes what the
-    columns have left."""
-    results: List[Exponents] = []
-
-    def fill(i: int, prefix: tuple, cols_left: tuple) -> None:
-        if i == m - 1:
-            if sum(cols_left) == row_content[i]:
-                results.append(prefix + cols_left)
-            return
-        for row in _bounded_compositions(row_content[i], cols_left):
-            fill(i + 1, prefix + row, tuple(map(sub, cols_left, row)))
-
-    fill(0, (), tuple(col_content))
-    return results
-
-
-def _bounded_compositions(total: int, caps: tuple) -> Iterable[tuple]:
-    """Tuples summing to total with entry j in 0..caps[j], in descending
-    lexicographic order."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    rest_caps = caps[1:]
-    room = sum(rest_caps)
-    for e in range(min(total, caps[0]), max(total - room, 0) - 1, -1):
-        for rest in _bounded_compositions(total - e, rest_caps):
-            yield (e,) + rest
 
 
 _BLOCK_CACHE: Dict[tuple, _ContentBlock] = {}
@@ -625,11 +599,11 @@ def standard_coordinates(
                 terms.append((Fraction(coef), DoubleTableau(left, right)))
             continue
         block, rows, cols = _content_block(rc, cc)
-        # Variable x_{r, c} of the support is block variable (a, b), the
-        # field at shift (a * size + b) * bits of a packed block monomial.
+        # Variable x_{r, c} of the support is block variable (a, b), of
+        # row-major index a * size + b in a packed block monomial.
         size, bits = block.m, block.bits
         layout = [
-            (r * m + c, (a * size + b) * bits)
+            (r * m + c, (size * size - 1 - a * size - b) * bits)
             for a, r in enumerate(rows)
             for b, c in enumerate(cols)
         ]
@@ -660,14 +634,14 @@ def straighten(
     survives.  Nor at k_bound = 1, where every row is then a single entry
     and the content's one standard product has coefficient 1.
     """
-    if dt.shape.size > MAX_DEGREE:
-        raise PreconditionError(
-            f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
-        )
     _check_int("m", m, 1)
     if m > MAX_M:
         raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
     _check_rows(dt, m)
+    if dt.shape.size > MAX_DEGREE:
+        raise PreconditionError(
+            f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
+        )
     if k_bound is not None:
         _check_int("k_bound", k_bound)
     if k_bound is not None and dt.left.rows and len(dt.left.rows[0]) > k_bound:

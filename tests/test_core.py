@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,20 @@ class TestMldValue:
         assert MldValue.finite(6).value == 6
         with pytest.raises(PreconditionError):
             MldValue.NEG_INFINITY.value
+
+
+# Coefficients and mld values are exact: an int (not a bool) or a Fraction.
+# A string is not parsed and a float is not read as its binary expansion.
+@pytest.mark.parametrize("value", ["x", "1/2", 0.1, True])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda v: new_pair(2, 1, [v]), id="new_pair"),
+        pytest.param(lambda v: DeterminantalPair(2, 2, (0, v)), id="DeterminantalPair"),
+        pytest.param(MldValue, id="MldValue"),
+        pytest.param(MldValue.finite, id="MldValue.finite"),
+    ],
+)
+def test_coefficients_must_be_int_or_fraction(build, value):
+    with pytest.raises(PreconditionError, match=re.escape(repr(value))):
+        build(value)

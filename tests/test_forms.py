@@ -986,6 +986,14 @@ _WEDGE_2_1 = ((1, 1), (1, 2), (2, 1))
             lambda: reduce_top_form(((1, 1), (1, 2), (3, 1)), chart_form(*_CHART_2_1)),
             id="position_outside_the_matrix",
         ),
+        pytest.param(
+            lambda: reduce_top_form(((1, 1, 1), (1, 2), (2, 1)), chart_form(*_CHART_2_1)),
+            id="position_not_a_pair",
+        ),
+        pytest.param(
+            lambda: reduce_top_form((1, (1, 2), (2, 1)), chart_form(*_CHART_2_1)),
+            id="position_not_a_sequence",
+        ),
         # m and k are ints, and a bool is not one.
         pytest.param(lambda: chart_form((1,), (1,), 2, 1.0), id="chart_float_k"),
         pytest.param(lambda: chart_form((1,), (1,), 2.0, 1), id="chart_float_m"),

@@ -294,3 +294,21 @@ def test_sizes_counts_and_indices_must_be_integers(name):
                 continue
             accepted.append(f"{argument}={value!r}")
     assert not accepted
+
+
+# An argument of the wrong structure is a precondition error, not a
+# traceback from deep inside the call.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Tableau(5), id="Tableau"),
+        pytest.param(lambda: YoungDiagram(5), id="YoungDiagram"),
+        pytest.param(lambda: MinorIndex(1, 2), id="MinorIndex"),
+        pytest.param(lambda: DoubleTableau(None, None), id="DoubleTableau"),
+        pytest.param(lambda: straighten(None, 2), id="straighten"),
+        pytest.param(lambda: bideterminant(None, 2), id="bideterminant"),
+    ],
+)
+def test_structural_arguments_must_have_their_type(call):
+    with pytest.raises(PreconditionError):
+        call()
