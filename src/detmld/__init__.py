@@ -71,7 +71,7 @@ from .tableaux import (
 
 def clear_caches() -> None:
     """Empty the module-level caches (minor polynomials, the standard
-    tableaux of each (m, shape, content), the packed-integer minors of the
+    tableaux of each content by shape, the packed-integer minors of the
     content-block columns, content blocks, the per-chart elimination
     numerators and each chart's pivot table of signed cofactor minors), so
     that the next computation starts cold."""

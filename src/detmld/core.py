@@ -27,6 +27,12 @@ def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
         raise PreconditionError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """Reject an argument that is not an instance of cls."""
+    if not isinstance(value, cls):
+        raise PreconditionError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _as_tuple(name: str, value) -> tuple:
     """The items of an iterable argument as a tuple; anything else is rejected."""
     try:
@@ -137,7 +143,7 @@ class ExtendedPartition:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(_as_entry(e) for e in self.entries)
+        entries = tuple(_as_entry(e) for e in _as_tuple("partition entries", self.entries))
         object.__setattr__(self, "entries", entries)
         for a, b in zip(entries, entries[1:]):
             if not a >= b:
@@ -229,7 +235,7 @@ def new_pair(m: int, k: int, alphas: Iterable = ()) -> DeterminantalPair:
     MAX_RANK, so an out-of-range k is rejected before any allocation of size k.
     The padding is one shared Fraction(0), which the constructor keeps as is.
     """
-    alphas = tuple(alphas)
+    alphas = _as_tuple("coefficients", alphas)
     if type(m) is int and type(k) is int and k <= min(m, MAX_RANK):
         alphas += (_ZERO,) * (k - len(alphas))
     return DeterminantalPair(m, k, alphas)

@@ -47,7 +47,7 @@ from itertools import combinations, product
 from operator import add
 from typing import Dict, Tuple
 
-from .core import PreconditionError, _check_int
+from .core import PreconditionError, _as_tuple, _check_int, _check_type
 from .polynomials import Exponents, MultiPoly, _minor_poly
 from .tableaux import (
     DoubleTableau,
@@ -119,7 +119,7 @@ class ChartForm:
 def _validate_chart(rows, cols, m: int, k: int) -> tuple:
     _check_int("m", m, 1)
     _check_int("k", k, 1, m)
-    rows, cols = tuple(rows), tuple(cols)
+    rows, cols = _as_tuple("chart rows", rows), _as_tuple("chart columns", cols)
     if not all(type(v) is int and 1 <= v <= m for v in rows + cols):
         raise PreconditionError(f"chart {rows} x {cols} does not fit in m={m}")
     rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
@@ -320,7 +320,9 @@ def reduce_top_form(
     is read off the same expansion.  A form that restricts to zero yields
     F = 0, not an error.
     """
+    _check_type("chart", chart, ChartForm)
     m, k = chart.m, chart.k
+    positions = _as_tuple("positions", positions)
     positions = [tuple(p) if isinstance(p, (tuple, list)) else p for p in positions]
     for p in positions:
         i, j = p if type(p) is tuple and len(p) == 2 else (None, None)
@@ -329,9 +331,7 @@ def reduce_top_form(
     positions = tuple(sorted(positions))
     expected = k * (2 * m - k)
     if len(positions) != expected or len(set(positions)) != len(positions):
-        raise PreconditionError(
-            f"need {expected} distinct positions, got {len(positions)}"
-        )
+        raise PreconditionError(f"need {expected} distinct positions, got {len(positions)}")
     ref = reference_chart_indices(k)
     numerator, bpow = _reduce_positions(positions, ref, ref, m, k, elimination_order)
     expansion = _resolve_coefficient(numerator, bpow, m, k)

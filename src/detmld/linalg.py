@@ -1,15 +1,17 @@
 """Exact linear solves over the rationals for the straightening machinery.
 
 The systems (change of basis between monomials and standard bideterminants)
-are sparse, with integer columns, and each is solved for only a few
+are square, sparse, with integer columns, and each is solved for only a few
 right-hand sides, so a build factors A instead of inverting it.  The
 factorization is one sparse, fraction-free forward elimination on the rows
 of A, pivoting on the shortest free row that holds the pivot column; a
 column -> rows index means each step touches only the rows that hold that
-column, and every row operation is recorded.  A solve scales the right-hand
-side to integers, replays those operations on it, back-substitutes on the
-pivot rows, then checks A x == b on every sparse row.  Every division is
-exact integer division: the blocks solved here are unimodular (the standard
+column, and every row operation is recorded, scaling its target by
+|pivot| / g with g the gcd of the two entries, signed as the pivot (a -1
+pivot flips no signs).  A solve scales the right-hand side to integers,
+replays those operations on it, back-substitutes on the pivot rows, then
+checks A x == b on every sparse row.  Every division is exact integer
+division: the blocks solved here are unimodular (the standard
 bideterminants are a basis of the integer polynomials, De Concini,
 Eisenbud and Procesi 1980), so a right-hand side scaled to integers has an
 integer solution, and a remainder means there is none.
@@ -19,32 +21,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 
 
 class PreparedSolver:
-    """Solve A x = b exactly, in integers, for a fixed full-column-rank A
+    """Solve A x = b exactly, in integers, for a fixed invertible n x n A
     and many b.
 
-    Entries of A are `int`s, entries of b `int`s or `Fraction`s; solutions
-    are `Fraction`s.  With `scale` the lcm of b's denominators, a solution x
-    is returned exactly when x * scale is an integer vector, which always
-    holds when A is unimodular; otherwise the result is None.
+    A comes as its n columns, each a {row: value} dict of its nonzero `int`
+    entries, rows in 0..n-1.  Entries of b are `int`s or `Fraction`s;
+    solutions are `Fraction`s.  With `scale` the lcm of b's denominators, a
+    solution x is returned exactly when x * scale is an integer vector,
+    which always holds when A is unimodular; otherwise the result is None.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int]]):
-        n = self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        if any(len(col) != self.nrows for col in columns):
-            raise ValueError("ragged column list")
+    def __init__(self, columns: Sequence[Dict[int, int]]):
+        n = self.n = len(columns)
         # sparse_rows[r]: the nonzero (column, value) entries of row r.
-        self.sparse_rows: List[List[Tuple[int, int]]] = [[] for _ in range(self.nrows)]
+        self.sparse_rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for c, col in enumerate(columns):
-            for r, v in enumerate(col):
-                if v:
-                    self.sparse_rows[r].append((c, v))
+            for r, v in col.items():
+                self.sparse_rows[r].append((c, v))
         work = [dict(entries) for entries in self.sparse_rows]
         # holders[c]: the free (not yet pivot) rows with a nonzero in column c.
         holders: List[Set[int]] = [set() for _ in range(n)]
@@ -58,15 +57,16 @@ class PreparedSolver:
         for col in range(n):
             if not holders[col]:
                 raise ArithmeticError("columns are linearly dependent")
-            p = min(holders[col], key=lambda r: (len(work[r]), r))
+            p = min([(len(work[r]), r) for r in holders[col]])[1]
             prow = work[p]
             for c in prow:
                 holders[c].discard(p)
             self.pivot_rows.append(p)
             pivot = prow[col]
+            sign = 1 if pivot > 0 else -1
             for r in sorted(holders[col]):
                 row = work[r]
-                g = gcd(pivot, row[col])
+                g = sign * gcd(pivot, row[col])
                 scale, f = pivot // g, row[col] // g
                 if scale != 1:
                     for key in row:
@@ -95,10 +95,8 @@ class PreparedSolver:
     def solve(self, rhs: Sequence[int | Fraction]) -> Optional[List[Fraction]]:
         """The solution vector, or None when the system has no solution x with
         x * scale integral (in particular when it is inconsistent)."""
-        if self.ncols == 0:
-            return [] if all(v == 0 for v in rhs) else None
-        if len(rhs) != self.nrows:
-            raise ValueError(f"rhs length {len(rhs)}, expected {self.nrows}")
+        if len(rhs) != self.n:
+            raise ValueError(f"rhs length {len(rhs)}, expected {self.n}")
         # In integers: b = B / scale and x = X / scale.
         scale = lcm(*(b.denominator for b in rhs if b))
         B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
@@ -110,8 +108,8 @@ class PreparedSolver:
                 if rem:
                     return None
             R[r] = v
-        X = [0] * self.ncols
-        for j in range(self.ncols - 1, -1, -1):
+        X = [0] * self.n
+        for j in range(self.n - 1, -1, -1):
             diag, rest = self.upper[j]
             X[j], rem = divmod(R[self.pivot_rows[j]] - sum(v * X[c] for c, v in rest), diag)
             if rem:

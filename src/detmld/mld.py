@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional
 
-from .core import DeterminantalPair, MldValue, PreconditionError, _check_int
+from .core import DeterminantalPair, MldValue, PreconditionError, _check_int, _check_type
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class BetaVector:
 
 def beta_coefficients(pair: DeterminantalPair, count: int) -> BetaVector:
     """The first `count` beta coefficients of the pair, 0 <= count <= k."""
+    _check_type("pair", pair, DeterminantalPair)
     _check_int("count", count, 0, pair.k)
     base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     return BetaVector(
@@ -66,6 +67,7 @@ def first_lc_violation(pair: DeterminantalPair, count: int) -> Optional[tuple]:
 
     Returns (j, lhs, rhs) for the violated inequality, else None.
     """
+    _check_type("pair", pair, DeterminantalPair)
     _check_int("count", count, 0, pair.k)
     base, denominator, prefix = pair.m - pair.k, pair._denominator, pair._scaled_prefix
     for j in range(1, count + 1):
@@ -80,6 +82,7 @@ def is_lc_at_rank(pair: DeterminantalPair, q: int) -> bool:
     Holds exactly when alpha_1 + ... + alpha_j <= m - k + (2j - 1) for every
     j = 1, ..., k - q; vacuously true when q = k.
     """
+    _check_type("pair", pair, DeterminantalPair)
     _check_int("q", q, 0, pair.k)
     return first_lc_violation(pair, pair.k - q) is None
 
@@ -104,6 +107,7 @@ def is_lc_along(pair: DeterminantalPair, j: int) -> bool:
     The criterion ranges over all prefix lengths: alpha_1 + ... + alpha_l
     <= m - k + (2l - 1) for every l = 1, ..., k, independent of j.
     """
+    _check_type("pair", pair, DeterminantalPair)
     _check_int("j", j, 1, pair.k)
     return first_lc_violation(pair, pair.k) is None
 
@@ -155,6 +159,7 @@ def scaled_semicontinuity_profile(pair: DeterminantalPair) -> tuple:
     rank q is numerators[q] / D, or negative infinity where numerators[q] is
     None.  Nonnegative coefficients are required, as in semicontinuity_profile.
     """
+    _check_type("pair", pair, DeterminantalPair)
     if any(a < 0 for a in pair.alphas):
         raise PreconditionError("semicontinuity profile requires nonnegative coefficients")
     m, k, denominator = pair.m, pair.k, pair._denominator

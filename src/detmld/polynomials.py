@@ -19,7 +19,9 @@ from math import lcm
 from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .core import PreconditionError, _as_tuple, _check_int, format_rational, parse_rational
+from .core import (
+    PreconditionError, _as_tuple, _check_int, _check_type, format_rational, parse_rational
+)
 
 Exponents = Tuple[int, ...]
 
@@ -45,6 +47,7 @@ class MultiPoly:
         self.m = m
         clean: Dict[Exponents, Fraction] = {}
         if terms:
+            _check_type("terms", terms, dict)
             n = m * m
             for exp, coef in terms.items():
                 coef = Fraction(coef)
@@ -279,6 +282,7 @@ _MINOR_CACHE: Dict[Tuple[int, tuple, tuple], MultiPoly] = {}
 def minor_poly(idx: MinorIndex, m: int) -> MultiPoly:
     """Determinant of the selected submatrix, by memoized Leibniz expansion."""
     _check_int("m", m, 1)
+    _check_type("minor", idx, MinorIndex)
     if idx.size == 0:
         raise PreconditionError("empty minor")
     if idx.rows[-1] > m or idx.cols[-1] > m:

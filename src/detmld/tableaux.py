@@ -11,28 +11,22 @@ tableau names the row set (left side) and column set (right side) of a
 minor; the bideterminant is the product of those minors over all rows, and
 depends on the rows only as sets.
 
-Straightening is implemented by exact linear algebra: within each content
-block the standard bideterminants form a basis of the span of the monomials
-of that content, so expanding a polynomial amounts to one invertible solve
-per content.  Blocks are cached by their zero-free content: the rows and
-columns a content uses are relabelled, in order, to 1..m', so contents that
-differ only by zero rows or columns, at any m, share one block (an
-order-preserving relabelling keeps standardness and every minor's sign); a
-content on the first rows and columns takes the block's own tableaux.
-Monomials go packed to the solver (one int per monomial, so a monomial
-product is one addition).  A block's integer columns, the standard
-bideterminants, are multiplied out on them first, and the packed monomials
-they reach, sorted, are its rows: by the straightening law these are all
-the monomials of the content, so none is enumerated.  The input of
-`straighten`, a product of minors with one content, is multiplied out the
-same way, relabelled onto that content's support: straightening builds no
-polynomial.
-`standard_coordinates` packs a polynomial's terms content by content.
-`bideterminant` itself stays on `MultiPoly`, and re-expanding a result with
-it checks the packed route independently.  The standard tableaux of each
-(m, shape, content) are enumerated once and cached.  Working modulo the
-ideal of (k+1)-minors is realized by dropping standard terms with a row
-longer than k.
+Straightening is exact linear algebra: within each content block the
+standard bideterminants are a basis of the span of the monomials of that
+content, so expanding a polynomial is one invertible solve per content.
+Blocks are cached by zero-free content: the rows and columns a content uses
+are relabelled, in order, to 1..m', which keeps standardness and every
+minor's sign, so contents that differ only by zero rows or columns, at any
+m, share one block.  A block's columns, the standard bideterminants, are
+multiplied out on packed monomials (one int each, so a product is one
+addition), and the monomials they reach are its rows: by the straightening
+law these are all the monomials of the content, so none is enumerated.  The
+input of `straighten`, and each content of `standard_coordinates`, is packed
+the same way; `bideterminant` stays on `MultiPoly`, so re-expanding a result
+checks the packed route independently.  The standard tableaux of each
+content are enumerated once, every shape in one pass, and cached by shape.
+Working modulo the ideal of (k+1)-minors is realized by dropping standard
+terms with a row longer than k.
 
 Modulo the 2-minors (k = 1) the same grouping by content builds no block:
 x_ij x_pq = x_iq x_pj there, so every monomial of a content equals the one
@@ -46,10 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import PreconditionError, _as_tuple, _check_int
+from .core import PreconditionError, _as_tuple, _check_int, _check_type
 from .linalg import PreparedSolver
 from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
 
@@ -161,6 +155,15 @@ def _trusted_tableau(rows: tuple) -> Tableau:
     return t
 
 
+def _trusted_pair(left: Tableau, right: Tableau) -> "DoubleTableau":
+    """A DoubleTableau from two Tableaux of one shape, without the checks of
+    DoubleTableau.__post_init__."""
+    dt = object.__new__(DoubleTableau)
+    object.__setattr__(dt, "left", left)
+    object.__setattr__(dt, "right", right)
+    return dt
+
+
 def tableau_leq(t: Tableau, other: Tableau) -> bool:
     """T <= T' iff, for every p and q, the first p rows of T contain at most
     as many entries <= q as the first p rows of T'."""
@@ -182,6 +185,7 @@ def double_tableau_leq(dt: "DoubleTableau", other: "DoubleTableau") -> bool:
 
 def is_standard(t: Tableau) -> bool:
     """Rows strictly increase left to right; columns nondecrease top to bottom."""
+    _check_type("tableau", t, Tableau)
     for row in t.rows:
         if any(a >= b for a, b in zip(row, row[1:])):
             return False
@@ -278,23 +282,12 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
 def _check_rows(dt: DoubleTableau, m: int) -> None:
     """Reject a dt that is not a DoubleTableau, or a row pair of it that
     repeats an entry or does not fit in m."""
-    if not isinstance(dt, DoubleTableau):
-        raise PreconditionError(f"expected a DoubleTableau, got {dt!r}")
+    _check_type("double tableau", dt, DoubleTableau)
     for lrow, rrow in zip(dt.left.rows, dt.right.rows):
         if len(set(lrow)) != len(lrow) or len(set(rrow)) != len(rrow):
             raise PreconditionError(f"repeated entry within a row: {lrow} | {rrow}")
         if max(lrow) > m or max(rrow) > m:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
-
-
-def _partitions(total: int, max_part: int) -> Iterable[tuple]:
-    """Nonincreasing compositions of `total` with parts in 1..max_part."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
 
 
 def enumerate_standard_tableaux(
@@ -307,65 +300,70 @@ def enumerate_standard_tableaux(
     """
     _check_int("m", m, 1)
     shape = YoungDiagram(shape).rows
-    if content is not None and (
-        len(content) != m or any(type(c) is not int or c < 0 for c in content)
-    ):
-        raise PreconditionError(
-            f"content must be m={m} integer multiplicities >= 0, got {content}"
-        )
-    return list(_standard_tableaux(m, shape, None if content is None else tuple(content)))
+    content = None if content is None else _check_content(m, content)
+    return sorted(_by_shape(m, sum(shape), content).get(shape, ()), key=lambda t: t.rows)
 
 
-_TABLEAU_CACHE: Dict[tuple, tuple] = {}
+def _check_content(m: int, content) -> tuple:
+    """A content as a tuple of m ints >= 0; anything else is rejected."""
+    content = _as_tuple("content", content)
+    if len(content) != m or any(type(c) is not int or c < 0 for c in content):
+        raise PreconditionError(f"content must be m={m} integers >= 0, got {content}")
+    return content
 
 
-def _standard_tableaux(m: int, shape: tuple, content: Optional[tuple]) -> tuple:
-    """enumerate_standard_tableaux as a tuple, memoized per (m, shape, content)."""
-    key = (m, shape, content)
-    cached = _TABLEAU_CACHE.get(key)
-    if cached is None:
-        cached = _TABLEAU_CACHE[key] = _fill_standard_tableaux(m, shape, content)
+_TABLEAU_CACHE: Dict[tuple, Dict[tuple, tuple]] = {}
+
+
+def _tableaux_by_shape(content: tuple) -> Dict[tuple, tuple]:
+    """Every standard tableau of a content, as {shape: tableaux in row
+    order}, memoized per content.
+
+    The tableau grows one value at a time: value v adds content[v - 1] boxes,
+    at most one per row, so rows strictly increase.  Top to bottom, a row may
+    take v when the row above is longer or took v too (columns nondecrease);
+    the boxes left over start new rows of length 1.  Every choice leaves a
+    standard tableau, so one recursion yields every shape with no dead end.
+    """
+    if content in _TABLEAU_CACHE:
+        return _TABLEAU_CACHE[content]
+    values = [v for v, c in enumerate(content, 1) if c]
+    counts = [c for c in content if c] + [0]
+    rows: List[List[int]] = []
+    found: Dict[tuple, list] = {}
+
+    def place(i: int, r: int, left: int) -> None:
+        # rows[:r] have taken values[i] or not, and `left` boxes of it remain.
+        if i == len(values):
+            found.setdefault(tuple(map(len, rows)), []).append(tuple(map(tuple, rows)))
+        elif r < len(rows):
+            if left and (r == 0 or len(rows[r - 1]) > len(rows[r])):
+                rows[r].append(values[i])
+                place(i, r + 1, left - 1)
+                rows[r].pop()
+            place(i, r + 1, left)
+        else:
+            rows.extend([values[i]] for _ in range(left))
+            place(i + 1, 0, counts[i + 1])
+            del rows[r:]
+
+    place(0, 0, counts[0])
+    cached = _TABLEAU_CACHE[content] = {
+        shape: tuple(_trusted_tableau(t) for t in sorted(tabs)) for shape, tabs in found.items()
+    }
     return cached
 
 
-def _fill_standard_tableaux(m: int, shape: tuple, content: Optional[tuple]) -> tuple:
-    # The tableau is filled one value at a time.  The entries <= v form a
-    # partition inside the shape, and the entries equal to v add at most one
-    # box to each row, so a step chooses the rows that take v.
-    values = [v for v in range(1, m + 1) if content is None or content[v - 1]]
-    if max(shape, default=0) > len(values):
-        return ()
-    filled: List[List[int]] = [[] for _ in shape]
-    results: List[tuple] = []
-
-    def place(i: int) -> None:
-        # Invariant: no row misses more boxes than there are values from values[i] on.
-        if i == len(values):
-            results.append(tuple(map(tuple, filled)))
-            return
-        v = values[i]
-        later = len(values) - i - 1
-        lengths = [len(row) for row in filled]
-        open_rows = [r for r, length in enumerate(lengths) if length < shape[r]]
-        needed = {r for r in open_rows if shape[r] - lengths[r] > later}
-        # A row as long as the one above may take v only together with it.
-        blocked = [r for r in open_rows if r and lengths[r - 1] == lengths[r]]
-        sizes = range(len(needed), len(open_rows) + 1) if content is None else (content[v - 1],)
-        for size in sizes:
-            for chosen in combinations(open_rows, size):
-                if needed and not needed.issubset(chosen):
-                    continue
-                if blocked and any(r in chosen and r - 1 not in chosen for r in blocked):
-                    continue
-                for r in chosen:
-                    filled[r].append(v)
-                place(i + 1)
-                for r in chosen:
-                    filled[r].pop()
-
-    place(0)
-    results.sort()
-    return tuple(_trusted_tableau(rows) for rows in results)
+def _by_shape(m: int, size: int, content: Optional[tuple]) -> Dict[tuple, Sequence[Tableau]]:
+    """The standard tableaux of a content by shape; with content None, of
+    every content of the size with entries in 1..m."""
+    if content is not None:
+        return _tableaux_by_shape(content)
+    union: Dict[tuple, list] = {}
+    for values in combinations_with_replacement(range(m), size):
+        for shape, tabs in _tableaux_by_shape(tuple(map(values.count, range(m)))).items():
+            union.setdefault(shape, []).extend(tabs)
+    return union
 
 
 def enumerate_standard_basis(
@@ -386,16 +384,10 @@ def enumerate_standard_basis(
     if k_bound is not None:
         _check_int("k_bound", k_bound)
     if content is not None:
-        left_content, right_content = (tuple(c) for c in content)
-        if any(
-            len(c) != m or any(type(v) is not int or v < 0 for v in c)
-            for c in (left_content, right_content)
-        ):
-            raise PreconditionError(
-                f"content must be two tuples of m={m} integer multiplicities >= 0"
-            )
-        if sum(left_content) != sum(right_content):
-            raise PreconditionError("left and right contents must have equal totals")
+        sides = [_check_content(m, c) for c in _as_tuple("content", content)]
+        if len(sides) != 2 or sum(sides[0]) != sum(sides[1]):
+            raise PreconditionError("content must be a (left, right) pair with equal totals")
+        left_content, right_content = sides
         degree = sum(left_content)
     else:
         left_content = right_content = None
@@ -409,12 +401,14 @@ def _standard_basis(
     m: int, degree: int, left_content, right_content, k_bound: Optional[int]
 ) -> List[DoubleTableau]:
     """enumerate_standard_basis on checked input, without the degree guard."""
-    max_part = min(m, k_bound) if k_bound is not None else m
-    out: List[DoubleTableau] = []
-    for shape in _partitions(degree, max_part):
-        lefts = _standard_tableaux(m, shape, left_content)
-        rights = _standard_tableaux(m, shape, right_content)
-        out.extend(DoubleTableau(lt, rt) for lt in lefts for rt in rights)
+    rights = _by_shape(m, degree, right_content)
+    out = [
+        _trusted_pair(lt, rt)
+        for shape, lefts in _by_shape(m, degree, left_content).items()
+        if k_bound is None or max(shape, default=0) <= k_bound
+        for lt in lefts
+        for rt in rights.get(shape, ())
+    ]
     out.sort(key=DoubleTableau.sort_key)
     return out
 
@@ -438,10 +432,11 @@ class _ContentBlock:
                 "standard basis size does not match the monomials it reaches for content "
                 f"{row_content} | {col_content}: this contradicts the straightening law"
             )
-        self.row_of = {mono: i for i, mono in enumerate(rows)}
+        self.row_of = row_of = {mono: i for i, mono in enumerate(rows)}
         # Bideterminants have integer coefficients, so the columns are integers.
+        columns = [{row_of[mono]: coef for mono, coef in col.items() if coef} for col in packed]
         try:
-            self.solver = PreparedSolver([[col.get(mono, 0) for mono in rows] for col in packed])
+            self.solver = PreparedSolver(columns)
         except ArithmeticError as exc:
             raise RuntimeError(
                 "standard bideterminants are linearly dependent within a content "
@@ -465,9 +460,7 @@ class _ContentBlock:
                 "the standard bideterminants of a content block have no integer "
                 "coordinates for the input: this contradicts the straightening law over Z"
             )
-        return [
-            (coef, self.tableaux[i]) for i, coef in enumerate(solution) if coef != 0
-        ]
+        return [(coef, self.tableaux[i]) for i, coef in enumerate(solution) if coef != 0]
 
 
 # Packed monomials.  A block monomial of degree d is one int with a field of
@@ -498,9 +491,10 @@ def _packed_minor(m: int, bits: int, rows: tuple, cols: tuple) -> list:
 
 def _packed_bideterminant(dt: DoubleTableau, m: int, bits: int) -> Dict[int, int]:
     """The bideterminant of dt as packed monomial -> integer coefficient: a
-    running product of its row minors."""
+    running product of its row minors, shortest row first, so that the
+    product stays small until the long rows."""
     column = {0: 1}
-    for lrow, rrow in zip(dt.left.rows, dt.right.rows):
+    for lrow, rrow in zip(reversed(dt.left.rows), reversed(dt.right.rows)):
         minor = _packed_minor(m, bits, lrow, rrow)
         product: Dict[int, int] = {}
         get = product.get
@@ -564,14 +558,12 @@ def _support_terms(
         if k_bound is not None and d.left.rows and len(d.left.rows[0]) > k_bound:
             continue
         if not identity:
-            d = DoubleTableau(_relabel(d.left, rows), _relabel(d.right, cols))
+            d = _trusted_pair(_relabel(d.left, rows), _relabel(d.right, cols))
         terms.append((coef, d))
     return terms
 
 
-def standard_coordinates(
-    p: MultiPoly, m: int, k_bound: Optional[int] = None
-) -> StandardExpansion:
+def standard_coordinates(p: MultiPoly, m: int, k_bound: Optional[int] = None) -> StandardExpansion:
     """Expansion of p in the standard basis, content by content.
 
     Each content's terms are packed straight into the layout of its
@@ -595,8 +587,8 @@ def standard_coordinates(
         if k_bound == 1:
             coef = sum(chunk.values())
             if coef:
-                left, right = (_standard_tableaux(m, (1,) * sum(rc), c)[0] for c in (rc, cc))
-                terms.append((Fraction(coef), DoubleTableau(left, right)))
+                left, right = (_tableaux_by_shape(c)[(1,) * sum(c)][0] for c in (rc, cc))
+                terms.append((Fraction(coef), _trusted_pair(left, right)))
             continue
         block, rows, cols = _content_block(rc, cc)
         # Variable x_{r, c} of the support is block variable (a, b), of
@@ -613,11 +605,7 @@ def standard_coordinates(
     return StandardExpansion(tuple(terms))
 
 
-def straighten(
-    dt: DoubleTableau,
-    m: int,
-    k_bound: Optional[int] = None,
-) -> StandardExpansion:
+def straighten(dt: DoubleTableau, m: int, k_bound: Optional[int] = None) -> StandardExpansion:
     """Expand the bideterminant of dt in the standard basis.
 
     Every resulting shape dominates the shape of dt and the content is
@@ -639,19 +627,17 @@ def straighten(
         raise PreconditionError(f"matrix size m={m} exceeds straightening guard {MAX_M}")
     _check_rows(dt, m)
     if dt.shape.size > MAX_DEGREE:
-        raise PreconditionError(
-            f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}"
-        )
+        raise PreconditionError(f"degree {dt.shape.size} exceeds straightening guard {MAX_DEGREE}")
     if k_bound is not None:
         _check_int("k_bound", k_bound)
     if k_bound is not None and dt.left.rows and len(dt.left.rows[0]) > k_bound:
         return StandardExpansion(())
     rc, cc = dt.left.content(m), dt.right.content(m)
     if k_bound == 1:
-        left, right = (_standard_tableaux(m, (1,) * dt.shape.size, c)[0] for c in (rc, cc))
-        return StandardExpansion(((Fraction(1), DoubleTableau(left, right)),))
+        left, right = (_tableaux_by_shape(c)[(1,) * dt.shape.size][0] for c in (rc, cc))
+        return StandardExpansion(((Fraction(1), _trusted_pair(left, right)),))
     block, rows, cols = _content_block(rc, cc)
-    rel = DoubleTableau(_onto_support(dt.left, rows), _onto_support(dt.right, cols))
+    rel = _trusted_pair(_onto_support(dt.left, rows), _onto_support(dt.right, cols))
     packed = _packed_bideterminant(rel, block.m, block.bits)
     return StandardExpansion(tuple(_support_terms(block, rows, cols, packed, k_bound)))
 
@@ -681,6 +667,7 @@ def subalgebra_membership(F: MultiPoly, m: int, k: int) -> Membership:
     """
     _check_int("m", m, 1)
     _check_int("k", k, 1, m)
+    _check_type("F", F, MultiPoly)
     if F.m != m:
         raise PreconditionError(f"polynomial layout {F.m} does not match m={m}")
     if F.is_zero:

@@ -56,6 +56,7 @@ from detmld import (
     verify_chart_transition,
     verify_nash,
 )
+from detmld.tableaux import enumerate_standard_tableaux
 
 SUBMODULES = ("core", "forms", "linalg", "mld", "oracle", "orbits", "polynomials", "tableaux")
 
@@ -307,6 +308,18 @@ def test_sizes_counts_and_indices_must_be_integers(name):
         pytest.param(lambda: DoubleTableau(None, None), id="DoubleTableau"),
         pytest.param(lambda: straighten(None, 2), id="straighten"),
         pytest.param(lambda: bideterminant(None, 2), id="bideterminant"),
+        pytest.param(lambda: new_pair(2, 1, 5), id="new_pair_alphas"),
+        pytest.param(lambda: ExtendedPartition(5), id="ExtendedPartition"),
+        pytest.param(lambda: enumerate_standard_basis(2, content=5), id="basis_content"),
+        pytest.param(lambda: enumerate_standard_tableaux(2, (1,), 5), id="tableaux_content"),
+        pytest.param(lambda: reduce_top_form(5, chart_form((1,), (1,), 2, 1)), id="positions"),
+        pytest.param(lambda: reduce_top_form([(1, 1), (1, 2), (2, 1)], None), id="chart"),
+        pytest.param(lambda: chart_form(None, (1,), 2, 1), id="chart_form_rows"),
+        pytest.param(lambda: minor_poly(None, 2), id="minor_poly"),
+        pytest.param(lambda: is_standard(None), id="is_standard"),
+        pytest.param(lambda: mld_at_rank(None, 1), id="mld_at_rank"),
+        pytest.param(lambda: subalgebra_membership(None, 2, 1), id="subalgebra_membership"),
+        pytest.param(lambda: MultiPoly(2, 5), id="MultiPoly_terms"),
     ],
 )
 def test_structural_arguments_must_have_their_type(call):

@@ -71,6 +71,40 @@ def brute_force_tableaux(m, shape):
     return out
 
 
+def reference_fillings(m, shape, content):
+    """Independent per-shape enumerator: the standard fillings of one shape
+    with one content, filled one value at a time by choosing the rows that
+    take it, sorted by rows."""
+    values = [v for v in range(1, m + 1) if content[v - 1]]
+    if max(shape, default=0) > len(values):
+        return []
+    filled = [[] for _ in shape]
+    results = []
+
+    def place(i):
+        if i == len(values):
+            results.append(tuple(map(tuple, filled)))
+            return
+        lengths = [len(row) for row in filled]
+        open_rows = [r for r, length in enumerate(lengths) if length < shape[r]]
+        for chosen in combinations(open_rows, content[values[i] - 1]):
+            # a row as long as the one above takes v only together with it
+            if any(r and lengths[r - 1] == lengths[r] and r - 1 not in chosen for r in chosen):
+                continue
+            # a row that misses more boxes than there are values left is dead
+            later = len(values) - i - 1
+            if any(shape[r] - lengths[r] - (r in chosen) > later for r in open_rows):
+                continue
+            for r in chosen:
+                filled[r].append(values[i])
+            place(i + 1)
+            for r in chosen:
+                filled[r].pop()
+
+    place(0)
+    return sorted(results)
+
+
 def _shapes(total, max_part):
     if total == 0:
         yield ()
@@ -231,6 +265,27 @@ class TestEnumeration:
                     for content in contents:
                         expected = [t for t in fillings if t.content(m) == content]
                         assert enumerate_standard_tableaux(m, shape, content) == expected
+
+    def test_every_content_matches_the_per_shape_reference(self):
+        # Every zero-free content of degree <= MAX_DEGREE, padded with zeros
+        # as _content_block pads it, against the per-shape reference: 193
+        # padded contents, about 0.1 s on CPython 3.11.
+        clear_caches()
+        checked = 0
+        for degree in range(tableaux.MAX_DEGREE + 1):
+            for content in _compositions(degree):
+                for size in range(max(len(content), 1), max(degree, 1) + 1):
+                    padded = content + (0,) * (size - len(content))
+                    expected = {}
+                    for shape in _shapes(degree, size):
+                        found = reference_fillings(size, shape, padded)
+                        if found:
+                            expected[shape] = found
+                    got = tableaux._tableaux_by_shape(padded)
+                    assert {s: [t.rows for t in tabs] for s, tabs in got.items()} == expected
+                    checked += 1
+        clear_caches()
+        assert checked == 193
 
     def test_enumerated_tableaux_equal_validated_ones(self):
         # enumeration skips Tableau's checks; what it builds must equal the
@@ -588,8 +643,8 @@ class TestRankOneClosedForm:
         p = MultiPoly.variable(3, 1, 2) * MultiPoly.variable(3, 3, 1) + MultiPoly.variable(3, 2, 2)
         for _, d in standard_coordinates(p, 3, k_bound=1):
             shape = (1,) * d.shape.size
-            assert d.left is tableaux._TABLEAU_CACHE[3, shape, d.left.content(3)][0]
-            assert d.right is tableaux._TABLEAU_CACHE[3, shape, d.right.content(3)][0]
+            assert d.left is tableaux._TABLEAU_CACHE[d.left.content(3)][shape][0]
+            assert d.right is tableaux._TABLEAU_CACHE[d.right.content(3)][shape][0]
 
     def test_cancelling_content_is_dropped(self):
         # the 2-minor x11 x22 - x12 x21 is one content whose coefficients
@@ -780,7 +835,7 @@ class TestSharedBlocks:
         assert first is not enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))
         first.clear()
         assert len(enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))) == 2
-        assert list(tableaux._TABLEAU_CACHE) == [(3, (2, 1), (1, 1, 1))]
+        assert list(tableaux._TABLEAU_CACHE) == [(1, 1, 1)]
 
 
 class TestBasisProperty:
