@@ -321,9 +321,9 @@ def _tableaux_by_shape(content: tuple) -> Dict[tuple, tuple]:
 
     The tableau grows one value at a time: value v adds content[v - 1] boxes,
     at most one per row, so rows strictly increase.  Top to bottom, a row may
-    take v when the row above is longer or took v too (columns nondecrease);
-    the boxes left over start new rows of length 1.  Every choice leaves a
-    standard tableau, so one recursion yields every shape with no dead end.
+    take v when the row above is longer, counting a v just placed there
+    (columns nondecrease); the boxes left over start new rows of length 1.
+    Every choice leaves a standard tableau, so the recursion has no dead end.
     """
     if content in _TABLEAU_CACHE:
         return _TABLEAU_CACHE[content]
