@@ -6,22 +6,24 @@ right-hand sides, so a build factors A instead of inverting it.  The
 factorization is one sparse, fraction-free forward elimination on the rows
 of A, pivoting on the shortest free row that holds the pivot column; a
 column -> rows index means each step touches only the rows that hold that
-column, and every row operation is recorded, scaling its target by
-|pivot| / g with g the gcd of the two entries, signed as the pivot (a -1
-pivot flips no signs).  A solve scales the right-hand side to integers,
-replays those operations on it, back-substitutes on the pivot rows, then
-checks A x == b on every sparse row.  Every division is exact integer
-division: the blocks solved here are unimodular (the standard
-bideterminants are a basis of the integer polynomials, De Concini,
-Eisenbud and Procesi 1980), so a right-hand side scaled to integers has an
-integer solution, and a remainder means there is none.
+column.  Each row operation scales its target by |pivot| / g, with g the
+gcd of the two entries signed as the pivot (a -1 pivot flips no signs), and
+is recorded as five ints in one flat list.  A build keeps only flat state:
+the caller's columns, that list, and each pivot row as its diagonal and a
+dict of the rest.  A solve scales the right-hand side to integers, replays
+the operations on it, back-substitutes on the pivot rows, then checks
+A x == b as the sum of x_c times column c over the kept columns.  Every
+division is exact integer division: the blocks solved here are unimodular
+(the standard bideterminants are a basis of the integer polynomials, De
+Concini, Eisenbud and Procesi 1980), so a right-hand side scaled to
+integers has an integer solution, and a remainder means there is none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 _ZERO = Fraction(0)
 
@@ -31,29 +33,30 @@ class PreparedSolver:
     and many b.
 
     A comes as its n columns, each a {row: value} dict of its nonzero `int`
-    entries, rows in 0..n-1.  Entries of b are `int`s or `Fraction`s;
-    solutions are `Fraction`s.  With `scale` the lcm of b's denominators, a
-    solution x is returned exactly when x * scale is an integer vector,
-    which always holds when A is unimodular; otherwise the result is None.
+    entries, rows in 0..n-1; the solver keeps them and never changes them.
+    Entries of b are `int`s or `Fraction`s; solutions are `Fraction`s.  With
+    `scale` the lcm of b's denominators, a solution x is returned exactly
+    when x * scale is an integer vector, which always holds when A is
+    unimodular; otherwise the result is None.
     """
 
     def __init__(self, columns: Sequence[Dict[int, int]]):
         n = self.n = len(columns)
-        # sparse_rows[r]: the nonzero (column, value) entries of row r.
-        self.sparse_rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        self.columns = columns
+        work: List[Dict[int, int]] = [{} for _ in range(n)]
         for c, col in enumerate(columns):
             for r, v in col.items():
-                self.sparse_rows[r].append((c, v))
-        work = [dict(entries) for entries in self.sparse_rows]
+                work[r][c] = v
         # holders[c]: the free (not yet pivot) rows with a nonzero in column c.
-        holders: List[Set[int]] = [set() for _ in range(n)]
-        for r, row in enumerate(work):
-            for c in row:
-                holders[c].add(r)
-        # row_ops: (target, source, scale, f, content) for
+        holders = [set(col) for col in columns]
+        # row_ops: target, source, scale, f, content, five ints per op, for
         # row[target] <- (scale * row[target] - f * row[source]) / content.
-        self.row_ops: List[Tuple[int, int, int, int, int]] = []
+        self.row_ops: List[int] = []
         self.pivot_rows: List[int] = []
+        # diag[j] and upper[j]: the diagonal entry and the {column: value}
+        # rest of the pivot row of column j; those columns are all greater.
+        self.diag: List[int] = []
+        self.upper: List[Dict[int, int]] = []
         for col in range(n):
             if not holders[col]:
                 raise ArithmeticError("columns are linearly dependent")
@@ -61,13 +64,13 @@ class PreparedSolver:
             prow = work[p]
             for c in prow:
                 holders[c].discard(p)
-            self.pivot_rows.append(p)
-            pivot = prow[col]
+            pivot = prow.pop(col)
             sign = 1 if pivot > 0 else -1
             for r in sorted(holders[col]):
                 row = work[r]
-                g = sign * gcd(pivot, row[col])
-                scale, f = pivot // g, row[col] // g
+                a = row.pop(col)
+                g = sign * gcd(pivot, a)
+                scale, f = pivot // g, a // g
                 if scale != 1:
                     for key in row:
                         row[key] *= scale
@@ -84,13 +87,10 @@ class PreparedSolver:
                 if content > 1:
                     for key in row:
                         row[key] //= content
-                self.row_ops.append((r, p, scale, f, content))
-        # upper[j]: (diagonal, off-diagonal (column, value) entries) of the
-        # pivot row of column j; those columns are all greater than j.
-        self.upper: List[Tuple[int, List[Tuple[int, int]]]] = [
-            (work[p][j], [(c, v) for c, v in work[p].items() if c != j])
-            for j, p in enumerate(self.pivot_rows)
-        ]
+                self.row_ops += (r, p, scale, f, content)
+            self.pivot_rows.append(p)
+            self.diag.append(pivot)
+            self.upper.append(prow)
 
     def solve(self, rhs: Sequence[int | Fraction]) -> Optional[List[Fraction]]:
         """The solution vector, or None when the system has no solution x with
@@ -101,7 +101,8 @@ class PreparedSolver:
         scale = lcm(*(b.denominator for b in rhs if b))
         B = [b.numerator * (scale // b.denominator) if b else 0 for b in rhs]
         R = B[:]
-        for r, p, op_scale, f, content in self.row_ops:
+        it = iter(self.row_ops)
+        for r, p, op_scale, f, content in zip(it, it, it, it, it):
             v = op_scale * R[r] - f * R[p]
             if content > 1:
                 v, rem = divmod(v, content)
@@ -109,12 +110,14 @@ class PreparedSolver:
                     return None
             R[r] = v
         X = [0] * self.n
+        upper, diag, pivots = self.upper, self.diag, self.pivot_rows
         for j in range(self.n - 1, -1, -1):
-            diag, rest = self.upper[j]
-            X[j], rem = divmod(R[self.pivot_rows[j]] - sum(v * X[c] for c, v in rest), diag)
+            X[j], rem = divmod(R[pivots[j]] - sum(v * X[c] for c, v in upper[j].items()), diag[j])
             if rem:
                 return None
-        for row, b in zip(self.sparse_rows, B):
-            if sum(v * X[c] for c, v in row) != b:
-                return None
-        return [Fraction(v, scale) if v else _ZERO for v in X]
+        AX = [0] * self.n
+        for x, col in zip(X, self.columns):
+            if x:
+                for r, v in col.items():
+                    AX[r] += x * v
+        return [Fraction(v, scale) if v else _ZERO for v in X] if AX == B else None

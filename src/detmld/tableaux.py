@@ -17,16 +17,18 @@ content, so expanding a polynomial is one invertible solve per content.
 Blocks are cached by zero-free content: the rows and columns a content uses
 are relabelled, in order, to 1..m', which keeps standardness and every
 minor's sign, so contents that differ only by zero rows or columns, at any
-m, share one block.  A block's columns, the standard bideterminants, are
-multiplied out on packed monomials (one int each, so a product is one
-addition), and the monomials they reach are its rows: by the straightening
-law these are all the monomials of the content, so none is enumerated.  The
-input of `straighten`, and each content of `standard_coordinates`, is packed
-the same way; `bideterminant` stays on `MultiPoly`, so re-expanding a result
-checks the packed route independently.  The standard tableaux of each
-content are enumerated once, every shape in one pass, and cached by shape.
-Working modulo the ideal of (k+1)-minors is realized by dropping standard
-terms with a row longer than k.
+m, share one block.  A content and its transpose share one block as well,
+since (L|R)(X^T) = (R|L)(X): the other orientation swaps the two sides of
+its input and of every solved term.  A block's columns, the standard
+bideterminants, are multiplied out on packed monomials (one int each, so a
+product is one addition), and the monomials they reach are its rows: by the
+straightening law these are all the monomials of the content, so none is
+enumerated.  The input of `straighten`, and each content of
+`standard_coordinates`, is packed the same way; `bideterminant` stays on
+`MultiPoly`, so re-expanding a result checks the packed route independently.
+The standard tableaux of each content are enumerated once, every shape in
+one pass, and cached by shape.  Working modulo the ideal of (k+1)-minors is
+realized by dropping standard terms with a row longer than k.
 
 Modulo the 2-minors (k = 1) the same grouping by content builds no block:
 x_ij x_pq = x_iq x_pj there, so every monomial of a content equals the one
@@ -348,6 +350,7 @@ def _tableaux_by_shape(content: tuple) -> Dict[tuple, tuple]:
             del rows[r:]
 
     place(0, 0, counts[0])
+    del place  # the closure refers to itself: break the cycle
     cached = _TABLEAU_CACHE[content] = {
         shape: tuple(_trusted_tableau(t) for t in sorted(tabs)) for shape, tabs in found.items()
     }
@@ -509,27 +512,33 @@ def _packed_bideterminant(dt: DoubleTableau, m: int, bits: int) -> Dict[int, int
 _BLOCK_CACHE: Dict[tuple, _ContentBlock] = {}
 
 
-def _content_block(row_content: tuple, col_content: tuple) -> Tuple[_ContentBlock, tuple, tuple]:
-    """The block of a content, keyed by its zero-free content, and the
-    content's support rows and columns (0-based, increasing).
+def _content_block(
+    row_content: tuple, col_content: tuple
+) -> Tuple[_ContentBlock, tuple, tuple, bool]:
+    """The block of a content, keyed by its zero-free content, the block's
+    support rows and columns (0-based, increasing), and whether it is flipped.
 
     The support rows and columns are relabelled, in order, to 1..m' with
     m' = max(#rows, #cols, 1), and both contents are zero-padded to length
     m'.  An order-preserving relabelling keeps standardness and the sign of
     every minor, so every content with the same nonzero counts in the same
-    order, at any m, shares one block with the same coordinates.
+    order, at any m, shares one block with the same coordinates.  So does
+    the transpose, as (L|R)(X^T) = (R|L)(X): the key is the orientation
+    whose zero-free key sorts first, and a flipped content's support
+    columns are the block's rows, its support rows the block's columns.
     """
     rows = tuple(i for i, c in enumerate(row_content) if c)
     cols = tuple(j for j, c in enumerate(col_content) if c)
     size = max(len(rows), len(cols), 1)
-    key = (
-        tuple(row_content[i] for i in rows) + (0,) * (size - len(rows)),
-        tuple(col_content[j] for j in cols) + (0,) * (size - len(cols)),
-    )
-    block = _BLOCK_CACHE.get(key)
+    rkey = tuple(row_content[i] for i in rows) + (0,) * (size - len(rows))
+    ckey = tuple(col_content[j] for j in cols) + (0,) * (size - len(cols))
+    flipped = ckey < rkey
+    if flipped:
+        rkey, ckey, rows, cols = ckey, rkey, cols, rows
+    block = _BLOCK_CACHE.get((rkey, ckey))
     if block is None:
-        block = _BLOCK_CACHE[key] = _ContentBlock(size, *key)
-    return block, rows, cols
+        block = _BLOCK_CACHE[rkey, ckey] = _ContentBlock(size, rkey, ckey)
+    return block, rows, cols, flipped
 
 
 def _relabel(t: Tableau, labels: tuple) -> Tableau:
@@ -546,12 +555,14 @@ def _onto_support(t: Tableau, support: tuple) -> Tableau:
 
 
 def _support_terms(
-    block: _ContentBlock, rows: tuple, cols: tuple, packed: dict, k_bound: Optional[int]
+    block: _ContentBlock, rows: tuple, cols: tuple, packed: dict, k_bound: Optional[int], flipped: bool
 ) -> List[tuple]:
     """The block's coordinates of the packed terms of one content on the
     support rows and columns.  With k_bound set, a solved term whose first
     (longest) row is longer than k_bound is dropped; unless the support is
-    already the first rows and columns, the rest are relabelled back onto it."""
+    already the first rows and columns, the rest are relabelled back onto it.
+    On a flipped content each term's sides are swapped back and the terms
+    re-sorted; otherwise they come in the block's `sort_key` order."""
     identity = rows == tuple(range(len(rows))) and cols == tuple(range(len(cols)))
     terms: List[tuple] = []
     for coef, d in block.coordinates(packed):
@@ -559,8 +570,8 @@ def _support_terms(
             continue
         if not identity:
             d = _trusted_pair(_relabel(d.left, rows), _relabel(d.right, cols))
-        terms.append((coef, d))
-    return terms
+        terms.append((coef, _trusted_pair(d.right, d.left) if flipped else d))
+    return sorted(terms, key=lambda t: t[1].sort_key()) if flipped else terms
 
 
 def standard_coordinates(p: MultiPoly, m: int, k_bound: Optional[int] = None) -> StandardExpansion:
@@ -590,17 +601,18 @@ def standard_coordinates(p: MultiPoly, m: int, k_bound: Optional[int] = None) ->
                 left, right = (_tableaux_by_shape(c)[(1,) * sum(c)][0] for c in (rc, cc))
                 terms.append((Fraction(coef), _trusted_pair(left, right)))
             continue
-        block, rows, cols = _content_block(rc, cc)
+        block, rows, cols, flipped = _content_block(rc, cc)
         # Variable x_{r, c} of the support is block variable (a, b), of
-        # row-major index a * size + b in a packed block monomial.
+        # row-major index a * size + b in a packed block monomial; on a
+        # flipped content, x_{c, r} is.
         size, bits = block.m, block.bits
         layout = [
-            (r * m + c, (size * size - 1 - a * size - b) * bits)
+            (c * m + r if flipped else r * m + c, (size * size - 1 - a * size - b) * bits)
             for a, r in enumerate(rows)
             for b, c in enumerate(cols)
         ]
         packed = {sum(exp[i] << shift for i, shift in layout): coef for exp, coef in chunk.items()}
-        terms.extend(_support_terms(block, rows, cols, packed, k_bound))
+        terms.extend(_support_terms(block, rows, cols, packed, k_bound, flipped))
     terms.sort(key=lambda t: t[1].sort_key())
     return StandardExpansion(tuple(terms))
 
@@ -617,10 +629,12 @@ def straighten(dt: DoubleTableau, m: int, k_bound: Optional[int] = None) -> Stan
     sorted, are multiplied out by the packed kernel of the block's own
     columns and solved, and no `MultiPoly` is built.  The block's tableaux
     are sorted and relabelling keeps their order, so the terms come in
-    `sort_key` order.  No block is built when the first (longest) row of dt
-    is longer than k_bound: every term's shape dominates dt's, so no term
-    survives.  Nor at k_bound = 1, where every row is then a single entry
-    and the content's one standard product has coefficient 1.
+    `sort_key` order.  When the block is the content's transpose, dt's two
+    sides are swapped first, and each term's swapped back and re-sorted.
+    No block is built when the first (longest) row of dt is longer than
+    k_bound: every term's shape dominates dt's, so no term survives.  Nor
+    at k_bound = 1, where every row is then a single entry and the
+    content's one standard product has coefficient 1.
     """
     _check_int("m", m, 1)
     if m > MAX_M:
@@ -636,10 +650,11 @@ def straighten(dt: DoubleTableau, m: int, k_bound: Optional[int] = None) -> Stan
     if k_bound == 1:
         left, right = (_tableaux_by_shape(c)[(1,) * dt.shape.size][0] for c in (rc, cc))
         return StandardExpansion(((Fraction(1), _trusted_pair(left, right)),))
-    block, rows, cols = _content_block(rc, cc)
-    rel = _trusted_pair(_onto_support(dt.left, rows), _onto_support(dt.right, cols))
+    block, rows, cols, flipped = _content_block(rc, cc)
+    left, right = (dt.right, dt.left) if flipped else (dt.left, dt.right)
+    rel = _trusted_pair(_onto_support(left, rows), _onto_support(right, cols))
     packed = _packed_bideterminant(rel, block.m, block.bits)
-    return StandardExpansion(tuple(_support_terms(block, rows, cols, packed, k_bound)))
+    return StandardExpansion(tuple(_support_terms(block, rows, cols, packed, k_bound, flipped)))
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,9 @@ def test_solution_off_the_integer_lattice_is_none():
     # inexact; b = (2, 4) has the integer solution (1, 1).
     solver = prepare([[2, 2], [0, 2]])
     assert solver.pivot_rows == [0, 1]
-    assert solver.row_ops == [(1, 0, 1, 1, 2)]
-    assert [diag for diag, _ in solver.upper] == [2, 1]
+    assert solver.row_ops == [1, 0, 1, 1, 2]
+    assert solver.diag == [2, 1]
+    assert solver.upper == [{}, {}]
     assert solver.solve([1, 2]) is None
     assert reference_solve([[2, 2], [0, 2]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
     assert solver.solve([2, 4]) == [1, 1]
@@ -182,6 +183,20 @@ def test_a_minus_one_pivot_records_scale_one():
     columns = [[-1, 2], [0, 1]]
     solver = prepare(columns)
     assert solver.pivot_rows == [0, 1]
-    assert solver.row_ops == [(1, 0, 1, -2, 1)]
-    assert [diag for diag, _ in solver.upper] == [-1, 1]
+    assert solver.row_ops == [1, 0, 1, -2, 1]
+    assert solver.diag == [-1, 1]
+    assert solver.upper == [{}, {}]
     assert solver.solve([3, -4]) == reference_solve(columns, [3, -4]) == [-3, 2]
+
+
+def test_the_caller_columns_are_kept_unchanged():
+    # A x == b is checked over the caller's columns, so the build must
+    # neither copy nor change them.
+    columns = sparse([[2, 4, 0], [1, 3, 1], [0, 5, 7]])
+    before = [dict(col) for col in columns]
+    solver = PreparedSolver(columns)
+    assert solver.columns is columns
+    assert columns == before
+    x = [Fraction(3), Fraction(-1, 2), Fraction(2)]
+    assert solver.solve(apply([[2, 4, 0], [1, 3, 1], [0, 5, 7]], x)) == x
+    assert columns == before

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -682,7 +685,7 @@ def _check_block(m, rc, cc):
     block = tableaux._ContentBlock(m, rc, cc)
     bits = sum(rc).bit_length()
     assert block.bits == bits
-    got = {(r, c): v for r, row in enumerate(block.solver.sparse_rows) for c, v in row}
+    got = {(r, c): v for c, col in enumerate(block.solver.columns) for r, v in col.items()}
     expected = {
         (block.row_of[_pack(exp, bits)], c): coef
         for c, d in enumerate(block.tableaux)
@@ -836,6 +839,148 @@ class TestSharedBlocks:
         first.clear()
         assert len(enumerate_standard_tableaux(3, (2, 1), (1, 1, 1))) == 2
         assert list(tableaux._TABLEAU_CACHE) == [(1, 1, 1)]
+
+
+def _deal(rng, shape, content):
+    """The values of a content dealt at random into rows of the shape, or
+    None when a row repeats a value."""
+    values = [v for v, count in enumerate(content, 1) for _ in range(count)]
+    rng.shuffle(values)
+    rows, start = [], 0
+    for length in shape:
+        rows.append(tuple(values[start : start + length]))
+        start += length
+    return rows if all(len(set(row)) == len(row) for row in rows) else None
+
+
+def _filled_double_tableau(rng, rc, cc):
+    """A random double tableau with row content rc and column content cc:
+    both sides dealt into one random shape, rows in random order.  A single
+    column always deals, so it is the fallback."""
+    width = min(sum(1 for c in rc if c), sum(1 for c in cc if c))
+    shapes = list(_shapes(sum(rc), width))
+    for _ in range(50):
+        shape = rng.choice(shapes)
+        left, right = _deal(rng, shape, rc), _deal(rng, shape, cc)
+        if left and right:
+            return dt(left, right)
+    column = (1,) * sum(rc)
+    return dt(_deal(rng, column, rc), _deal(rng, column, cc))
+
+
+def _random_content(rng, m, degree):
+    counts = [0] * m
+    for v in rng.choices(range(m), k=degree):
+        counts[v] += 1
+    return tuple(counts)
+
+
+def seeded_straighten_ops(seed=29, count=200):
+    """(m, double tableau) pairs: m in {3, 4, 5}, degree 3..6, random
+    contents and fillings."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(count):
+        m = rng.choice((3, 4, 5))
+        degree = rng.randint(3, 6)
+        rc, cc = _random_content(rng, m, degree), _random_content(rng, m, degree)
+        ops.append((m, _filled_double_tableau(rng, rc, cc)))
+    return ops
+
+
+def straighten_digest(ops):
+    """sha256 (first 16 hex digits) of every op's straighten output, as JSON,
+    at k_bound None, 1 and 2, from a cold cache."""
+    clear_caches()
+    h = hashlib.sha256()
+    for k_bound in (None, 1, 2):
+        for m, d in ops:
+            record = [m, k_bound, d.to_json(), straighten(d, m, k_bound).to_json()]
+            h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    def test_seeded_straighten_digest(self):
+        # Computed before transposed contents shared a block; any change to
+        # a coefficient, a term, or the order of the terms changes it.
+        # 200 ops, 84 of them on a transposed block; about 0.1 s.
+        assert straighten_digest(seeded_straighten_ops()) == "f6d11cc13838d34d"
+
+    def test_a_cold_straighten_leaves_no_cyclic_garbage(self):
+        # Everything a cold pass leaves behind is freed by reference
+        # counting, and the cached solvers hold no tracked object per
+        # nonzero, row op or pivot row.
+        ops = seeded_straighten_ops(count=100)
+        clear_caches()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for k_bound in (None, 2):
+                for m, d in ops:
+                    straighten(d, m, k_bound)
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage == 0
+        assert tableaux._BLOCK_CACHE
+        for block in tableaux._BLOCK_CACHE.values():
+            solver = block.solver
+            assert all(type(v) is int for v in solver.row_ops + solver.pivot_rows + solver.diag)
+            assert not any(gc.is_tracked(d) for d in solver.upper + list(solver.columns))
+
+
+class TestTransposedBlocks:
+    def test_every_content_pair_shares_one_block_with_its_transpose(self):
+        # Every zero-free content pair rc != cc of degree <= 5, both
+        # orientations, each pair on a cold cache: 155 pairs.  Each side is
+        # placed at m = size + 1 with a zero row and a zero column inserted
+        # at random, so the flipped side is also relabelled.
+        rng = random.Random(2029)
+        pairs = 0
+        for degree in range(1, 6):
+            for rc in _compositions(degree):
+                for cc in _compositions(degree):
+                    size = max(len(rc), len(cc))
+                    rc_pad, cc_pad = rc + (0,) * (size - len(rc)), cc + (0,) * (size - len(cc))
+                    if not rc_pad < cc_pad:
+                        continue
+                    pairs += 1
+                    m = size + 1
+                    clear_caches()
+                    inputs = [
+                        _filled_double_tableau(rng, _insert_zero(rng, a), _insert_zero(rng, b))
+                        for a, b in ((rc_pad, cc_pad), (cc_pad, rc_pad))
+                    ]
+                    results = [straighten(d, m) for d in inputs]
+                    assert len(tableaux._BLOCK_CACHE) == 1, (rc, cc)
+                    p = MultiPoly(m)
+                    for d, expansion, coef in zip(inputs, results, (3, Fraction(-2, 5))):
+                        poly = bideterminant(d, m)
+                        assert expansion.to_poly(m) == poly, (rc, cc, d)
+                        assert expansion == direct_coordinates(poly, m), (rc, cc, d)
+                        p = p + poly * coef
+                    assert standard_coordinates(p, m) == direct_coordinates(p, m), (rc, cc)
+                    assert len(tableaux._BLOCK_CACHE) == 1, (rc, cc)
+        clear_caches()
+        assert pairs == 155
+
+    def test_the_block_is_keyed_by_the_orientation_that_sorts_first(self):
+        clear_caches()
+        d = dt([(1, 2), (1,)], [(1, 2), (2,)])  # content (2,1)|(1,2)
+        assert straighten(d, 2) == direct_coordinates(bideterminant(d, 2), 2)
+        assert list(tableaux._BLOCK_CACHE) == [((1, 2), (2, 1))]
+        block, rows, cols, flipped = tableaux._content_block((0, 2, 1), (1, 0, 2))
+        assert flipped and (rows, cols) == ((0, 2), (1, 2))
+        assert list(tableaux._BLOCK_CACHE.values()) == [block]
+
+
+def _insert_zero(rng, content):
+    """The content with one zero inserted at a random place."""
+    i = rng.randint(0, len(content))
+    return content[:i] + (0,) + content[i:]
 
 
 class TestBasisProperty:
