@@ -171,14 +171,6 @@ def new_partition(entries: Iterable) -> ExtendedPartition:
     return ExtendedPartition(tuple(entries))
 
 
-def _trusted_partition(entries: tuple) -> ExtendedPartition:
-    """An ExtendedPartition from a tuple of naturals and INF that is
-    nonincreasing by construction, without the checks of __post_init__."""
-    lam = object.__new__(ExtendedPartition)
-    object.__setattr__(lam, "entries", entries)
-    return lam
-
-
 # Largest rank bound k a pair accepts: a pair stores k coefficients.
 MAX_RANK = 100_000
 

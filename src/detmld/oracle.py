@@ -5,12 +5,13 @@ Two oracles:
 * brute-force minimization of the discrepancy objective
   codim - (Nash contact order) - sum alpha_i * w_i
   over all valid orbit partitions with bounded entries, together with an
-  analytic certificate of unboundedness from the beta prefix sums.  Each
-  orbit is built unchecked from a tail of `iter_tails` (nonincreasing
-  naturals by construction), checked for membership once, and scored in
-  integers over the lcm of the coefficient denominators, scaled from the
-  coefficients themselves and not from the pair's prefix sums that the
-  closed forms read;
+  analytic certificate of unboundedness from the beta prefix sums.  The
+  search never builds a partition: every orbit has the head (INF,)*(m-k),
+  the jet-space head, and a tail of `iter_tails` (nonincreasing naturals by
+  construction).  Each tail is checked for the target's membership
+  conditions and scored from the orbit formula bodies, in integers over the
+  lcm of the coefficient denominators, scaled from the coefficients
+  themselves and not from the pair's prefix sums that the closed forms read;
 
 * a truncated-power-series computation of contact orders, evaluating every
   minor of a matrix of monomial series exactly (optionally conjugated by
@@ -45,7 +46,6 @@ from .core import (
     MldValue,
     PreconditionError,
     _check_int,
-    _trusted_partition,
 )
 from .mld import BetaVector, beta_coefficients, mld_along, mld_at_rank
 from .orbits import (
@@ -54,7 +54,8 @@ from .orbits import (
     _contact_orders,
     _meets_point_fiber,
     _nash_contact_order,
-    orbit_has_finite_codim,
+    _require_in_jet_space,
+    _tail,
 )
 
 
@@ -148,36 +149,35 @@ def _scaled_alphas(pair: DeterminantalPair) -> tuple:
     return denominator, tuple(a.numerator * (denominator // a.denominator) for a in pair.alphas)
 
 
-def _scaled_objective(
-    pair: DeterminantalPair,
-    lam: ExtendedPartition,
-    target: Target,
-    denominator: int,
-    scaled_alphas: tuple,
-) -> int:
-    """`denominator` times the objective of one orbit, in integers.
-
-    Checks the orbit's membership conditions, not the target itself.
-    """
-    if not orbit_has_finite_codim(lam, pair):
-        raise PreconditionError(
-            f"orbit {lam.entries} has infinite codimension; objective undefined"
-        )
-    if isinstance(target, PointTarget):
-        if not _meets_point_fiber(lam, pair, target.q):
-            raise PreconditionError(
-                f"orbit {lam.entries} misses the fiber over a rank-{target.q} point"
-            )
-        cod = _codim_point(lam, pair, target.q)
+def _require_member(pair: DeterminantalPair, tail: tuple, target: Target) -> None:
+    """Reject the orbit (INF,)*(m-k) + tail unless it has length m, finite
+    codimension and meets the target; the target itself is not checked."""
+    m, k = pair.m, pair.k
+    if len(tail) != k:
+        raise PreconditionError(f"partition has length {m - k + len(tail)}, expected m={m}")
+    if tail[0] is INF:
+        problem = "has infinite codimension; objective undefined"
+    elif isinstance(target, PointTarget):
+        q = target.q
+        problem = None if _meets_point_fiber(tail, q) else f"misses the fiber over a rank-{q} point"
     else:
-        m, k = pair.m, pair.k
-        if any(e <= 0 for e in lam.entries[m - k:m - k + target.j]):
-            raise PreconditionError(
-                f"orbit {lam.entries} is not centered in the rank <= {k - target.j} sublocus"
-            )
-        cod = _codim(lam, pair)
-    weighted = sum(map(mul, scaled_alphas, _contact_orders(lam, pair)))
-    return denominator * (cod - _nash_contact_order(lam, pair)) - weighted
+        j = target.j
+        problem = f"is not centered in the rank <= {k - j} sublocus" if 0 in tail[:j] else None
+    if problem:
+        raise PreconditionError(f"orbit {(INF,) * (m - k) + tail} {problem}")
+
+
+def _scaled_objective(
+    tail: tuple, m: int, target: Target, denominator: int, scaled_alphas: tuple
+) -> int:
+    """`denominator` times the objective of the orbit with this tail, in
+    integers, assembled from the orbit formula bodies; checks nothing."""
+    if isinstance(target, PointTarget):
+        cod = _codim_point(tail, m, target.q)
+    else:
+        cod = _codim(tail, m)
+    weighted = sum(map(mul, scaled_alphas, _contact_orders(tail)))
+    return denominator * (cod - _nash_contact_order(tail, m)) - weighted
 
 
 def discrepancy_objective(
@@ -187,15 +187,18 @@ def discrepancy_objective(
 
     The codimension is taken relative to the target: through a rank-q point
     for a point target, plain orbit codimension for a locus target.  The
-    orbit must satisfy the target's membership conditions with finite
-    codimension.  Each condition is checked once here; the orbit formulas
-    are then evaluated unchecked, in integers over the common denominator
-    of the coefficients.
+    orbit must lie in the jet space and satisfy the target's membership
+    conditions with finite codimension.  Each condition is checked once here;
+    the orbit formulas are then evaluated unchecked on the tail, in integers
+    over the common denominator of the coefficients.
     """
     _validate_target(pair, target)
+    _require_in_jet_space(lam, pair)
+    tail = _tail(lam, pair)
+    _require_member(pair, tail, target)
     denominator, scaled_alphas = _scaled_alphas(pair)
     return Fraction(
-        _scaled_objective(pair, lam, target, denominator, scaled_alphas), denominator
+        _scaled_objective(tail, pair.m, target, denominator, scaled_alphas), denominator
     )
 
 
@@ -254,17 +257,15 @@ def minimize_objective(
             f"the search to L={bound} has more than {MAX_SEARCH_TAILS} tails; lower L"
         )
     # Values are compared scaled by the positive common denominator, which
-    # keeps their order, so the search runs on integers.  The tails are
-    # nonincreasing naturals by construction, so each orbit is built
-    # unchecked; _scaled_objective still checks its membership.
+    # keeps their order, so the search runs on integers.  Every orbit is the
+    # jet-space head (INF,)*(m-k) followed by a tail, nonincreasing naturals
+    # by construction, so only the tail is checked, once per orbit.
     denominator, scaled_alphas = _scaled_alphas(pair)
-    head = (INF,) * (pair.m - pair.k)
     best: Optional[int] = None
     best_tail: Optional[tuple] = None
     for tail in iter_tails(pair, target, bound):
-        value = _scaled_objective(
-            pair, _trusted_partition(head + tail), target, denominator, scaled_alphas
-        )
+        _require_member(pair, tail, target)
+        value = _scaled_objective(tail, pair.m, target, denominator, scaled_alphas)
         if best is None or value < best or (value == best and tail < best_tail):
             best, best_tail = value, tail
     if best is None:
@@ -299,16 +300,21 @@ def _random_invertible(m: int, rng: random.Random) -> list:
 
 
 def _int_det(mat: list) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    sign = 1
-    for c in range(n):
-        sub = [row[:c] + row[c + 1:] for row in mat[1:]]
-        total += sign * mat[0][c] * _int_det(sub)
-        sign = -sign
-    return total
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so every entry stays an integer."""
+    rows, sign, previous = [list(row) for row in mat], 1, 1
+    for i in range(len(rows) - 1):
+        swap = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if swap is None:
+            return 0
+        if swap != i:
+            rows[i], rows[swap], sign = rows[swap], rows[i], -sign
+        top = rows[i]
+        for row in rows[i + 1:]:
+            row[i + 1:] = [(x * top[i] - row[i] * y) // previous
+                           for x, y in zip(row[i + 1:], top[i + 1:])]
+        previous = top[i]
+    return sign * rows[-1][-1]
 
 
 def _series_rows(exponents: tuple, m: int, truncation: int, seed: Optional[int]) -> list:

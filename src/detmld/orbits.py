@@ -9,25 +9,17 @@ determinantal subvarieties, and orbit codimensions.
 Indices follow the 1-based conventions of the underlying geometry; the
 docstrings state them explicitly.
 
-Each formula lives in one private body that assumes the orbit lies in the jet
-space and its index is in range; the public function checks that and then
-calls the body.  The oracle's objective checks each orbit once and calls the
-bodies directly.
+Each formula lives in one private body on the tail lam_{m-k+1}, ..., lam_m
+of an orbit in the jet space, whose index it assumes in range; the public
+function checks both and then calls the body.  The oracle checks each tail
+once and calls the bodies directly.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
 
 from .core import INF, DeterminantalPair, ExtendedPartition, PreconditionError, _check_int
-
-
-def _check_lengths(lam: ExtendedPartition, pair: DeterminantalPair) -> None:
-    if len(lam) != pair.m:
-        raise PreconditionError(
-            f"partition has length {len(lam)}, expected m={pair.m}"
-        )
 
 
 def _require_in_jet_space(lam: ExtendedPartition, pair: DeterminantalPair) -> None:
@@ -43,7 +35,8 @@ def orbit_in_jet_space(lam: ExtendedPartition, pair: DeterminantalPair) -> bool:
 
     This happens exactly when lam_1 = ... = lam_{m-k} = INF (vacuous for k = m).
     """
-    _check_lengths(lam, pair)
+    if len(lam) != pair.m:
+        raise PreconditionError(f"partition has length {len(lam)}, expected m={pair.m}")
     return all(e is INF for e in lam.entries[:pair.m - pair.k])
 
 
@@ -53,10 +46,16 @@ def orbit_has_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> b
     return lam.entries[pair.m - pair.k] is not INF
 
 
-def _meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
-    cut = pair.m - q
-    entries = lam.entries
-    return all(e > 0 for e in entries[:cut]) and all(e == 0 for e in entries[cut:])
+def _tail(lam: ExtendedPartition, pair: DeterminantalPair) -> tuple:
+    """The entries lam_{m-k+1}, ..., lam_m after the jet-space head."""
+    return lam.entries[pair.m - pair.k:]
+
+
+def _meets_point_fiber(tail: tuple, q: int) -> bool:
+    # the first k - q tail entries are > 0 and the last q are 0; the entries
+    # are naturals or INF, which is truthy, so both read as tests for 0
+    cut = len(tail) - q
+    return 0 not in tail[:cut] and not any(tail[cut:])
 
 
 def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> bool:
@@ -66,12 +65,12 @@ def orbit_meets_point_fiber(lam: ExtendedPartition, pair: DeterminantalPair, q: 
     """
     _require_in_jet_space(lam, pair)
     _check_int("q", q, 0, pair.k)
-    return _meets_point_fiber(lam, pair, q)
+    return _meets_point_fiber(_tail(lam, pair), q)
 
 
-def _contact_orders(lam: ExtendedPartition, pair: DeterminantalPair) -> tuple:
+def _contact_orders(tail: tuple) -> tuple:
     # w_i = lam_{m-k+i} + ... + lam_m for i = 1..k: one running sum from the right
-    return tuple(accumulate(reversed(lam.entries[pair.m - pair.k:])))[::-1]
+    return tuple(accumulate(reversed(tail)))[::-1]
 
 
 def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i: int):
@@ -82,13 +81,13 @@ def contact_order_subvariety(lam: ExtendedPartition, pair: DeterminantalPair, i:
     """
     _require_in_jet_space(lam, pair)
     _check_int("i", i, 1, pair.k)
-    return _contact_orders(lam, pair)[i - 1]
+    return _contact_orders(_tail(lam, pair))[i - 1]
 
 
-def _nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
-    if pair.k == pair.m:
-        return 0
-    return (pair.m - pair.k) * sum(lam.entries[pair.m - pair.k:])
+def _nash_contact_order(tail: tuple, m: int):
+    # (m-k) * (lam_{m-k+1} + ... + lam_m), and 0 for k = m even if INF occurs
+    power = m - len(tail)
+    return power * sum(tail) if power else 0
 
 
 def nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
@@ -99,7 +98,7 @@ def nash_contact_order(lam: ExtendedPartition, pair: DeterminantalPair):
     order is 0.
     """
     _require_in_jet_space(lam, pair)
-    return _nash_contact_order(lam, pair)
+    return _nash_contact_order(_tail(lam, pair), pair.m)
 
 
 def _require_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> None:
@@ -109,10 +108,13 @@ def _require_finite_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> No
         )
 
 
-def _codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
+def _codim(tail: tuple, m: int) -> int:
     # (2i - 1) * lam_i for i = m-k+1..m
-    m, k = pair.m, pair.k
-    return sum(map(mul, range(2 * (m - k) + 1, 2 * m, 2), lam.entries[m - k:]))
+    codim, weight = 0, 2 * (m - len(tail)) + 1
+    for e in tail:
+        codim += weight * e
+        weight += 2
+    return codim
 
 
 def orbit_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
@@ -122,11 +124,11 @@ def orbit_codim(lam: ExtendedPartition, pair: DeterminantalPair) -> int:
     codimension.
     """
     _require_finite_codim(lam, pair)
-    return _codim(lam, pair)
+    return _codim(_tail(lam, pair), pair.m)
 
 
-def _codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> int:
-    return q * (2 * pair.m - q) + _codim(lam, pair)
+def _codim_point(tail: tuple, m: int, q: int) -> int:
+    return q * (2 * m - q) + _codim(tail, m)
 
 
 def orbit_codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -> int:
@@ -140,4 +142,4 @@ def orbit_codim_point(lam: ExtendedPartition, pair: DeterminantalPair, q: int) -
             f"orbit {lam.entries} misses the fiber over a rank-{q} point"
         )
     _require_finite_codim(lam, pair)
-    return _codim_point(lam, pair, q)
+    return _codim_point(_tail(lam, pair), pair.m, q)

@@ -14,7 +14,6 @@ from detmld.core import (
     ExtendedPartition,
     MldValue,
     PreconditionError,
-    _trusted_partition,
     new_pair,
     new_partition,
 )
@@ -371,21 +370,23 @@ class TestSearchScoresEveryTrustedTail:
             for target in targets:
                 for bound in range(1, 5):
                     for tail in iter_tails(pair, target, bound):
-                        lam = _trusted_partition((INF,) * (m - k) + tail)
-                        assert new_partition(lam.entries) == lam == full_partition(pair, tail)
+                        entries = (INF,) * (m - k) + tail
+                        lam = new_partition(entries)
+                        assert lam.entries == entries
+                        assert lam == full_partition(pair, tail)
 
-    def _argmin_entries(self, target):
+    def _argmin_tail(self, target):
         before = compare_with_closed_form(self.PAIR, target, 4)
         assert before.agree
-        return before, (INF,) * (self.PAIR.m - self.PAIR.k) + before.oracle.argmin
+        return before, before.oracle.argmin
 
     @pytest.mark.parametrize("target, name", TARGETS)
     def test_codim_of_the_argmin_is_read(self, monkeypatch, target, name):
-        before, entries = self._argmin_entries(target)
+        before, argmin = self._argmin_tail(target)
         original = getattr(oracle, name)
 
-        def bumped(lam, pair, *rest):
-            return original(lam, pair, *rest) + (lam.entries == entries)
+        def bumped(tail, m, *rest):
+            return original(tail, m, *rest) + (tail == argmin)
 
         monkeypatch.setattr(oracle, name, bumped)
         after = compare_with_closed_form(self.PAIR, target, 4)
@@ -394,12 +395,12 @@ class TestSearchScoresEveryTrustedTail:
 
     @pytest.mark.parametrize("target", [target for target, _ in TARGETS])
     def test_contact_orders_of_the_argmin_are_read(self, monkeypatch, target):
-        before, entries = self._argmin_entries(target)
+        before, argmin = self._argmin_tail(target)
         original = oracle._contact_orders
 
-        def bumped(lam, pair):
-            w = original(lam, pair)
-            return (w[0] + 1,) + w[1:] if lam.entries == entries else w
+        def bumped(tail):
+            w = original(tail)
+            return (w[0] + 1,) + w[1:] if tail == argmin else w
 
         monkeypatch.setattr(oracle, "_contact_orders", bumped)
         after = compare_with_closed_form(self.PAIR, target, 4)
@@ -412,14 +413,44 @@ class TestSearchScoresEveryTrustedTail:
         # 100 * (1/2 + 1/3), below every other value in the box
         original = oracle._contact_orders
         for tail in iter_tails(self.PAIR, target, 4):
-            entries = (INF,) * (self.PAIR.m - self.PAIR.k) + tail
 
-            def raised(lam, pair, entries=entries):
-                w = original(lam, pair)
-                return tuple(x + 100 for x in w) if lam.entries == entries else w
+            def raised(scored, tail=tail):
+                w = original(scored)
+                return tuple(x + 100 for x in w) if scored == tail else w
 
             monkeypatch.setattr(oracle, "_contact_orders", raised)
             assert minimize_objective(self.PAIR, target, 4).argmin == tail
+
+
+class TestSearchChecksEveryTail:
+    """The search checks the membership of every tail it scores: one bad tail
+    slipped among the good ones of `iter_tails`, first, in the middle or
+    last, must raise."""
+
+    PAIR = new_pair(4, 3, [])
+    CASES = [
+        pytest.param(PointTarget(1), (INF, 1, 0), "infinite codimension", id="point_inf_first"),
+        pytest.param(LocusTarget(1), (INF, 1, 0), "infinite codimension", id="locus_inf_first"),
+        pytest.param(PointTarget(1), (2, 0, 0), "misses the fiber", id="zero_in_free_entries"),
+        pytest.param(PointTarget(1), (2, 1, 1), "misses the fiber", id="nonzero_past_free_entries"),
+        pytest.param(LocusTarget(2), (2, 0, 0), "not centered", id="zero_at_locus_entry_j"),
+        pytest.param(PointTarget(0), (1, 1), "has length 3, expected m=4", id="short_tail"),
+    ]
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("target, bad, match", CASES)
+    def test_a_bad_tail_raises(self, monkeypatch, target, bad, match, position):
+        expected = minimize_objective(self.PAIR, target, 3)
+        good = list(iter_tails(self.PAIR, target, 3))
+        at = {"first": 0, "middle": len(good) // 2, "last": len(good)}[position]
+        tails = good  # the patched enumeration reads `tails` when it is called
+        monkeypatch.setattr(oracle, "iter_tails", lambda pair, target, bound: iter(tails))
+        assert minimize_objective(self.PAIR, target, 3) == expected
+        tails = good[:at] + [bad] + good[at:]
+        with pytest.raises(PreconditionError, match=match) as raised:
+            minimize_objective(self.PAIR, target, 3)
+        if len(bad) == self.PAIR.k:
+            assert str((INF,) + bad) in str(raised.value)
 
 
 class TestComparison:
@@ -628,6 +659,84 @@ class TestSeriesExpansionMatchesMinorByMinor:
             size = rng.randint(1, 5)
             expected = minor_by_minor_order(entries, 5, size, truncation)
             assert series_minor_order(entries, 5, size, truncation) == expected, (entries, size)
+
+
+def laplace_det(mat):
+    """The determinant by recursive Laplace expansion along the first row:
+    the reference for the series oracle's elimination."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(
+        (-1) ** c * mat[0][c] * laplace_det([row[:c] + row[c + 1:] for row in mat[1:]])
+        for c in range(len(mat))
+    )
+
+
+def laplace_random_invertible(m, rng):
+    """The series oracle's matrix draw, tested with the Laplace determinant."""
+    while True:
+        mat = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        if laplace_det(mat) != 0:
+            return mat
+
+
+def singular_variants(mat, rng):
+    """Copies of mat with a repeated row, a zero column, and a row that is
+    the sum of two others."""
+    m = len(mat)
+    out = []
+    if m >= 2:
+        a, b = rng.sample(range(m), 2)
+        repeated = [list(row) for row in mat]
+        repeated[b] = list(mat[a])
+        out.append(repeated)
+    c = rng.randrange(m)
+    out.append([row[:c] + [0] + row[c + 1:] for row in mat])
+    if m >= 3:
+        a, b, t = rng.sample(range(m), 3)
+        summed = [list(row) for row in mat]
+        summed[t] = [x + y for x, y in zip(mat[a], mat[b])]
+        out.append(summed)
+    return out
+
+
+class TestIntegerDeterminant:
+    """The elimination determinant against the Laplace expansion."""
+
+    def test_small_cases(self):
+        assert oracle._int_det([[5]]) == 5
+        assert oracle._int_det([[0, 1], [1, 0]]) == -1
+        assert oracle._int_det([[0, 0], [1, 2]]) == 0
+        assert oracle._int_det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_laplace_on_seeded_matrices(self, m):
+        rng = random.Random(m)
+        singular = 0
+        for _ in range(60):
+            # a small entry range makes zero pivots, and so row swaps, common
+            mat = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+            for case in [mat] + singular_variants(mat, rng):
+                before = [list(row) for row in case]
+                assert oracle._int_det(case) == laplace_det(case), case
+                assert case == before
+                singular += laplace_det(case) == 0
+        assert singular >= 60
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_random_invertible_draws_are_unchanged(self, m):
+        for seed in range(10):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert oracle._random_invertible(m, rng) == laplace_random_invertible(m, reference)
+            assert rng.getstate() == reference.getstate()
+
+    def test_seeded_size_eight_matches_unseeded(self):
+        exponents = (3, 2, 2, 1, 1, 1, 1, 0)
+        for size, expected in ((1, 0), (2, 1), (8, 11)):
+            assert series_minor_order(exponents, 8, size, 12) == expected
+            for seed in (0, 7):
+                assert series_minor_order(exponents, 8, size, 12, seed=seed) == expected
 
 
 class TestSeriesBounds:
