@@ -203,14 +203,13 @@ def _cmd_orbit_codim(args) -> dict:
 
 
 def _cmd_ord(args) -> dict:
-    order = series_minor_order(
-        _parse_lambda(args.lam), args.m, args.s, args.N, seed=args.seed
-    )
+    lam = _parse_lambda(args.lam)
+    order = series_minor_order(lam, args.m, args.s, args.N, seed=args.seed)
     return {
         "m": args.m,
         "s": args.s,
         "N": args.N,
-        "lambda": list(_parse_lambda(args.lam)),
+        "lambda": list(lam),
         "order": "above_truncation" if order is ABOVE_TRUNCATION else order,
     }
 
@@ -279,13 +278,18 @@ def _cmd_semicontinuity(args) -> dict:
     }
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for every subcommand.
+    """The root parser, which ``main`` runs on an argv no leaf parser takes whole."""
+    return _parsers()[0]
 
-    It is built once per process, on the first call, and then reused:
-    building it costs milliseconds, more than most queries.  Reuse is safe
-    because ``parse_args`` returns a fresh namespace on every call.  It is
+
+@cache
+def _parsers() -> tuple:
+    """The root parser, and each leaf parser keyed by its command words.
+
+    They are built once per process, on the first call, and then reused:
+    building them costs milliseconds, more than most queries.  Reuse is safe
+    because ``parse_args`` returns a fresh namespace on every call.  They are
     not built at import time, so that importing the package stays cheap.
     """
     parser = argparse.ArgumentParser(
@@ -293,11 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact minimal log discrepancies of determinantal pairs, with verification oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = {}
+
+    def leaf(subparsers, *words, help):
+        leaves[words] = subparsers.add_parser(words[-1], help=help)
+        return leaves[words]
 
     mld = sub.add_parser("mld", help="closed-form minimal log discrepancies")
     mld_sub = mld.add_subparsers(dest="subcommand", required=True)
 
-    point = mld_sub.add_parser("point", help="mld at a matrix of given rank")
+    point = leaf(mld_sub, "mld", "point", help="mld at a matrix of given rank")
     point.add_argument("--m", type=int, required=True)
     point.add_argument("--k", type=int, required=True)
     point.add_argument("--alphas", type=str, required=True)
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(point)
     point.set_defaults(func=_cmd_mld_point)
 
-    locus = mld_sub.add_parser("locus", help="mld along a determinantal sublocus")
+    locus = leaf(mld_sub, "mld", "locus", help="mld along a determinantal sublocus")
     locus.add_argument("--m", type=int, required=True)
     locus.add_argument("--k", type=int, required=True)
     locus.add_argument("--alphas", type=str, required=True)
@@ -317,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lc = sub.add_parser("lc", help="log-canonicity criteria")
     lc_sub = lc.add_subparsers(dest="subcommand", required=True)
-    check = lc_sub.add_parser("check", help="check the prefix inequalities")
+    check = leaf(lc_sub, "lc", "check", help="check the prefix inequalities")
     check.add_argument("--m", type=int, required=True)
     check.add_argument("--k", type=int, required=True)
     check.add_argument("--alphas", type=str, required=True)
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orbit = sub.add_parser("orbit", help="orbit invariants in the arc space")
     orbit_sub = orbit.add_subparsers(dest="subcommand", required=True)
-    codim = orbit_sub.add_parser("codim", help="codimension and contact orders")
+    codim = leaf(orbit_sub, "orbit", "codim", help="codimension and contact orders")
     codim.add_argument("--m", type=int, required=True)
     codim.add_argument("--k", type=int, required=True)
     codim.add_argument("--lambda", dest="lam", type=str, required=True)
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(codim)
     codim.set_defaults(func=_cmd_orbit_codim)
 
-    ordp = sub.add_parser("ord", help="power-series contact-order oracle")
+    ordp = leaf(sub, "ord", help="power-series contact-order oracle")
     ordp.add_argument("--lambda", dest="lam", type=str, required=True)
     ordp.add_argument("--m", type=int, required=True)
     ordp.add_argument("--s", type=int, required=True)
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(ordp)
     ordp.set_defaults(func=_cmd_ord)
 
-    st = sub.add_parser("straighten", help="standard-basis expansion of a double tableau")
+    st = leaf(sub, "straighten", help="standard-basis expansion of a double tableau")
     st.add_argument("--file", type=str, required=True)
     st.add_argument("--kbound", type=int, default=None)
     _common_options(st)
@@ -353,24 +362,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     nash = sub.add_parser("nash", help="Nash-ideal verification")
     nash_sub = nash.add_subparsers(dest="subcommand", required=True)
-    nv = nash_sub.add_parser("verify", help="exhaustive top-form reduction report")
+    nv = leaf(nash_sub, "nash", "verify", help="exhaustive top-form reduction report")
     nv.add_argument("--m", type=int, required=True)
     nv.add_argument("--k", type=int, required=True)
     _common_options(nv)
     nv.set_defaults(func=_cmd_nash_verify)
 
-    semi = sub.add_parser("semicontinuity", help="rank-indexed mld profile")
+    semi = leaf(sub, "semicontinuity", help="rank-indexed mld profile")
     semi.add_argument("--m", type=int, required=True)
     semi.add_argument("--k", type=int, required=True)
     semi.add_argument("--alphas", type=str, required=True)
     _common_options(semi)
     semi.set_defaults(func=_cmd_semicontinuity)
 
-    return parser
+    return parser, leaves
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code: the leaf parser of the argv's
+    command words parses the rest, or the root parser the whole argv when no
+    leaf matches or the leaf leaves tokens over, so errors read the same."""
+    parser, leaves = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     try:
         # argparse reads `--opt=--` as an empty list up to Python 3.12 and
@@ -378,7 +390,10 @@ def main(argv: Optional[list] = None) -> int:
         for token in argv:
             if token.startswith("--") and token.endswith("=--"):
                 raise _InputError(f"option {token[:-3]!r} needs a value, got '--'")
-        args = parser.parse_args(argv)
+        words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+        args, extra = leaves[words].parse_known_args(argv[len(words):]) if words in leaves else (None, True)
+        if extra:
+            args = parser.parse_args(argv)
         out = args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

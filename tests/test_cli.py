@@ -1,16 +1,20 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import detmld
+from detmld import cli
 from detmld.cli import build_parser
 from detmld.core import new_pair
 from detmld.mld import is_lc_along, is_lc_at_rank
@@ -404,6 +408,24 @@ class TestParserReuse:
 
     def test_built_once(self):
         assert build_parser() is build_parser()
+        root, leaves = cli._parsers()
+        assert root is build_parser()
+        assert cli._parsers()[1] is leaves
+        # every leaf the root route reaches through the subcommand choices
+        reached = {}
+
+        def walk(parser, words):
+            subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subparsers:
+                reached[words] = parser
+            for action in subparsers:
+                for name, child in action.choices.items():
+                    walk(child, words + (name,))
+
+        walk(root, ())
+        assert set(leaves) == set(reached) == {tuple(words) for words in _LEAF_WORDS}
+        for words, parser in reached.items():
+            assert leaves[words] is parser, words
 
     def test_argument_error_then_valid_call(self, run_cli, run_cli_json):
         code, out, err = run_cli(["mld", "point", "--m", "3", "--k", "x"])
@@ -564,6 +586,50 @@ def test_argv_fuzz_exits_cleanly(run_cli, argv):
     else:
         assert code in (1, 2), (code, err)
         assert err
+
+
+# Leaf and root routes: main parses an argv on the leaf parser of its command
+# words; the reference is main with an empty leaf table, which parses every
+# argv whole on build_parser().  Both must print and exit alike.
+_VALID_POINT = ["mld", "point", "--m", "3", "--k", "2", "--alphas", "1,7/2", "--q", "0"]
+_LEAF_WORDS = [
+    ["mld", "point"], ["mld", "locus"], ["lc", "check"], ["orbit", "codim"],
+    ["ord"], ["straighten"], ["nash", "verify"], ["semicontinuity"],
+]
+_ROUTE_ARGVS = [
+    [], ["-h"], ["mld", "-h"], *[words + ["-h"] for words in _LEAF_WORDS],
+    ["frobnicate"], ["mld"], ["mld", "poin"], ["mld", "point"], ["mld", "point", "--m", "3"],
+    ["ord", "ord", "--lambda", "3,2,1", "--m", "3", "--s", "2", "--N", "6"],
+    ["ord", "--lambda", "3,2,1", "--m", "3", "--s", "2", "--N", "6", "extra"],
+    _VALID_POINT, _VALID_POINT + ["extra"], _VALID_POINT + ["--pre"],
+    ["mld", "point", "--m", "3", "--k", "2", "--alphas=--", "--q", "0"],
+    ["nash", "verify", "--m", "2", "--k", "2", "--pretty"],
+]
+# the timing fields of a `nash verify` report, in JSON and --pretty
+_TIMING = re.compile(r'("?(?:elapsed_)?seconds"?:?\s+)[-+.\de]+')
+
+
+def _routes(run_cli, argv) -> tuple:
+    """(exit code, stdout, stderr) of main, then of main on the root parser alone."""
+    results = [run_cli(argv)]
+    with mock.patch.dict(cli._parsers()[1], clear=True):
+        results.append(run_cli(argv))
+    return tuple((code, _TIMING.sub(r"\1T", out), err) for code, out, err in results)
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGVS, ids=" ".join)
+def test_leaf_route_matches_root_route(run_cli, argv):
+    leaf, root = _routes(run_cli, argv)
+    assert leaf == root
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_argv_fuzz_leaf_route_matches_root_route(run_cli, argv):
+    if _slow(argv):
+        return
+    leaf, root = _routes(run_cli, argv)
+    assert leaf == root
 
 
 # Straighten file fuzzing: JSON documents with "left", "right", "rows", "shape"
