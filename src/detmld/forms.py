@@ -35,7 +35,8 @@ coordinates modulo the (k+1)-minor ideal, where multiplying or dividing by
 D adds or strips the top row (1..k | 1..k) of each standard double
 tableau, so the division needs no solver of its own.  Another chart's own
 elimination gives only its B.  No fraction fields appear anywhere, and the
-first `Fraction` is a standard coordinate.
+first `Fraction` is a standard coordinate.  `verify_nash` runs the steps of
+`reduce_top_form` itself, once each per subset.
 """
 
 from __future__ import annotations
@@ -415,7 +416,13 @@ def verify_nash(m: int, k: int) -> NashReport:
     of charts one swap apart, both chart signs realized; every chart lies in
     such a pair when k < m and k = m has one chart, so it equals
     `minors_realized`.  Guarded to m <= 4 (exhaustive: 11,440 subsets at
-    (4, 1))."""
+    (4, 1)).
+
+    Each subset is reduced in one pass by the steps `reduce_top_form` runs on
+    the reference chart, called once each: the lex and revlex eliminations,
+    `_resolve_coefficient` on the lex (N, B) and `_rectangular_membership`.
+    `combinations` yields only subsets that `reduce_top_form`'s checks pass,
+    and its `denominator_power` there is the lex B."""
     _check_int("m", m, 1)
     _check_int("k", k, 1, m)
     if m > VERIFY_GUARD_M:
@@ -424,7 +431,6 @@ def verify_nash(m: int, k: int) -> NashReport:
         )
     started = time.perf_counter()
     ref = reference_chart_indices(k)
-    chart = chart_form(ref, ref, m, k)
     positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     size = k * (2 * m - k)
 
@@ -432,20 +438,22 @@ def verify_nash(m: int, k: int) -> NashReport:
     by_subset: Dict[Wedge, StandardExpansion] = {}
     for subset in combinations(positions, size):
         t0 = time.perf_counter()
-        first = reduce_top_form(subset, chart, elimination_order="lex")
-        # The lex (N, B) is a memo hit; only the revlex one is computed here.
-        lex, revlex = (_reduce_positions(subset, ref, ref, m, k, o) for o in ("lex", "revlex"))
+        lex = _reduce_positions(subset, ref, ref, m, k, "lex")
+        revlex = _reduce_positions(subset, ref, ref, m, k, "revlex")
+        expansion = _resolve_coefficient(*lex, m, k)
+        certificate = _rectangular_membership(expansion, k)
+        coefficient = expansion.to_poly(m)
         seconds = time.perf_counter() - t0
-        by_subset[subset] = first.expansion
-        witness = first.certificate.expansion
+        by_subset[subset] = expansion
+        witness = certificate.expansion
         report.subsets.append(
             {
-                "positions": [list(p) for p in subset],
-                "F": first.coefficient.to_json(),
-                "member": first.certificate.is_member,
+                "positions": list(map(list, subset)),
+                "F": coefficient.to_json(),
+                "member": certificate.is_member,
                 "certificate": witness.to_json() if witness is not None else None,
                 "order_independent": lex == revlex,
-                "denominator_power": first.denominator_power,
+                "denominator_power": lex[1],
                 "seconds": seconds,
             }
         )

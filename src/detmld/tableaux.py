@@ -24,7 +24,8 @@ bideterminants, are multiplied out on packed monomials (one int each, so a
 product is one addition), and the monomials they reach are its rows: by the
 straightening law these are all the monomials of the content, so none is
 enumerated.  The input of `straighten`, and each content of
-`standard_coordinates`, is packed the same way; `bideterminant` stays on
+`standard_coordinates`, is packed the same way; `bideterminant` and
+`StandardExpansion.to_poly` multiply the exponent-vector minors of
 `MultiPoly`, so re-expanding a result checks the packed route independently.
 The standard tableaux of each content are enumerated once, every shape in
 one pass, and cached by shape.  Working modulo the ideal of (k+1)-minors is
@@ -43,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import PreconditionError, _as_tuple, _check_int, _check_type
@@ -249,14 +252,31 @@ class StandardExpansion:
         return not self.terms
 
     def to_poly(self, m: int) -> MultiPoly:
-        """The sum of the terms, collected in one dict."""
-        acc: Dict[Exponents, Fraction] = {}
-        get = acc.get
+        """The sum of the terms, collected in integers over the lcm of the
+        coefficient denominators, as in `MultiPoly.__mul__`: each term's
+        scaled coefficient is multiplied by its rows' memoized minors, and
+        each output coefficient is one `Fraction`."""
+        _check_int("m", m, 1)
+        den = lcm(*(coef.denominator for coef, _ in self.terms))
+        acc: Dict[Exponents, int] = {}
+        one = (0,) * (m * m)
         for coef, dt in self.terms:
-            for exp, c in bideterminant(dt, m).terms.items():
-                acc[exp] = get(exp, 0) + coef * c
+            _check_rows(dt, m)
+            product = {one: coef.numerator * (den // coef.denominator)}
+            for lrow, rrow in zip(dt.left.rows, dt.right.rows):
+                minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow))).terms.items()
+                step: Dict[Exponents, int] = {}
+                get = step.get
+                for e1, c1 in product.items():
+                    for e2, c2 in minor:
+                        exp = tuple(map(add, e1, e2))
+                        step[exp] = get(exp, 0) + c1 * c2.numerator
+                product = step
+            get = acc.get
+            for exp, c in product.items():
+                acc[exp] = get(exp, 0) + c
         out = MultiPoly(m)
-        out.terms = {exp: c for exp, c in acc.items() if c}
+        out.terms = {exp: Fraction(c, den) for exp, c in acc.items() if c}
         return out
 
     def to_json(self) -> list:

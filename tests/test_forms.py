@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -734,19 +734,18 @@ class TestVerifyNash:
 
     def test_unrealized_chart_fails_its_transitions(self, monkeypatch):
         # A chart whose own wedge does not reduce to +-(its minor)^(m-k) has
-        # sign 0, and every transition through it fails.
+        # sign 0, and every transition through it fails.  Here both of the
+        # wedge's eliminations return a zero numerator.
         broken = chart_variable_set((2,), (1,), 2)
-        real = forms.reduce_top_form
+        real = forms._reduce_positions
 
-        def reduce_breaking_one_chart(positions, chart, elimination_order="lex"):
-            result = real(positions, chart, elimination_order)
+        def reduce_breaking_one_chart(positions, rows, cols, m, k, order):
+            numerator, bpow = real(positions, rows, cols, m, k, order)
             if tuple(sorted(positions)) == broken:
-                return dataclasses.replace(
-                    result, coefficient=MultiPoly.zero(2), expansion=StandardExpansion(())
-                )
-            return result
+                return MultiPoly.zero(m), bpow
+            return numerator, bpow
 
-        monkeypatch.setattr(forms, "reduce_top_form", reduce_breaking_one_chart)
+        monkeypatch.setattr(forms, "_reduce_positions", reduce_breaking_one_chart)
         report = verify_nash(2, 1)
         signs = {(tuple(c["rows"]), tuple(c["cols"])): c["sign"] for c in report.charts}
         assert signs[(2,), (1,)] == 0
@@ -810,6 +809,12 @@ class TestVerifyNash:
         assert all(_CACHES)
 
 
+@pytest.fixture(scope="module")
+def nash_report():
+    """verify_nash, run once per (m, k) for the tests that only read its report."""
+    return functools.cache(verify_nash)
+
+
 class TestFrontier:
     def test_rank_one_in_four_reduction_is_pinned(self):
         # A (4,1) top-form with B = 5 > m - k, so it takes the division path.
@@ -834,11 +839,34 @@ class TestFrontier:
             (4, "dfd6805906558773c7274974f8122e4f2c631a6444df37b6a01a65205af6a3e6"),
         ],
     )
-    def test_rank_in_four_reports_are_pinned(self, k, expected):
-        report = verify_nash(4, k)
+    def test_rank_in_four_reports_are_pinned(self, nash_report, k, expected):
+        report = nash_report(4, k)
         assert report.passed
         assert report.transitions_ok == report.minors_realized
         assert hashlib.sha256(_untimed_json(report).encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "m, k, sample",
+        [(2, 1, None), (3, 1, None), (3, 2, None), (3, 3, None), (4, 1, 200), (4, 2, 200)],
+    )
+    def test_entries_match_reduce_top_form(self, nash_report, m, k, sample):
+        # verify_nash calls reduce_top_form's private steps itself; each entry
+        # must equal the public call on the reference chart, recomputed here
+        # from cold caches.
+        entries = {tuple(map(tuple, e["positions"])): e for e in nash_report(m, k).subsets}
+        subsets = list(entries)
+        if sample is not None:
+            subsets = random.Random(3200 + 10 * m + k).sample(subsets, sample)
+        clear_caches()
+        ref = reference_chart_indices(k)
+        chart = chart_form(ref, ref, m, k)
+        for subset in subsets:
+            entry, result = entries[subset], reduce_top_form(subset, chart)
+            witness = result.certificate.expansion
+            assert entry["F"] == result.coefficient.to_json(), subset
+            assert entry["member"] == result.certificate.is_member, subset
+            assert entry["certificate"] == (witness.to_json() if witness is not None else None), subset
+            assert entry["denominator_power"] == result.denominator_power, subset
 
 
 class TestSubstitutionOracle:

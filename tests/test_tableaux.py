@@ -665,13 +665,40 @@ class TestToPoly:
         for m in range(1, 4):
             for _ in range(30):
                 expansion = standard_coordinates(_random_poly(rng, m, 3), m)
-                assert expansion.to_poly(m) == running_sum_to_poly(expansion, m)
+                poly = expansion.to_poly(m)
+                assert poly == running_sum_to_poly(expansion, m)
+                assert all(type(c) is Fraction for c in poly.terms.values()), poly
 
     def test_cancelling_terms_leave_no_zero_coefficients(self):
         d = dt([(1, 2)], [(1, 2)])
         expansion = StandardExpansion(((Fraction(1), d), (Fraction(-1), d)))
         assert expansion.to_poly(2).terms == {}
         assert running_sum_to_poly(expansion, 2).is_zero
+
+    def test_unlike_denominators_on_rectangles_of_two_minors(self):
+        # m = 4 rectangles of one to three 2-minors, with coefficients over
+        # unlike denominators, so the common denominator is a proper lcm
+        rng = random.Random(3201)
+        fillings = {rows: enumerate_standard_tableaux(4, (2,) * rows) for rows in (1, 2, 3)}
+        for _ in range(40):
+            terms = []
+            for _ in range(rng.randint(2, 5)):
+                rows = rng.choice((1, 2, 3))
+                coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                terms.append((coef, DoubleTableau(rng.choice(fillings[rows]), rng.choice(fillings[rows]))))
+            expansion = StandardExpansion(tuple(terms))
+            poly = expansion.to_poly(4)
+            assert poly == running_sum_to_poly(expansion, 4), expansion
+            assert all(type(c) is Fraction for c in poly.terms.values()), poly
+        halves_and_thirds = StandardExpansion(
+            ((Fraction(1, 2), dt([(1, 2)], [(3, 4)])), (Fraction(-2, 3), dt([(1, 3)], [(2, 4)])))
+        )
+        assert halves_and_thirds.to_poly(4) == running_sum_to_poly(halves_and_thirds, 4)
+
+    def test_empty_expansion_is_the_zero_polynomial_of_its_layout(self):
+        for m in (1, 3, 4):
+            poly = StandardExpansion(()).to_poly(m)
+            assert poly == MultiPoly.zero(m) and poly.m == m
 
 
 def _contents(m, degree):
