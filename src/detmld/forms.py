@@ -146,7 +146,7 @@ def _chart_sign(rows, cols, m: int, k: int) -> int:
     """Sign s with wedge(S_chart) = s * (chart minor)**(m-k) * w, computed by
     reduction in the reference chart."""
     ref = reference_chart_indices(k)
-    numerator, bpow = _reduce_positions(chart_variable_set(rows, cols, m), ref, ref, m, k, "lex")
+    numerator, bpow = _reduce_positions(chart_variable_set(rows, cols, m), ref, ref, m, "lex")
     expansion = _resolve_coefficient(numerator, bpow, m, k)
     sign = _sign_against_minor_power(expansion, rows, cols, m, k)
     if not sign:
@@ -216,7 +216,7 @@ def _chart_steps(m: int, rows: tuple, cols: tuple) -> tuple:
 
 
 def _reduce_positions(
-    positions: Wedge, rows: tuple, cols: tuple, m: int, k: int, order: str
+    positions: Wedge, rows: tuple, cols: tuple, m: int, order: str
 ) -> Tuple[MultiPoly, int]:
     """Eliminate all differentials with both indices outside the chart.
 
@@ -274,6 +274,7 @@ def _reduce_positions(
 
     start = tuple(sorted(positions))
     terms, reached = numerator(start)
+    del numerator  # the closure refers to itself: break the cycle
     total = MultiPoly(m)
     total.terms = terms  # empty, with B = 0, when no branch reached the chart set
     bad = sum(1 for i, j in start if i not in good_rows and j not in good_cols)
@@ -334,10 +335,10 @@ def reduce_top_form(
     if len(positions) != expected or len(set(positions)) != len(positions):
         raise PreconditionError(f"need {expected} distinct positions, got {len(positions)}")
     ref = reference_chart_indices(k)
-    numerator, bpow = _reduce_positions(positions, ref, ref, m, k, elimination_order)
+    numerator, bpow = _reduce_positions(positions, ref, ref, m, elimination_order)
     expansion = _resolve_coefficient(numerator, bpow, m, k)
     if chart.rows != ref or chart.cols != ref:
-        bpow = _reduce_positions(positions, chart.rows, chart.cols, m, k, elimination_order)[1]
+        bpow = _reduce_positions(positions, chart.rows, chart.cols, m, elimination_order)[1]
     return ReductionResult(
         coefficient=expansion.to_poly(m),
         certificate=_rectangular_membership(expansion, k),
@@ -380,17 +381,18 @@ class NashReport:
     all_member: bool = False
     order_independent: bool = False
     minors_realized: bool = False
-    transitions_ok: bool = False
     elapsed: float = 0.0
 
     @property
+    def transitions_ok(self) -> bool:
+        """What `verify_chart_transition` reads on every pair of charts one
+        swap apart: every chart lies in such a pair when k < m, and k = m has
+        one chart, so it is `minors_realized`."""
+        return self.minors_realized
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.all_member
-            and self.order_independent
-            and self.minors_realized
-            and self.transitions_ok
-        )
+        return self.all_member and self.order_independent and self.minors_realized
 
     def to_json(self) -> dict:
         return {
@@ -411,12 +413,9 @@ def verify_nash(m: int, k: int) -> NashReport:
     """Reduce every top-form of the right degree and certify the Nash-ideal
     containment: each coefficient F lies in the subalgebra of k x k minors
     in degree m-k, every chart minor power is realized by its own chart
-    wedge, and both elimination orders return the same (N, B).
-    `transitions_ok` is what `verify_chart_transition` reads on every pair
-    of charts one swap apart, both chart signs realized; every chart lies in
-    such a pair when k < m and k = m has one chart, so it equals
-    `minors_realized`.  Guarded to m <= 4 (exhaustive: 11,440 subsets at
-    (4, 1)).
+    wedge, which is what every chart transition reads (see
+    `NashReport.transitions_ok`), and both elimination orders return the
+    same (N, B).  Guarded to m <= 4 (exhaustive: 11,440 subsets at (4, 1)).
 
     Each subset is reduced in one pass by the steps `reduce_top_form` runs on
     the reference chart, called once each: the lex and revlex eliminations,
@@ -438,8 +437,8 @@ def verify_nash(m: int, k: int) -> NashReport:
     by_subset: Dict[Wedge, StandardExpansion] = {}
     for subset in combinations(positions, size):
         t0 = time.perf_counter()
-        lex = _reduce_positions(subset, ref, ref, m, k, "lex")
-        revlex = _reduce_positions(subset, ref, ref, m, k, "revlex")
+        lex = _reduce_positions(subset, ref, ref, m, "lex")
+        revlex = _reduce_positions(subset, ref, ref, m, "revlex")
         expansion = _resolve_coefficient(*lex, m, k)
         certificate = _rectangular_membership(expansion, k)
         coefficient = expansion.to_poly(m)
@@ -471,7 +470,6 @@ def verify_nash(m: int, k: int) -> NashReport:
     report.order_independent = all(entry["order_independent"] for entry in report.subsets)
     # A transition check reads its two charts' signs (see verify_chart_transition).
     report.minors_realized = all(chart["realized"] for chart in report.charts)
-    report.transitions_ok = report.minors_realized
     report.elapsed = time.perf_counter() - started
     return report
 

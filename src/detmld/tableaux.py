@@ -43,10 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import PreconditionError, _as_tuple, _check_int, _check_type
 from .linalg import PreparedSolver
@@ -312,18 +311,13 @@ def _check_rows(dt: DoubleTableau, m: int) -> None:
             raise PreconditionError(f"row {lrow} | {rrow} does not fit in m={m}")
 
 
-def enumerate_standard_tableaux(
-    m: int, shape: tuple, content: Optional[tuple] = None
-) -> List[Tableau]:
-    """All standard fillings of `shape` with entries in 1..m.
-
-    With `content` (a length-m tuple of multiplicities) only fillings of that
-    content are produced.  Order is lexicographic on the rows.
-    """
+def enumerate_standard_tableaux(m: int, shape: tuple, content: tuple) -> List[Tableau]:
+    """All standard fillings of `shape` with `content`, a length-m tuple of
+    multiplicities, as a new list in lexicographic order of the rows.  Only
+    that content is enumerated, once per content (see `_tableaux_by_shape`)."""
     _check_int("m", m, 1)
     shape = YoungDiagram(shape).rows
-    content = None if content is None else _check_content(m, content)
-    return sorted(_by_shape(m, sum(shape), content).get(shape, ()), key=lambda t: t.rows)
+    return list(_tableaux_by_shape(_check_content(m, content)).get(shape, ()))
 
 
 def _check_content(m: int, content) -> tuple:
@@ -377,57 +371,34 @@ def _tableaux_by_shape(content: tuple) -> Dict[tuple, tuple]:
     return cached
 
 
-def _by_shape(m: int, size: int, content: Optional[tuple]) -> Dict[tuple, Sequence[Tableau]]:
-    """The standard tableaux of a content by shape; with content None, of
-    every content of the size with entries in 1..m."""
-    if content is not None:
-        return _tableaux_by_shape(content)
-    union: Dict[tuple, list] = {}
-    for values in combinations_with_replacement(range(m), size):
-        for shape, tabs in _tableaux_by_shape(tuple(map(values.count, range(m)))).items():
-            union.setdefault(shape, []).extend(tabs)
-    return union
-
-
 def enumerate_standard_basis(
-    m: int,
-    degree: Optional[int] = None,
-    content: Optional[tuple] = None,
-    k_bound: Optional[int] = None,
+    m: int, content: tuple, k_bound: Optional[int] = None
 ) -> List[DoubleTableau]:
-    """All standard double tableaux of the given total degree or content.
+    """All standard double tableaux of one content, in `sort_key` order.
 
-    `content`, when given, is a pair (left counts, right counts) of length-m
-    tuples with equal totals.  `k_bound` keeps only shapes with rows <= k_bound.
-    Enumeration beyond the guards is rejected rather than attempted.
+    `content` is a pair (left counts, right counts) of length-m tuples with
+    equal totals.  `k_bound` keeps only shapes with rows <= k_bound.
+    Enumeration beyond the degree guard is rejected rather than attempted.
     """
     _check_int("m", m, 1)
-    if (degree is None) == (content is None):
-        raise PreconditionError("specify exactly one of degree or content")
     if k_bound is not None:
         _check_int("k_bound", k_bound)
-    if content is not None:
-        sides = [_check_content(m, c) for c in _as_tuple("content", content)]
-        if len(sides) != 2 or sum(sides[0]) != sum(sides[1]):
-            raise PreconditionError("content must be a (left, right) pair with equal totals")
-        left_content, right_content = sides
-        degree = sum(left_content)
-    else:
-        left_content = right_content = None
-    _check_int("degree", degree)
-    if degree > MAX_DEGREE:
-        raise PreconditionError(f"degree {degree} exceeds enumeration guard {MAX_DEGREE}")
-    return _standard_basis(m, degree, left_content, right_content, k_bound)
+    sides = [_check_content(m, c) for c in _as_tuple("content", content)]
+    if len(sides) != 2 or sum(sides[0]) != sum(sides[1]):
+        raise PreconditionError("content must be a (left, right) pair with equal totals")
+    if sum(sides[0]) > MAX_DEGREE:
+        raise PreconditionError(f"degree {sum(sides[0])} exceeds enumeration guard {MAX_DEGREE}")
+    return _standard_basis(*sides, k_bound)
 
 
 def _standard_basis(
-    m: int, degree: int, left_content, right_content, k_bound: Optional[int]
+    left_content: tuple, right_content: tuple, k_bound: Optional[int]
 ) -> List[DoubleTableau]:
     """enumerate_standard_basis on checked input, without the degree guard."""
-    rights = _by_shape(m, degree, right_content)
+    rights = _tableaux_by_shape(right_content)
     out = [
         _trusted_pair(lt, rt)
-        for shape, lefts in _by_shape(m, degree, left_content).items()
+        for shape, lefts in _tableaux_by_shape(left_content).items()
         if k_bound is None or max(shape, default=0) <= k_bound
         for lt in lefts
         for rt in rights.get(shape, ())
@@ -447,7 +418,7 @@ class _ContentBlock:
     def __init__(self, m: int, row_content: tuple, col_content: tuple):
         self.m = m
         self.bits = bits = sum(row_content).bit_length()
-        self.tableaux = _standard_basis(m, sum(row_content), row_content, col_content, None)
+        self.tableaux = _standard_basis(row_content, col_content, None)
         packed = [_packed_bideterminant(dt, m, bits) for dt in self.tableaux]
         rows = sorted({mono for col in packed for mono, coef in col.items() if coef}, reverse=True)
         if len(rows) != len(self.tableaux):

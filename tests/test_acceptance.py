@@ -30,10 +30,11 @@ from detmld.tableaux import (
     Tableau,
     bideterminant,
     dominance_leq,
-    enumerate_standard_basis,
     standard_coordinates,
     straighten,
 )
+
+from test_tableaux import standard_basis_of_degree
 
 QUARTER_GRID = [Fraction(i, 4) for i in range(13)]  # 0, 1/4, ..., 3
 
@@ -244,7 +245,7 @@ def test_criterion_7_straightening_soundness():
     straightened = 0
     for m in (1, 2, 3):
         for degree in (1, 2, 3):
-            basis = enumerate_standard_basis(m, degree=degree)
+            basis = standard_basis_of_degree(m, degree)
             vectors = [bideterminant(b, m) for b in basis]
             monomials = sorted({e for v in vectors for e in v.terms})
             index = {e: i for i, e in enumerate(monomials)}

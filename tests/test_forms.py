@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -56,7 +57,7 @@ def _untimed_json(report):
 _CACHES = tuple(module_caches().values())
 
 
-def tree_walk_reduce(positions, rows, cols, m, k, order):
+def tree_walk_reduce(positions, rows, cols, m, order):
     """Reference elimination: the path-sum walk over the elimination tree.
 
     Each path from the start wedge to the chart set carries the product of
@@ -119,7 +120,7 @@ def _residual_failures(m, k):
         chart = chart_form(rows, cols, m, k)
         delta = minor_poly(MinorIndex(rows, cols), m)
         for subset in combinations(positions, k * (2 * m - k)):
-            numerator, bpow = forms._reduce_positions(subset, rows, cols, m, k, "lex")
+            numerator, bpow = forms._reduce_positions(subset, rows, cols, m, "lex")
             spare = m - k - bpow
             coeff = reduce_top_form(subset, chart).coefficient
             lhs = chart.sign * numerator * delta ** max(spare, 0)
@@ -255,9 +256,9 @@ class TestReduceTopForm:
     def test_negated_chart_numerator_fails_the_residual(self, monkeypatch):
         reduce_positions = forms._reduce_positions
 
-        def negated(positions, rows, cols, m, k, order):
-            numerator, bpow = reduce_positions(positions, rows, cols, m, k, order)
-            if rows == cols == reference_chart_indices(k):
+        def negated(positions, rows, cols, m, order):
+            numerator, bpow = reduce_positions(positions, rows, cols, m, order)
+            if rows == cols == reference_chart_indices(len(rows)):
                 return numerator, bpow
             return -numerator, bpow
 
@@ -271,9 +272,9 @@ class TestReduceTopForm:
         calls = []
         reduce_positions = forms._reduce_positions
 
-        def counted(positions, rows, cols, m, k, order):
+        def counted(positions, rows, cols, m, order):
             calls.append((rows, cols))
-            return reduce_positions(positions, rows, cols, m, k, order)
+            return reduce_positions(positions, rows, cols, m, order)
 
         monkeypatch.setattr(forms, "_reduce_positions", counted)
         subset = [(1, 1), (1, 2), (2, 2)]
@@ -370,7 +371,7 @@ class TestMemoizedElimination:
         ref = reference_chart_indices(k)
         for chart in dict.fromkeys(((ref, ref), (rows, cols))):
             for order in ("lex", "revlex"):
-                expected = [tree_walk_reduce(s, *chart, m, k, order) for s in subsets]
+                expected = [tree_walk_reduce(s, *chart, m, order) for s in subsets]
                 for run in ("cold", "warm", "reverse"):
                     if run != "warm":
                         clear_caches()
@@ -378,7 +379,7 @@ class TestMemoizedElimination:
                     if run == "reverse":
                         pairs.reverse()
                     for subset, want in pairs:
-                        got = forms._reduce_positions(subset, *chart, m, k, order)
+                        got = forms._reduce_positions(subset, *chart, m, order)
                         assert got == want, (chart, order, run, subset)
 
     @pytest.mark.parametrize("m, k, rows, cols", CASES)
@@ -426,9 +427,9 @@ class TestMemoizedElimination:
         cancelling = ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
         for order in ("lex", "revlex"):
             for subset, bpow in ((dead, 0), (cancelling, 4)):
-                result = forms._reduce_positions(subset, ref, ref, 3, 1, order)
+                result = forms._reduce_positions(subset, ref, ref, 3, order)
                 assert result == (MultiPoly.zero(3), bpow)
-                assert result == tree_walk_reduce(subset, ref, ref, 3, 1, order)
+                assert result == tree_walk_reduce(subset, ref, ref, 3, order)
 
     @pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2), (4, 2)])
     def test_pivot_tables_match_partial_derivatives(self, m, k):
@@ -698,6 +699,26 @@ class TestVerifyNash:
         with pytest.raises(PreconditionError):
             verify_nash(5, 2)
 
+    def test_a_cold_pass_leaves_no_cyclic_garbage(self):
+        # Each elimination's self-referencing closure is dropped after its
+        # call, so a cold pass is freed by reference counting alone.
+        cases = [(m, k) for m in (1, 2, 3) for k in range(1, m + 1)]
+        calls = {case: functools.partial(verify_nash, *case) for case in cases}
+        calls["chart_form"] = functools.partial(chart_form, (2,), (3,), 3, 1)
+        garbage = {}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                clear_caches()
+                gc.collect()
+                call()
+                garbage[name] = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert not any(garbage.values()), garbage
+
     @pytest.mark.parametrize("m, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_minor_power_sign_matches_the_polynomial_route(self, m, k):
         # Reference: (chart minor)**(m-k) multiplied out, straightened and
@@ -707,7 +728,7 @@ class TestVerifyNash:
         for rows in charts:
             for cols in charts:
                 numerator, bpow = forms._reduce_positions(
-                    chart_variable_set(rows, cols, m), ref, ref, m, k, "lex"
+                    chart_variable_set(rows, cols, m), ref, ref, m, "lex"
                 )
                 expansion = forms._resolve_coefficient(numerator, bpow, m, k)
                 coeff = expansion.to_poly(m)
@@ -739,8 +760,8 @@ class TestVerifyNash:
         broken = chart_variable_set((2,), (1,), 2)
         real = forms._reduce_positions
 
-        def reduce_breaking_one_chart(positions, rows, cols, m, k, order):
-            numerator, bpow = real(positions, rows, cols, m, k, order)
+        def reduce_breaking_one_chart(positions, rows, cols, m, order):
+            numerator, bpow = real(positions, rows, cols, m, order)
             if tuple(sorted(positions)) == broken:
                 return MultiPoly.zero(m), bpow
             return numerator, bpow
@@ -758,8 +779,8 @@ class TestVerifyNash:
         # each nonzero F disagrees with its lex reduction.
         real = forms._reduce_positions
 
-        def negated_revlex(positions, rows, cols, m, k, order):
-            numerator, bpow = real(positions, rows, cols, m, k, order)
+        def negated_revlex(positions, rows, cols, m, order):
+            numerator, bpow = real(positions, rows, cols, m, order)
             return (-numerator if order == "revlex" else numerator), bpow
 
         monkeypatch.setattr(forms, "_reduce_positions", negated_revlex)

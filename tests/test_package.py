@@ -146,6 +146,28 @@ def test_no_unused_private_names():
     assert not unused
 
 
+def test_no_unused_parameters_in_private_functions():
+    # every parameter of a private module-level function is read in its body
+    unused = []
+    for path in sorted(Path(detmld.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            if node.name.startswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            reads = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unused += [f"{path.name} {node.name}({a.arg})" for a in params if a.arg not in reads]
+    assert not unused
+
+
 def module_caches():
     """Every module-level `_*_CACHE` dict of the detmld submodules, keyed by
     "module._NAME"."""
@@ -221,8 +243,8 @@ CONTRACT = {
     "contact_order_subvariety": lambda i=1: contact_order_subvariety(_LAM, _PAIR, i),
     "discrepancy_objective": lambda q=0: discrepancy_objective(_PAIR, _LAM, PointTarget(q)),
     "dominance_leq": lambda: dominance_leq(YoungDiagram((1,)), YoungDiagram((1,))),
-    "enumerate_standard_basis": lambda m=2, degree=1, k_bound=1: enumerate_standard_basis(
-        m, degree=degree, k_bound=k_bound
+    "enumerate_standard_basis": lambda m=2, count=1, k_bound=1: enumerate_standard_basis(
+        m, ((count, 0), (0, count)), k_bound
     ),
     "is_lc_along": lambda j=1: is_lc_along(_PAIR, j),
     "is_lc_at_rank": lambda q=0: is_lc_at_rank(_PAIR, q),

@@ -117,6 +117,24 @@ def _shapes(total, max_part):
             yield (first,) + rest
 
 
+def _contents(m, degree):
+    return [c for c in product(range(degree + 1), repeat=m) if sum(c) == degree]
+
+
+def standard_basis_of_degree(m, degree, k_bound=None):
+    """Every standard double tableau of the degree with entries in 1..m (and
+    rows <= k_bound), in `sort_key` order: the union of the library's
+    enumeration over every content pair of the degree."""
+    contents = _contents(m, degree)
+    basis = [
+        d
+        for lc in contents
+        for rc in contents
+        for d in enumerate_standard_basis(m, (lc, rc), k_bound)
+    ]
+    return sorted(basis, key=DoubleTableau.sort_key)
+
+
 class TestDiagrams:
     def test_validation(self):
         assert YoungDiagram((3, 1, 1)).size == 5
@@ -212,10 +230,10 @@ class TestBideterminant:
 
 class TestEnumeration:
     def test_degree_one(self):
-        assert len(enumerate_standard_basis(2, degree=1)) == 4
+        assert len(standard_basis_of_degree(2, 1)) == 4
 
     def test_fixed_content(self):
-        got = enumerate_standard_basis(2, content=((1, 1), (1, 1)))
+        got = enumerate_standard_basis(2, ((1, 1), (1, 1)))
         keys = {d.sort_key() for d in got}
         assert keys == {
             (((1,), (2,)), ((1,), (2,))),
@@ -223,18 +241,18 @@ class TestEnumeration:
         }
 
     def test_row_bound_excludes_long_rows(self):
-        unbounded = enumerate_standard_basis(2, degree=2)
-        bounded = enumerate_standard_basis(2, degree=2, k_bound=1)
+        unbounded = standard_basis_of_degree(2, 2)
+        bounded = standard_basis_of_degree(2, 2, k_bound=1)
         assert {d.sort_key() for d in bounded} < {d.sort_key() for d in unbounded}
         assert all(all(r <= 1 for r in d.shape.rows) for d in bounded)
 
     def test_degree_guard(self):
         with pytest.raises(PreconditionError):
-            enumerate_standard_basis(3, degree=9)
+            enumerate_standard_basis(3, ((3, 3, 3), (3, 3, 3)))
 
     def test_negative_row_bound_rejected(self):
         with pytest.raises(PreconditionError, match="k_bound"):
-            enumerate_standard_basis(2, degree=2, k_bound=-1)
+            enumerate_standard_basis(2, ((1, 1), (1, 1)), k_bound=-1)
 
     @pytest.mark.parametrize(
         "m, shape, content",
@@ -242,9 +260,11 @@ class TestEnumeration:
             (2, (1,), (1,)),  # content shorter than m
             (2, (1,), (1, 0, 0)),  # content longer than m
             (2, (2,), (1, -1)),  # negative multiplicity
-            (2, (0,), None),  # empty row
-            (2, (1, 2), None),  # rows not nonincreasing
+            (2, (0,), None),  # empty row, and no content
+            (2, (1, 2), None),  # rows not nonincreasing, and no content
             (2, (1, 2), (2, 1)),
+            (2, (0,), (0, 0)),  # empty row
+            (2, (1,), None),  # no content
         ],
     )
     def test_malformed_input_rejected(self, m, shape, content):
@@ -258,13 +278,12 @@ class TestEnumeration:
 
     def test_matches_brute_force_filter(self):
         # every shape of size <= 5 (rows longer than m, or more rows than m,
-        # included), m <= 4, without content and with every content
+        # included), m <= 4, with every content
         for m in range(1, 5):
             for size in range(6):
-                contents = [c for c in product(range(size + 1), repeat=m) if sum(c) == size]
+                contents = _contents(m, size)
                 for shape in _shapes(size, size):
                     fillings = brute_force_tableaux(m, shape)
-                    assert enumerate_standard_tableaux(m, shape) == fillings
                     for content in contents:
                         expected = [t for t in fillings if t.content(m) == content]
                         assert enumerate_standard_tableaux(m, shape, content) == expected
@@ -296,7 +315,7 @@ class TestEnumeration:
         for m in range(1, 5):
             for size in range(5):
                 for shape in _shapes(size, m):
-                    for content in [None] + _contents(m, size):
+                    for content in _contents(m, size):
                         for t in enumerate_standard_tableaux(m, shape, content):
                             validated = Tableau(t.rows)
                             assert t == validated and hash(t) == hash(validated), t
@@ -307,6 +326,41 @@ class TestEnumeration:
         for rows in (((0,),), ((1,), ()), ((1,), (1, 2))):
             with pytest.raises(PreconditionError):
                 Tableau(rows)
+
+    def test_the_union_over_contents_matches_brute_force_pairs(self):
+        # every pair of brute-force standard fillings of one shape, m <= 3
+        for m in range(1, 4):
+            for degree in range(5):
+                expected = sorted(
+                    (
+                        DoubleTableau(left, right)
+                        for shape in _shapes(degree, m)
+                        for left in brute_force_tableaux(m, shape)
+                        for right in brute_force_tableaux(m, shape)
+                    ),
+                    key=DoubleTableau.sort_key,
+                )
+                assert standard_basis_of_degree(m, degree) == expected, (m, degree)
+
+    def test_each_call_enumerates_only_its_contents(self):
+        # one memo entry per content the call names, m <= 3, degree <= 3
+        for m in range(1, 4):
+            for degree in range(4):
+                contents = _contents(m, degree)
+                for content in contents:
+                    for shape in _shapes(degree, degree):
+                        clear_caches()
+                        enumerate_standard_tableaux(m, shape, content)
+                        assert list(tableaux._TABLEAU_CACHE) == [content]
+                for lc in contents:
+                    for rc in contents:
+                        clear_caches()
+                        enumerate_standard_basis(m, (lc, rc))
+                        assert set(tableaux._TABLEAU_CACHE) == {lc, rc}
+        clear_caches()
+        assert len(enumerate_standard_tableaux(8, (2, 2, 2), (1,) * 6 + (0, 0))) == 5
+        assert list(tableaux._TABLEAU_CACHE) == [(1,) * 6 + (0, 0)]
+        clear_caches()
 
 
 class TestStraighten:
@@ -572,7 +626,7 @@ class TestRowShift:
                 lead = tuple(range(1, k + 1))
                 delta = minor_poly(MinorIndex(lead, lead), m)
                 for degree in range(5):
-                    for d in enumerate_standard_basis(m, degree=degree, k_bound=k):
+                    for d in standard_basis_of_degree(m, degree, k_bound=k):
                         shifted = dt((lead,) + d.left.rows, (lead,) + d.right.rows)
                         assert shifted.is_standard, d
                         assert bideterminant(shifted, m) == delta * bideterminant(d, m), d
@@ -626,7 +680,7 @@ class TestRankOneClosedForm:
     def test_matches_the_full_ring_route_on_standard_bideterminants(self):
         m = 3
         for degree in range(4):
-            for d in enumerate_standard_basis(m, degree=degree):
+            for d in standard_basis_of_degree(m, degree):
                 p = bideterminant(d, m)
                 for k_bound in (0, 1):
                     assert standard_coordinates(p, m, k_bound=k_bound) == (
@@ -679,7 +733,17 @@ class TestToPoly:
         # m = 4 rectangles of one to three 2-minors, with coefficients over
         # unlike denominators, so the common denominator is a proper lcm
         rng = random.Random(3201)
-        fillings = {rows: enumerate_standard_tableaux(4, (2,) * rows) for rows in (1, 2, 3)}
+        fillings = {
+            rows: sorted(
+                (
+                    t
+                    for content in _contents(4, 2 * rows)
+                    for t in enumerate_standard_tableaux(4, (2,) * rows, content)
+                ),
+                key=lambda t: t.rows,
+            )
+            for rows in (1, 2, 3)
+        }
         for _ in range(40):
             terms = []
             for _ in range(rng.randint(2, 5)):
@@ -699,10 +763,6 @@ class TestToPoly:
         for m in (1, 3, 4):
             poly = StandardExpansion(()).to_poly(m)
             assert poly == MultiPoly.zero(m) and poly.m == m
-
-
-def _contents(m, degree):
-    return [c for c in product(range(degree + 1), repeat=m) if sum(c) == degree]
 
 
 def _check_block(m, rc, cc):
@@ -1016,7 +1076,7 @@ class TestBasisProperty:
         # every bideterminant of that degree (m <= 3)
         for m in (2, 3):
             for degree in (1, 2, 3):
-                basis = enumerate_standard_basis(m, degree=degree)
+                basis = standard_basis_of_degree(m, degree)
                 vectors = [bideterminant(b, m) for b in basis]
                 monomials = sorted({e for v in vectors for e in v.terms})
                 index = {e: i for i, e in enumerate(monomials)}
@@ -1119,17 +1179,12 @@ _ONE_2 = MultiPoly.one(2)
     [
         pytest.param(lambda: Tableau(((1, 3),)).content(2), id="content_entry_above_m"),
         pytest.param(lambda: Tableau(((1,),)).content(2.0), id="content_float_m"),
-        pytest.param(lambda: enumerate_standard_basis(2), id="neither_degree_nor_content"),
+        # content is required, and None is not one
+        pytest.param(lambda: enumerate_standard_basis(2, None), id="neither_degree_nor_content"),
         pytest.param(
-            lambda: enumerate_standard_basis(2, degree=1, content=((1, 0), (1, 0))),
-            id="both_degree_and_content",
+            lambda: enumerate_standard_basis(2, ((1, 0, 0), (1, 0))), id="content_length"
         ),
-        pytest.param(
-            lambda: enumerate_standard_basis(2, content=((1, 0, 0), (1, 0))), id="content_length"
-        ),
-        pytest.param(
-            lambda: enumerate_standard_basis(2, content=((1, 1), (1, 0))), id="content_totals"
-        ),
+        pytest.param(lambda: enumerate_standard_basis(2, ((1, 1), (1, 0))), id="content_totals"),
         pytest.param(lambda: standard_coordinates(_ONE_2, 3), id="coordinates_layout"),
         pytest.param(lambda: standard_coordinates(_ONE_2, 2, k_bound=-1), id="coordinates_k"),
         pytest.param(lambda: subalgebra_membership(_ONE_2, 3, 1), id="membership_layout"),
@@ -1152,14 +1207,12 @@ _ONE_2 = MultiPoly.one(2)
         ),
         pytest.param(lambda: straighten(dt((), ()), 0), id="straighten_m_zero"),
         pytest.param(lambda: straighten(dt((), ()), -3), id="straighten_m_negative"),
-        pytest.param(lambda: enumerate_standard_tableaux(0, ()), id="tableaux_m_zero"),
-        pytest.param(lambda: enumerate_standard_tableaux(-1, (1,)), id="tableaux_m_negative"),
-        pytest.param(lambda: enumerate_standard_basis(0, degree=0), id="basis_m_zero"),
-        pytest.param(lambda: enumerate_standard_basis(-2, degree=1), id="basis_m_negative"),
-        pytest.param(lambda: enumerate_standard_basis(2, degree=-1), id="basis_degree_negative"),
+        pytest.param(lambda: enumerate_standard_tableaux(0, (), ()), id="tableaux_m_zero"),
+        pytest.param(lambda: enumerate_standard_tableaux(-1, (1,), (1,)), id="tableaux_m_negative"),
+        pytest.param(lambda: enumerate_standard_basis(0, ((), ())), id="basis_m_zero"),
+        pytest.param(lambda: enumerate_standard_basis(-2, ((1,), (1,))), id="basis_m_negative"),
         pytest.param(
-            lambda: enumerate_standard_basis(2, content=((2, -1), (1, 0))),
-            id="basis_content_negative",
+            lambda: enumerate_standard_basis(2, ((2, -1), (1, 0))), id="basis_content_negative"
         ),
         pytest.param(lambda: Tableau(((1.9, 2.2),)), id="tableau_float_entry"),
         pytest.param(lambda: Tableau((("3",),)), id="tableau_str_entry"),
@@ -1167,24 +1220,27 @@ _ONE_2 = MultiPoly.one(2)
         pytest.param(lambda: YoungDiagram((2.0,)), id="diagram_float_row"),
         pytest.param(lambda: YoungDiagram(("3",)), id="diagram_str_row"),
         pytest.param(lambda: YoungDiagram((True,)), id="diagram_bool_row"),
-        pytest.param(lambda: enumerate_standard_tableaux(2, (1.5,)), id="tableaux_float_shape"),
+        pytest.param(
+            lambda: enumerate_standard_tableaux(2, (1.5,), (1, 0)), id="tableaux_float_shape"
+        ),
         # Sizes, degrees, bounds and multiplicities are ints, and a bool is not one.
-        pytest.param(lambda: enumerate_standard_tableaux(2.0, (1,)), id="tableaux_float_m"),
+        pytest.param(lambda: enumerate_standard_tableaux(2.0, (1,), (1, 0)), id="tableaux_float_m"),
         pytest.param(
             lambda: enumerate_standard_tableaux(2, (1,), (True, 0)), id="tableaux_bool_content"
         ),
         pytest.param(
             lambda: enumerate_standard_tableaux(2, (1,), (1.0, 0)), id="tableaux_float_content"
         ),
-        pytest.param(lambda: enumerate_standard_basis(2.0, degree=1), id="basis_float_m"),
-        pytest.param(lambda: enumerate_standard_basis(2, degree=True), id="basis_bool_degree"),
-        pytest.param(lambda: enumerate_standard_basis(2, degree=1.0), id="basis_float_degree"),
+        pytest.param(lambda: enumerate_standard_basis(2.0, ((1, 0), (1, 0))), id="basis_float_m"),
         pytest.param(
-            lambda: enumerate_standard_basis(2, degree=1, k_bound=1.5), id="basis_float_k_bound"
+            lambda: enumerate_standard_basis(2, ((1, 0), (1, 0)), k_bound=1.5),
+            id="basis_float_k_bound",
         ),
         pytest.param(
-            lambda: enumerate_standard_basis(2, content=((True, 0), (1, 0))),
-            id="basis_bool_content",
+            lambda: enumerate_standard_basis(2, ((True, 0), (1, 0))), id="basis_bool_content"
+        ),
+        pytest.param(
+            lambda: enumerate_standard_basis(2, ((1.0, 0), (1, 0))), id="basis_float_content"
         ),
         pytest.param(lambda: straighten(dt([(1,)], [(2,)]), 2.0), id="straighten_float_m"),
         pytest.param(lambda: straighten(dt([(1,)], [(1,)]), True), id="straighten_bool_m"),
