@@ -6,17 +6,23 @@ before the output is written (quietly, with no traceback), 2 on argument
 errors.
 Rational values are emitted as strings "p/q" to avoid precision loss;
 negative infinity serializes as "-inf", infinite partition entries as "inf".
+
+The commands and their options are declared once, in ``_COMMANDS``.  A
+canonical argv (exact command words, then exact long flags each followed by
+a value) is parsed straight from that table; every other argv, help and
+errors included, goes whole to the argparse parser built from the same
+table.  argparse is imported only on that second route.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
 from math import gcd
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from .core import (
     INF,
@@ -113,10 +119,6 @@ def _emit(data: dict, pretty: bool) -> None:
         print(_render_pretty(data))
     else:
         print(json.dumps(data))
-
-
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pretty", action="store_true", help="render aligned tables")
 
 
 def _mld_report(args, target) -> dict:
@@ -218,7 +220,8 @@ def _cmd_straighten(args) -> dict:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep for the decoder
         raise _InputError(f"cannot read {args.file}: {exc}") from None
     try:
         dt = DoubleTableau.from_json(data)
@@ -278,122 +281,152 @@ def _cmd_semicontinuity(args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The root parser, which ``main`` runs on an argv no leaf parser takes whole."""
-    return _parsers()[0]
+class _Option(NamedTuple):
+    """One option of a command; an optional one reads None when left out."""
+
+    flag: str
+    dest: str
+    type: type
+    required: bool = True
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+
+
+_M, _K, _ALPHAS = _Option("--m", "m", int), _Option("--k", "k", int), _Option("--alphas", "alphas", str)
+_LAMBDA = _Option("--lambda", "lam", str)
+_ORACLE = _Option("--oracle", "oracle", int, False, metavar="L")
+_GROUP_HELP = {
+    "mld": "closed-form minimal log discrepancies",
+    "lc": "log-canonicity criteria",
+    "orbit": "orbit invariants in the arc space",
+    "nash": "Nash-ideal verification",
+}
+# Every command, keyed by its words, in the order that help lists them:
+# (handler, help, options).  Each command also takes --pretty.
+_COMMANDS = {
+    ("mld", "point"): (_cmd_mld_point, "mld at a matrix of given rank",
+                       (_M, _K, _ALPHAS, _Option("--q", "q", int), _ORACLE)),
+    ("mld", "locus"): (_cmd_mld_locus, "mld along a determinantal sublocus",
+                       (_M, _K, _ALPHAS, _Option("--j", "j", int), _ORACLE)),
+    ("lc", "check"): (_cmd_lc_check, "check the prefix inequalities",
+                      (_M, _K, _ALPHAS, _Option("--q", "q", int, False), _Option("--j", "j", int, False))),
+    ("orbit", "codim"): (_cmd_orbit_codim, "codimension and contact orders",
+                         (_M, _K, _LAMBDA, _Option("--q", "q", int, False))),
+    ("ord",): (_cmd_ord, "power-series contact-order oracle",
+               (_LAMBDA, _M, _Option("--s", "s", int), _Option("--N", "N", int),
+                _Option("--seed", "seed", int, False, help="conjugate by seeded random invertible matrices"))),
+    ("straighten",): (_cmd_straighten, "standard-basis expansion of a double tableau",
+                      (_Option("--file", "file", str), _Option("--kbound", "kbound", int, False))),
+    ("nash", "verify"): (_cmd_nash_verify, "exhaustive top-form reduction report", (_M, _K)),
+    ("semicontinuity",): (_cmd_semicontinuity, "rank-indexed mld profile", (_M, _K, _ALPHAS)),
+}
+# What the table route reads of each command: the handler, each option by
+# its flag, the required dests, and the namespace of the others left out.
+_TABLE = {
+    words: (
+        handler,
+        {option.flag: option for option in options},
+        frozenset(option.dest for option in options if option.required),
+        {option.dest: None for option in options if not option.required},
+    )
+    for words, (handler, _, options) in _COMMANDS.items()
+}
+
+
+def _table_args(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace of a canonical argv, parsed from the command table, or
+    None to hand the argv to the root parser.
+
+    Canonical means: the exact command words, then each option as its exact
+    long flag, given once, followed by a nonempty value that does not start
+    with "-" and that the option's type accepts; --pretty at most once; and
+    every required option present.  argparse reads the same values from
+    such an argv, so both routes run the command alike.
+    """
+    words = tuple(argv[:2]) if argv[:1] and argv[0] in _GROUP_HELP else tuple(argv[:1])
+    command = _TABLE.get(words)
+    if command is None:
+        return None
+    handler, options, required, defaults = command
+    values = {"func": handler, "pretty": False}
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if token == "--pretty" and not values["pretty"]:
+            values["pretty"] = True
+            continue
+        option = options.get(token)
+        value = next(tokens, "")
+        if option is None or option.dest in values or not value or value[0] == "-":
+            return None
+        try:
+            values[option.dest] = option.type(value)
+        except ValueError:
+            return None
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(**{**defaults, **values})
 
 
 @cache
-def _parsers() -> tuple:
-    """The root parser, and each leaf parser keyed by its command words.
+def build_parser():
+    """The root argparse parser, built from the command table with its help
+    strings.
 
-    They are built once per process, on the first call, and then reused:
-    building them costs milliseconds, more than most queries.  Reuse is safe
-    because ``parse_args`` returns a fresh namespace on every call.  They are
-    not built at import time, so that importing the package stays cheap.
+    ``main`` runs it on every argv that the table route hands over: help,
+    errors, and any argv written another way than the canonical one.  It is
+    built once per process, on the first such call, and reused; reuse is
+    safe because ``parse_args`` returns a fresh namespace on every call.
+    argparse is imported here, so that a canonical query never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="detmld",
         description="Exact minimal log discrepancies of determinantal pairs, with verification oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    leaves = {}
+    groups = {}
+    for words, (handler, help, options) in _COMMANDS.items():
+        parent = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUP_HELP[words[0]])
+                groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
+            parent = groups[words[0]]
+        leaf = parent.add_parser(words[-1], help=help)
+        for option in options:
+            leaf.add_argument(
+                option.flag, dest=option.dest, type=option.type, required=option.required,
+                help=option.help, metavar=option.metavar,
+            )
+        leaf.add_argument("--pretty", action="store_true", help="render aligned tables")
+        leaf.set_defaults(func=handler)
+    return parser
 
-    def leaf(subparsers, *words, help):
-        leaves[words] = subparsers.add_parser(words[-1], help=help)
-        return leaves[words]
 
-    mld = sub.add_parser("mld", help="closed-form minimal log discrepancies")
-    mld_sub = mld.add_subparsers(dest="subcommand", required=True)
-
-    point = leaf(mld_sub, "mld", "point", help="mld at a matrix of given rank")
-    point.add_argument("--m", type=int, required=True)
-    point.add_argument("--k", type=int, required=True)
-    point.add_argument("--alphas", type=str, required=True)
-    point.add_argument("--q", type=int, required=True)
-    point.add_argument("--oracle", type=int, default=None, metavar="L")
-    _common_options(point)
-    point.set_defaults(func=_cmd_mld_point)
-
-    locus = leaf(mld_sub, "mld", "locus", help="mld along a determinantal sublocus")
-    locus.add_argument("--m", type=int, required=True)
-    locus.add_argument("--k", type=int, required=True)
-    locus.add_argument("--alphas", type=str, required=True)
-    locus.add_argument("--j", type=int, required=True)
-    locus.add_argument("--oracle", type=int, default=None, metavar="L")
-    _common_options(locus)
-    locus.set_defaults(func=_cmd_mld_locus)
-
-    lc = sub.add_parser("lc", help="log-canonicity criteria")
-    lc_sub = lc.add_subparsers(dest="subcommand", required=True)
-    check = leaf(lc_sub, "lc", "check", help="check the prefix inequalities")
-    check.add_argument("--m", type=int, required=True)
-    check.add_argument("--k", type=int, required=True)
-    check.add_argument("--alphas", type=str, required=True)
-    check.add_argument("--q", type=int, default=None)
-    check.add_argument("--j", type=int, default=None)
-    _common_options(check)
-    check.set_defaults(func=_cmd_lc_check)
-
-    orbit = sub.add_parser("orbit", help="orbit invariants in the arc space")
-    orbit_sub = orbit.add_subparsers(dest="subcommand", required=True)
-    codim = leaf(orbit_sub, "orbit", "codim", help="codimension and contact orders")
-    codim.add_argument("--m", type=int, required=True)
-    codim.add_argument("--k", type=int, required=True)
-    codim.add_argument("--lambda", dest="lam", type=str, required=True)
-    codim.add_argument("--q", type=int, default=None)
-    _common_options(codim)
-    codim.set_defaults(func=_cmd_orbit_codim)
-
-    ordp = leaf(sub, "ord", help="power-series contact-order oracle")
-    ordp.add_argument("--lambda", dest="lam", type=str, required=True)
-    ordp.add_argument("--m", type=int, required=True)
-    ordp.add_argument("--s", type=int, required=True)
-    ordp.add_argument("--N", type=int, required=True)
-    ordp.add_argument("--seed", type=int, default=None, help="conjugate by seeded random invertible matrices")
-    _common_options(ordp)
-    ordp.set_defaults(func=_cmd_ord)
-
-    st = leaf(sub, "straighten", help="standard-basis expansion of a double tableau")
-    st.add_argument("--file", type=str, required=True)
-    st.add_argument("--kbound", type=int, default=None)
-    _common_options(st)
-    st.set_defaults(func=_cmd_straighten)
-
-    nash = sub.add_parser("nash", help="Nash-ideal verification")
-    nash_sub = nash.add_subparsers(dest="subcommand", required=True)
-    nv = leaf(nash_sub, "nash", "verify", help="exhaustive top-form reduction report")
-    nv.add_argument("--m", type=int, required=True)
-    nv.add_argument("--k", type=int, required=True)
-    _common_options(nv)
-    nv.set_defaults(func=_cmd_nash_verify)
-
-    semi = leaf(sub, "semicontinuity", help="rank-indexed mld profile")
-    semi.add_argument("--m", type=int, required=True)
-    semi.add_argument("--k", type=int, required=True)
-    semi.add_argument("--alphas", type=str, required=True)
-    _common_options(semi)
-    semi.set_defaults(func=_cmd_semicontinuity)
-
-    return parser, leaves
+def _root_args(argv: list):
+    """The namespace of any argv, parsed whole by the root parser; argument
+    errors and help exit through argparse."""
+    # argparse reads `--opt=--` as an empty list up to Python 3.12 and as a
+    # two-line usage error from 3.13, so it is rejected here.
+    for token in argv:
+        if token.startswith("--") and token.endswith("=--"):
+            raise _InputError(f"option {token[:-3]!r} needs a value, got '--'")
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Run one command and return its exit code: the leaf parser of the argv's
-    command words parses the rest, or the root parser the whole argv when no
-    leaf matches or the leaf leaves tokens over, so errors read the same."""
-    parser, leaves = _parsers()
+    """Run one command and return its exit code.
+
+    A canonical argv (see ``_table_args``) is parsed from the command table;
+    every other argv goes whole to the root parser, so that help, usage lines
+    and error messages read as argparse writes them.
+    """
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # argparse reads `--opt=--` as an empty list up to Python 3.12 and
-        # as a two-line usage error from 3.13, so it is rejected here.
-        for token in argv:
-            if token.startswith("--") and token.endswith("=--"):
-                raise _InputError(f"option {token[:-3]!r} needs a value, got '--'")
-        words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
-        args, extra = leaves[words].parse_known_args(argv[len(words):]) if words in leaves else (None, True)
-        if extra:
-            args = parser.parse_args(argv)
+        args = _table_args(argv)
+        if args is None:
+            args = _root_args(argv)
         out = args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ form: positive denominator, reduced).
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -111,12 +113,25 @@ INF = _Infinity()
 Entry = Union[int, _Infinity]
 
 
+_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"not a rational number: {text!r}") from exc
+    """Parse ``"p"`` or ``"p/q"`` (integers p and q, q > 0, optionally
+    surrounded by whitespace) into a Fraction.
+
+    Nothing else is accepted: no decimal point, exponent or underscore, so
+    the size of the value is bounded by the length of the text.  An integer
+    with more digits than ``sys.get_int_max_str_digits()`` is rejected too.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        numerator, denominator = match.groups()
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise PreconditionError(f"not a rational number p or p/q: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -177,6 +192,23 @@ MAX_RANK = 100_000
 _ZERO = Fraction(0)
 
 
+def _check_printable(m: int, k: int, scale: int) -> None:
+    """Reject a pair whose values could not be printed in decimal.
+
+    scale bounds D and every scaled prefix sum of the pair.  Every value the
+    closed forms build from them (an mld, a beta, a profile entry) has a
+    numerator and a denominator below 4*k*m*scale, which must stay below
+    10 ** sys.get_int_max_str_digits(), the largest int that str() takes.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 4 * k * m * scale
+    # 2 ** (3.32 * limit) < 10 ** limit, so most pairs need no power of ten.
+    if limit and bound.bit_length() > 3.32 * limit and bound >= 10 ** limit:
+        raise PreconditionError(
+            f"coefficients too large: the pair's values would have more than {limit} digits"
+        )
+
+
 @dataclass(frozen=True)
 class DeterminantalPair:
     """The data (m, k, alphas) of a pair: the rank <= k locus of m x m matrices,
@@ -209,9 +241,11 @@ class DeterminantalPair:
             )
         denominator = lcm(*(a.denominator for a in alphas))
         scaled = (a.numerator * (denominator // a.denominator) for a in alphas)
+        prefix = tuple(accumulate(scaled, initial=0))
+        _check_printable(self.m, self.k, max(denominator, max(prefix), -min(prefix)))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_scaled_prefix", tuple(accumulate(scaled, initial=0)))
+        object.__setattr__(self, "_scaled_prefix", prefix)
 
     def alpha_prefix(self, j: int) -> Fraction:
         """Sum of the first j >= 0 coefficients (all of them when j > k), in O(1)."""

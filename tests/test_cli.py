@@ -214,6 +214,17 @@ class TestStraightenCommand:
         assert out == ""
         assert err == f"error: m must be an integer >= 1, got {m}\n"
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{", b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"]
+    )
+    def test_undecodable_file_is_argument_error(self, run_cli, tmp_path, content):
+        path = tmp_path / "dt.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["straighten", "--file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
     def test_missing_file_is_argument_error(self, run_cli):
         code, _, err = run_cli(["straighten", "--file", "/nonexistent/dt.json"])
         assert code == 2
@@ -307,7 +318,7 @@ class TestCliContract:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("alphas", ["abc", "1/0", "1,,2"])
+    @pytest.mark.parametrize("alphas", ["abc", "1/0", "1,,2", "0.5", "1e4400", "1e100000000"])
     @pytest.mark.parametrize(
         "args",
         [
@@ -323,6 +334,20 @@ class TestCliContract:
         assert out == ""
         assert err.startswith("error: --alphas")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [["semicontinuity"], ["mld", "point", "--q", "0"], ["lc", "check", "--q", "0"]],
+        ids=["semicontinuity", "mld-point", "lc-check"],
+    )
+    def test_values_too_long_to_print_are_precondition_errors(self, run_cli, args):
+        # one over each of the first 1,500 primes: D has about 5,500 digits
+        primes = [p for p in range(2, 12600) if all(p % d for d in range(2, int(p**0.5) + 1))][:1500]
+        alphas = ",".join(f"1/{p}" for p in primes)
+        code, out, err = run_cli(args + ["--m", "1500", "--k", "1500", "--alphas", alphas])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: coefficients too large") and err.count("\n") == 1
 
     def test_large_k_point_is_linear(self, run_cli):
         started = time.perf_counter()
@@ -408,10 +433,9 @@ class TestParserReuse:
 
     def test_built_once(self):
         assert build_parser() is build_parser()
-        root, leaves = cli._parsers()
-        assert root is build_parser()
-        assert cli._parsers()[1] is leaves
-        # every leaf the root route reaches through the subcommand choices
+
+    def test_table_matches_tree(self):
+        # every leaf the root parser reaches through the subcommand choices
         reached = {}
 
         def walk(parser, words):
@@ -422,10 +446,26 @@ class TestParserReuse:
                 for name, child in action.choices.items():
                     walk(child, words + (name,))
 
-        walk(root, ())
-        assert set(leaves) == set(reached) == {tuple(words) for words in _LEAF_WORDS}
+        walk(build_parser(), ())
+        assert list(reached) == list(cli._COMMANDS) == [tuple(words) for words in _LEAF_WORDS]
         for words, parser in reached.items():
-            assert leaves[words] is parser, words
+            handler, _, options = cli._COMMANDS[words]
+            assert parser.get_default("func") is handler
+            tree = [
+                (action.option_strings, action.dest, action.type, action.required, action.default)
+                for action in parser._actions if action.dest != "help"
+            ]
+            table = [([o.flag], o.dest, o.type, o.required, None) for o in options]
+            assert tree == table + [(["--pretty"], "pretty", None, False, False)], words
+            # the table route reads the argv with only the required options,
+            # and the argv with every option, as the tree does
+            for given in ([o for o in options if o.required], options):
+                argv = list(words) + [t for o in given for t in (o.flag, "1")]
+                for extra in ([], ["--pretty"]):
+                    tree_args = vars(build_parser().parse_args(argv + extra))
+                    del tree_args["command"]
+                    tree_args.pop("subcommand", None)
+                    assert vars(cli._table_args(argv + extra)) == tree_args, argv + extra
 
     def test_argument_error_then_valid_call(self, run_cli, run_cli_json):
         code, out, err = run_cli(["mld", "point", "--m", "3", "--k", "x"])
@@ -588,21 +628,34 @@ def test_argv_fuzz_exits_cleanly(run_cli, argv):
         assert err
 
 
-# Leaf and root routes: main parses an argv on the leaf parser of its command
-# words; the reference is main with an empty leaf table, which parses every
-# argv whole on build_parser().  Both must print and exit alike.
+# Table and root routes: main parses a canonical argv of a leaf command from
+# the command table; the reference is main with the table route switched off,
+# which parses every argv whole on build_parser().  Both must print and exit
+# alike.
 _VALID_POINT = ["mld", "point", "--m", "3", "--k", "2", "--alphas", "1,7/2", "--q", "0"]
 _LEAF_WORDS = [
     ["mld", "point"], ["mld", "locus"], ["lc", "check"], ["orbit", "codim"],
     ["ord"], ["straighten"], ["nash", "verify"], ["semicontinuity"],
 ]
-_ROUTE_ARGVS = [
+# Argvs that the table must hand to the root parser whole.
+_HANDOVER_ARGVS = [
     [], ["-h"], ["mld", "-h"], *[words + ["-h"] for words in _LEAF_WORDS],
     ["frobnicate"], ["mld"], ["mld", "poin"], ["mld", "point"], ["mld", "point", "--m", "3"],
     ["ord", "ord", "--lambda", "3,2,1", "--m", "3", "--s", "2", "--N", "6"],
     ["ord", "--lambda", "3,2,1", "--m", "3", "--s", "2", "--N", "6", "extra"],
-    _VALID_POINT, _VALID_POINT + ["extra"], _VALID_POINT + ["--pre"],
+    _VALID_POINT + ["extra"], _VALID_POINT + ["--pre"],
     ["mld", "point", "--m", "3", "--k", "2", "--alphas=--", "--q", "0"],
+    ["mld", "point", "--m=3", "--k", "2", "--alphas", "1,7/2", "--q", "0"],
+    _VALID_POINT + ["--m", "4"],
+    _VALID_POINT[:-1] + ["-1"],
+    _VALID_POINT + ["--pretty", "--pretty"],
+    _VALID_POINT[:-2],
+    ["mld", "point", "--m", "x", "--k", "2", "--alphas", "1,7/2", "--q", "0"],
+    ["mld", "point", "--m", "3", "--k", "2", "--alphas", "", "--q", "0"],
+    ["mld", "point", "--m", "3", "--k", "2", "--alphas", "1,7/2", "--q"],
+]
+_ROUTE_ARGVS = _HANDOVER_ARGVS + [
+    _VALID_POINT,
     ["nash", "verify", "--m", "2", "--k", "2", "--pretty"],
 ]
 # the timing fields of a `nash verify` report, in JSON and --pretty
@@ -612,7 +665,7 @@ _TIMING = re.compile(r'("?(?:elapsed_)?seconds"?:?\s+)[-+.\de]+')
 def _routes(run_cli, argv) -> tuple:
     """(exit code, stdout, stderr) of main, then of main on the root parser alone."""
     results = [run_cli(argv)]
-    with mock.patch.dict(cli._parsers()[1], clear=True):
+    with mock.patch.object(cli, "_table_args", return_value=None):
         results.append(run_cli(argv))
     return tuple((code, _TIMING.sub(r"\1T", out), err) for code, out, err in results)
 
@@ -623,6 +676,16 @@ def test_leaf_route_matches_root_route(run_cli, argv):
     assert leaf == root
 
 
+@pytest.mark.parametrize("argv", _HANDOVER_ARGVS, ids=" ".join)
+def test_table_hands_over(argv):
+    assert cli._table_args(argv) is None
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGVS[len(_HANDOVER_ARGVS):], ids=" ".join)
+def test_table_takes_canonical_argv(argv):
+    assert cli._table_args(argv) is not None
+
+
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())
 def test_argv_fuzz_leaf_route_matches_root_route(run_cli, argv):
@@ -630,6 +693,26 @@ def test_argv_fuzz_leaf_route_matches_root_route(run_cli, argv):
         return
     leaf, root = _routes(run_cli, argv)
     assert leaf == root
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [(_VALID_POINT, False), (["mld", "point", "--m", "3"], True)],
+    ids=["canonical", "argument-error"],
+)
+def test_argparse_imported_only_on_the_root_route(argv, imported):
+    # in a fresh interpreter without site-packages, as a one-shot call runs
+    src = str(Path(detmld.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from detmld.cli import main\n"
+        f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+        "print('argparse' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(imported)
 
 
 # Straighten file fuzzing: JSON documents with "left", "right", "rows", "shape"

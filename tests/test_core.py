@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,24 @@ class TestPair:
         with pytest.raises(PreconditionError):
             new_pair(3, 2, [1, 1]).alpha_prefix(-1)
 
+    def test_values_too_long_to_print_rejected(self):
+        # one over each of the first 1,500 primes: D has about 5,500 digits
+        primes = [p for p in range(2, 12600) if all(p % d for d in range(2, int(p**0.5) + 1))][:1500]
+        with pytest.raises(PreconditionError, match="more than .* digits"):
+            new_pair(1500, 1500, [Fraction(1, p) for p in primes])
+
+    def test_printable_bound_is_4km_times_the_largest_scaled_value(self):
+        limit = sys.get_int_max_str_digits()
+        assert new_pair(1, 1, [Fraction(1, 10 ** (limit - 1))])._denominator == 10 ** (limit - 1)
+        with pytest.raises(PreconditionError):
+            new_pair(1, 1, [Fraction(1, 3 * 10 ** (limit - 1))])
+        with pytest.raises(PreconditionError):
+            new_pair(1, 1, [3 * 10 ** (limit - 1)])  # a large prefix sum, over D = 1
+
+    def test_no_digit_limit_no_check(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert new_pair(1, 1, [Fraction(1, 10**5000)])._denominator == 10**5000
+
     def test_prefix_cache_is_not_part_of_identity(self):
         pair = new_pair(3, 2, [1, 0])
         assert pair == DeterminantalPair(3, 2, (1, 0))
@@ -144,9 +163,30 @@ class TestRationalSerialization:
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-7") == Fraction(-7)
 
+    def test_parse_signs_and_whitespace(self):
+        assert parse_rational(" +3/4 ") == Fraction(3, 4)
+        assert parse_rational("-6/4") == Fraction(-3, 2)
+
     def test_parse_garbage_rejected(self):
         with pytest.raises(PreconditionError):
             parse_rational("not-a-number")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "/2", "1/", "1/0", "1/-2", "0.5", ".5", "1e2", "1e4400", "1e100000000",
+         "1_000", "1/2/3", "- 1", "inf", "nan"],
+    )
+    def test_parse_only_p_and_p_over_q(self, text):
+        # a decimal or an exponent could stand for an integer too large to
+        # print, or to build at all
+        with pytest.raises(PreconditionError):
+            parse_rational(text)
+
+    def test_parse_rejects_integers_too_long_to_print(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for text in (digits, f"1/{digits}"):
+            with pytest.raises(PreconditionError):
+                parse_rational(text)
 
     @given(
         st.fractions(max_denominator=50),

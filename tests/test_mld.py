@@ -287,6 +287,29 @@ class TestIntegerRouteMatchesFractions:
             assert any(lc) and not all(lc), sizes
 
 
+    @pytest.mark.parametrize("size", list(range(1, 9)) + [80])
+    def test_values_stay_below_the_printable_bound(self, size):
+        # core._check_printable rejects a pair unless 4*k*m*scale prints, and
+        # every closed-form value must have its numerator and denominator below it
+        for pair in _integer_route_pairs(size):
+            prefix = pair._scaled_prefix
+            bound = 4 * pair.k * pair.m * max(pair._denominator, max(map(abs, prefix)))
+            values = list(pair.alphas) + list(beta_coefficients(pair, pair.k))
+            values += [mld_at_rank(pair, q) for q in range(pair.k + 1)]
+            values += [mld_along(pair, j) for j in range(1, pair.k + 1)]
+            if min(pair.alphas) >= 0:
+                values += semicontinuity_profile(pair)
+            violation = first_lc_violation(pair, pair.k)
+            if violation is not None:
+                values += violation[1:]
+            for value in values:
+                if isinstance(value, MldValue):
+                    if not value.is_finite:
+                        continue
+                    value = value.value
+                assert abs(value.numerator) < bound and value.denominator < bound, (pair, value)
+
+
 _PAIR = new_pair(3, 2, (0, 0))
 
 

@@ -279,6 +279,15 @@ class TestSeries:
         pytest.param(
             lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, 0]}]), id="from_json_missing_coef"
         ),
+        # a coefficient is p or p/q, never a decimal or an exponent
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, 0], "coef": "0.5"}]),
+            id="from_json_decimal_coef",
+        ),
+        pytest.param(
+            lambda: MultiPoly.from_json(2, [{"exp": [0, 0, 0, 0], "coef": "1e2"}]),
+            id="from_json_exponent_coef",
+        ),
         pytest.param(lambda: MultiPoly.one(2) ** -1, id="negative_power"),
         pytest.param(lambda: MultiPoly.one(2) ** True, id="bool_power"),
         pytest.param(lambda: MultiPoly.variable(2, 1.0, 1), id="variable_float_index"),
