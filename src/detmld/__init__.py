@@ -3,7 +3,7 @@ with independent brute-force verification oracles."""
 
 from types import ModuleType as _ModuleType
 
-from . import forms, polynomials, tableaux
+from . import forms, oracle, polynomials, tableaux
 from .core import (
     INF,
     DeterminantalPair,
@@ -73,8 +73,9 @@ def clear_caches() -> None:
     """Empty the module-level caches (minor polynomials, the standard
     tableaux of each content by shape, the packed-integer minors of the
     content-block columns, content blocks, the per-chart elimination
-    numerators and each chart's pivot table of signed cofactor minors), so
-    that the next computation starts cold."""
+    numerators, each chart's pivot table of signed cofactor minors and the
+    orbit search's table of each box), so that the next computation starts
+    cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._TABLEAU_CACHE,
@@ -82,6 +83,7 @@ def clear_caches() -> None:
         tableaux._BLOCK_CACHE,
         forms._ELIMINATION_CACHE,
         forms._CHART_CACHE,
+        oracle._TAIL_TABLE_CACHE,
     ):
         cache.clear()
 

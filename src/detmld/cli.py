@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 from .core import (
     INF,
     PreconditionError,
+    _check_printable,
     format_rational,
     new_pair,
     new_partition,
@@ -186,6 +187,10 @@ def _cmd_lc_check(args) -> dict:
 def _cmd_orbit_codim(args) -> dict:
     pair = new_pair(args.m, args.k, ())
     lam = new_partition(_parse_lambda(args.lam))
+    codim = orbit_codim(lam, pair)
+    # The codimension bounds every entry, contact order and the Nash order,
+    # and the codimension through a rank-q point exceeds it by q(2m - q) <= m**2.
+    _check_printable(codim + pair.m**2, "partition entries too large: the orbit's values")
     ws = [
         _entry_json(contact_order_subvariety(lam, pair, i))
         for i in range(1, pair.k + 1)
@@ -194,7 +199,7 @@ def _cmd_orbit_codim(args) -> dict:
         "m": pair.m,
         "k": pair.k,
         "lambda": lam.to_json(),
-        "codim": orbit_codim(lam, pair),
+        "codim": codim,
         "w": ws,
         "nash": _entry_json(nash_contact_order(lam, pair)),
     }

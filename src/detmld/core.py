@@ -192,21 +192,14 @@ MAX_RANK = 100_000
 _ZERO = Fraction(0)
 
 
-def _check_printable(m: int, k: int, scale: int) -> None:
-    """Reject a pair whose values could not be printed in decimal.
-
-    scale bounds D and every scaled prefix sum of the pair.  Every value the
-    closed forms build from them (an mld, a beta, a profile entry) has a
-    numerator and a denominator below 4*k*m*scale, which must stay below
-    10 ** sys.get_int_max_str_digits(), the largest int that str() takes.
-    """
+def _check_printable(bound: int, what: str) -> None:
+    """Reject values that could not be printed in decimal: `bound` bounds
+    them and must stay below 10 ** sys.get_int_max_str_digits(), the largest
+    int that str() takes.  `what` names the input and its values."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 4 * k * m * scale
-    # 2 ** (3.32 * limit) < 10 ** limit, so most pairs need no power of ten.
+    # 2 ** (3.32 * limit) < 10 ** limit, so most values need no power of ten.
     if limit and bound.bit_length() > 3.32 * limit and bound >= 10 ** limit:
-        raise PreconditionError(
-            f"coefficients too large: the pair's values would have more than {limit} digits"
-        )
+        raise PreconditionError(f"{what} would have more than {limit} digits")
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,13 @@ class DeterminantalPair:
         denominator = lcm(*(a.denominator for a in alphas))
         scaled = (a.numerator * (denominator // a.denominator) for a in alphas)
         prefix = tuple(accumulate(scaled, initial=0))
-        _check_printable(self.m, self.k, max(denominator, max(prefix), -min(prefix)))
+        # Every value the closed forms build from D and the scaled prefix sums
+        # (an mld, a beta, a profile entry) has a numerator and a denominator
+        # below 4*k*m times the largest of them.
+        _check_printable(
+            4 * self.k * self.m * max(denominator, max(prefix), -min(prefix)),
+            "coefficients too large: the pair's values",
+        )
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_scaled_prefix", prefix)

@@ -8,18 +8,24 @@ Two oracles:
   analytic certificate of unboundedness from the beta prefix sums.  The
   search never builds a partition: every orbit has the head (INF,)*(m-k),
   the jet-space head, and a tail of `iter_tails` (nonincreasing naturals by
-  construction).  Each tail is checked for the target's membership
-  conditions and scored from the orbit formula bodies, in integers over the
-  lcm of the coefficient denominators, scaled from the coefficients
-  themselves and not from the pair's prefix sums that the closed forms read;
+  construction).  The alpha-free part of the objective depends only on the
+  box (m, k, target, bound), so each box is tabulated once per process in
+  `_TAIL_TABLE_CACHE`: every tail is checked for the target's membership
+  conditions and its codim - (Nash contact order) and contact orders are
+  read off the orbit formula bodies.  A search then scores every row of the
+  table in integers over the lcm of the coefficient denominators, scaled
+  from the coefficients themselves and not from the pair's prefix sums that
+  the closed forms read;
 
 * a truncated-power-series computation of contact orders, evaluating every
   minor of a matrix of monomial series exactly (optionally conjugated by
   random invertible constant matrices, which leaves the orders unchanged).
-  The minors are built by row-by-row Laplace expansion on integer
-  coefficient lists, each from the shared minors of one row fewer, so the
-  oracle needs no polynomial layer.  It accepts matrices up to 8 x 8 and
-  truncations up to t**64.
+  The minors are built by row-by-row Laplace expansion, each from the
+  shared minors of one row fewer, on series packed into single integers
+  (Kronecker substitution: one bit field per coefficient, wide enough for
+  every coefficient any minor can reach), so a scalar-times-series step is
+  one integer multiply and the oracle needs no polynomial layer.  It
+  accepts matrices up to 8 x 8 and truncations up to t**64.
 
 The search runs over nonincreasing tails only: orbits are indexed by
 extended partitions, so unsorted tuples label no orbit.  Where that domain
@@ -35,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Iterator, Optional, Union
 
@@ -91,6 +97,10 @@ MAX_SERIES_SIZE = 8
 MAX_TRUNCATION = 64
 # Bound of the orbit search: the number of tails it may visit.
 MAX_SEARCH_TAILS = 100_000
+
+# The rows (tail, codim - Nash order, contact orders) of each searched box,
+# keyed by (m, k, target, bound); detmld.clear_caches() empties it.
+_TAIL_TABLE_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -167,17 +177,14 @@ def _require_member(pair: DeterminantalPair, tail: tuple, target: Target) -> Non
         raise PreconditionError(f"orbit {(INF,) * (m - k) + tail} {problem}")
 
 
-def _scaled_objective(
-    tail: tuple, m: int, target: Target, denominator: int, scaled_alphas: tuple
-) -> int:
-    """`denominator` times the objective of the orbit with this tail, in
-    integers, assembled from the orbit formula bodies; checks nothing."""
+def _alpha_free_part(tail: tuple, m: int, target: Target) -> tuple:
+    """(codim - Nash contact order, contact orders) of the orbit with this
+    tail, read off the orbit formula bodies; checks nothing."""
     if isinstance(target, PointTarget):
         cod = _codim_point(tail, m, target.q)
     else:
         cod = _codim(tail, m)
-    weighted = sum(map(mul, scaled_alphas, _contact_orders(tail)))
-    return denominator * (cod - _nash_contact_order(tail, m)) - weighted
+    return cod - _nash_contact_order(tail, m), _contact_orders(tail)
 
 
 def discrepancy_objective(
@@ -197,9 +204,8 @@ def discrepancy_objective(
     tail = _tail(lam, pair)
     _require_member(pair, tail, target)
     denominator, scaled_alphas = _scaled_alphas(pair)
-    return Fraction(
-        _scaled_objective(tail, pair.m, target, denominator, scaled_alphas), denominator
-    )
+    base, orders = _alpha_free_part(tail, pair.m, target)
+    return Fraction(denominator * base - sum(map(mul, scaled_alphas, orders)), denominator)
 
 
 def iter_tails(pair: DeterminantalPair, target: Target, bound: int) -> Iterator[tuple]:
@@ -226,6 +232,24 @@ def _tail_count(pair: DeterminantalPair, target: Target, bound: int) -> int:
         free = pair.k - target.q
         return comb(bound + free - 1, free)
     return comb(bound + pair.k, pair.k) - comb(bound + target.j - 1, target.j - 1)
+
+
+def _tail_table(pair: DeterminantalPair, target: Target, bound: int) -> tuple:
+    """The rows (tail, codim - Nash contact order, contact orders) of every
+    tail of `iter_tails`, each checked for membership, in its order.
+
+    They do not depend on the coefficients, so each box (m, k, target, bound)
+    is tabulated once, in `_TAIL_TABLE_CACHE`.
+    """
+    key = (pair.m, pair.k, target, bound)
+    table = _TAIL_TABLE_CACHE.get(key)
+    if table is None:
+        rows = []
+        for tail in iter_tails(pair, target, bound):
+            _require_member(pair, tail, target)
+            rows.append((tail, *_alpha_free_part(tail, pair.m, target)))
+        table = _TAIL_TABLE_CACHE[key] = tuple(rows)
+    return table
 
 
 def minimize_objective(
@@ -259,17 +283,15 @@ def minimize_objective(
     # Values are compared scaled by the positive common denominator, which
     # keeps their order, so the search runs on integers.  Every orbit is the
     # jet-space head (INF,)*(m-k) followed by a tail, nonincreasing naturals
-    # by construction, so only the tail is checked, once per orbit.
-    denominator, scaled_alphas = _scaled_alphas(pair)
-    best: Optional[int] = None
-    best_tail: Optional[tuple] = None
-    for tail in iter_tails(pair, target, bound):
-        _require_member(pair, tail, target)
-        value = _scaled_objective(tail, pair.m, target, denominator, scaled_alphas)
-        if best is None or value < best or (value == best and tail < best_tail):
-            best, best_tail = value, tail
-    if best is None:
+    # by construction, so only the tail is checked, once per box.
+    table = _tail_table(pair, target, bound)
+    if not table:
         raise PreconditionError("empty search domain")
+    denominator, scaled_alphas = _scaled_alphas(pair)
+    best, best_tail = min(
+        (denominator * base - sum(map(mul, scaled_alphas, orders)), tail)
+        for tail, base, orders in table
+    )
     at_boundary = any(v == bound for v in best_tail[:count])
     return OracleResult(
         minimum=MldValue.finite(Fraction(best, denominator)),
@@ -341,6 +363,64 @@ def _series_rows(exponents: tuple, m: int, truncation: int, seed: Optional[int])
     return rows
 
 
+def _packed_minors(rows: list, m: int, size: int, truncation: int) -> tuple:
+    """(bits, level): every nonzero size x size minor of the series matrix
+    with these rows (as `_series_rows` gives them), mod t**(truncation+1).
+
+    level[R][C] = (order, packed) for the minor on the rows R, a tuple, and
+    the columns C, a bitmask.  A series sum_i a_i t**i is packed as the
+    integer sum_i a_i 2**(bits*i) (Kronecker substitution), which makes the
+    product of series the product of integers.  Each coefficient of a minor
+    of size s is at most s! * A**s in absolute value, with A the largest sum
+    of the absolute coefficients of an entry, and a field is two bits wider
+    than that bound: one for the sign of a balanced digit and one to spare.
+    So the balanced residue mod 2**(bits*(truncation+1)) of a minor is its
+    truncated series exactly, and its lowest set bit lies in the field of its
+    lowest nonzero coefficient.
+
+    The minor (r, R | C + {c}) collects sign * a[r][c] * (R | C) over the
+    rows r < min(R), so each minor is computed once from shared sub-minors.
+    A product whose two orders sum past the truncation vanishes and is
+    skipped.
+    """
+    largest = max((sum(abs(x) for _, x in terms) for row in rows for _, terms in row), default=0)
+    bits = (factorial(size) * largest**size).bit_length() + 2
+    width = bits * (truncation + 1)
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    entries = [
+        [(c, terms[0][0], sum(x << bits * e for e, x in terms)) for c, terms in row]
+        for row in rows
+    ]
+    # The empty minor is 1.
+    level = {(): {0: (0, 1)}}
+    for depth in range(size):
+        grown = {}
+        for below, minors in level.items():
+            # keep only row sets that still leave room for size - depth - 1 rows above
+            for r in range(size - depth - 1, below[0] if below else m):
+                acc: dict = {}
+                for c, low, entry in entries[r]:
+                    bit = 1 << c
+                    for cols, (order, packed) in minors.items():
+                        if cols & bit or low + order > truncation:
+                            continue
+                        term = entry * packed
+                        if (cols & (bit - 1)).bit_count() & 1:
+                            term = -term
+                        acc[cols | bit] = acc.get(cols | bit, 0) + term
+                nonzero = {}
+                for cols, packed in acc.items():
+                    packed &= mask
+                    if packed:
+                        if packed >= half:
+                            packed -= full
+                        nonzero[cols] = (((packed & -packed).bit_length() - 1) // bits, packed)
+                if nonzero:
+                    grown[(r,) + below] = nonzero
+        level = grown
+    return bits, level
+
+
 def series_minor_order(
     exponents, m: int, size: int, truncation: int, seed: Optional[int] = None
 ):
@@ -353,11 +433,9 @@ def series_minor_order(
     under this.  Returns ABOVE_TRUNCATION when every minor vanishes to order
     beyond the truncation.
 
-    Every minor is evaluated exactly, by row-by-row Laplace expansion: the
-    minor (r, R | C + {c}) collects sign * a[r][c] * (R | C) over the rows
-    r < min(R), so each minor is computed once from shared sub-minors.  A
-    product whose two orders sum past the truncation vanishes and is skipped.
-    Needs m <= MAX_SERIES_SIZE and truncation <= MAX_TRUNCATION.
+    Every minor is evaluated exactly, by row-by-row Laplace expansion on
+    packed integers (see `_packed_minors`).  Needs m <= MAX_SERIES_SIZE and
+    truncation <= MAX_TRUNCATION.
     """
     exponents = tuple(exponents)
     _check_int("m", m, 1)
@@ -378,41 +456,6 @@ def series_minor_order(
         raise PreconditionError(
             f"truncation {truncation} below the sum {finite_total} of finite exponents"
         )
-    matrix = _series_rows(exponents, m, truncation, seed)
-    # level[R][C] = (order, coefficients) of the nonzero minor (R | C), with
-    # R a tuple of rows and C a bitmask of columns; the empty minor is 1.
-    level = {(): {0: (0, [1] + [0] * truncation)}}
-    for depth in range(size):
-        grown = {}
-        for rows, minors in level.items():
-            # keep only row sets that still leave room for size - depth - 1 rows above
-            for r in range(size - depth - 1, rows[0] if rows else m):
-                acc: dict = {}
-                for c, terms in matrix[r]:
-                    bit = 1 << c
-                    for cols, (order, coeffs) in minors.items():
-                        if cols & bit or terms[0][0] + order > truncation:
-                            continue
-                        odd = (cols & (bit - 1)).bit_count() & 1
-                        target = acc.get(cols | bit)
-                        if target is None:
-                            target = acc[cols | bit] = [0] * (truncation + 1)
-                        for e, x in terms:
-                            lo = e + order
-                            if lo > truncation:
-                                break
-                            x = -x if odd else x
-                            target[lo:] = [
-                                u + x * v
-                                for u, v in zip(target[lo:], coeffs[order:truncation + 1 - e])
-                            ]
-                nonzero = {}
-                for cols, coeffs in acc.items():
-                    order = next((i for i, v in enumerate(coeffs) if v), None)
-                    if order is not None:
-                        nonzero[cols] = (order, coeffs)
-                if nonzero:
-                    grown[(r,) + rows] = nonzero
-        level = grown
+    _, level = _packed_minors(_series_rows(exponents, m, truncation, seed), m, size, truncation)
     orders = [order for minors in level.values() for order, _ in minors.values()]
     return min(orders) if orders else ABOVE_TRUNCATION

@@ -349,6 +349,21 @@ class TestCliContract:
         assert out == ""
         assert err.startswith("error: coefficients too large") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("q", [None, "9"])
+    def test_orbit_values_too_long_to_print_are_precondition_errors(self, run_cli, q):
+        # twenty entries of 4,299 digits each parse, but their weighted sum does not print
+        lam = ",".join(["inf"] + ["9" * 4299] * 20 + ["0"] * 9)
+        args = ["orbit", "codim", "--m", "30", "--k", "29", "--lambda", lam]
+        code, out, err = run_cli(args + (["--q", q] if q else []))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: partition entries too large") and err.count("\n") == 1
+
+    def test_orbit_values_just_below_the_limit_print(self, run_cli_json):
+        entry = int("9" * 4290)
+        out = run_cli_json(["orbit", "codim", "--m", "2", "--k", "1", "--lambda", f"inf,{entry}", "--q", "0"])
+        assert (out["codim"], out["codim_point"], out["w"], out["nash"]) == (3 * entry, 3 * entry, [entry], entry)
+
     def test_large_k_point_is_linear(self, run_cli):
         started = time.perf_counter()
         code, out, _ = run_cli(["mld", "point", "--m", "10000", "--k", "10000", "--alphas", "0", "--q", "0"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmld import oracle
+from detmld import clear_caches, oracle
 from detmld.core import (
     INF,
     ExtendedPartition,
@@ -355,6 +355,16 @@ class TestMinimize:
             assert all(a >= b for a, b in zip(tail, tail[1:]))
 
 
+@pytest.fixture
+def patched_tables():
+    """The search tabulates each box once per process, so a test that patches
+    a formula body or `iter_tails` calls clear_caches() before each patched
+    search; this fixture drops the tables the patched searches built."""
+    yield
+    clear_caches()
+
+
+@pytest.mark.usefixtures("patched_tables")
 class TestSearchScoresEveryTrustedTail:
     # A pair whose searches to L = 4 agree with the closed form, each with a
     # unique argmin: (1, 0) along j = 1 and (1, 1) at a rank-0 point.
@@ -389,6 +399,7 @@ class TestSearchScoresEveryTrustedTail:
             return original(tail, m, *rest) + (tail == argmin)
 
         monkeypatch.setattr(oracle, name, bumped)
+        clear_caches()
         after = compare_with_closed_form(self.PAIR, target, 4)
         assert after.oracle.minimum > before.oracle.minimum
         assert not after.agree
@@ -403,6 +414,7 @@ class TestSearchScoresEveryTrustedTail:
             return (w[0] + 1,) + w[1:] if tail == argmin else w
 
         monkeypatch.setattr(oracle, "_contact_orders", bumped)
+        clear_caches()
         after = compare_with_closed_form(self.PAIR, target, 4)
         assert after.oracle.minimum < before.oracle.minimum
         assert not after.agree
@@ -419,9 +431,11 @@ class TestSearchScoresEveryTrustedTail:
                 return tuple(x + 100 for x in w) if scored == tail else w
 
             monkeypatch.setattr(oracle, "_contact_orders", raised)
+            clear_caches()
             assert minimize_objective(self.PAIR, target, 4).argmin == tail
 
 
+@pytest.mark.usefixtures("patched_tables")
 class TestSearchChecksEveryTail:
     """The search checks the membership of every tail it scores: one bad tail
     slipped among the good ones of `iter_tails`, first, in the middle or
@@ -445,12 +459,105 @@ class TestSearchChecksEveryTail:
         at = {"first": 0, "middle": len(good) // 2, "last": len(good)}[position]
         tails = good  # the patched enumeration reads `tails` when it is called
         monkeypatch.setattr(oracle, "iter_tails", lambda pair, target, bound: iter(tails))
+        clear_caches()
         assert minimize_objective(self.PAIR, target, 3) == expected
         tails = good[:at] + [bad] + good[at:]
+        clear_caches()
         with pytest.raises(PreconditionError, match=match) as raised:
             minimize_objective(self.PAIR, target, 3)
         if len(bad) == self.PAIR.k:
             assert str((INF,) + bad) in str(raised.value)
+
+
+def _boxes(max_m, max_bound):
+    """Every search box (pair with no coefficients, target, bound) with
+    m <= max_m and bound <= max_bound."""
+    for m in range(1, max_m + 1):
+        for k in range(1, m + 1):
+            pair = new_pair(m, k, [])
+            targets = [PointTarget(q) for q in range(k + 1)]
+            targets += [LocusTarget(j) for j in range(1, k + 1)]
+            for target in targets:
+                for bound in range(1, max_bound + 1):
+                    yield pair, target, bound
+
+
+# Coefficient vectors of every sign pattern; the first is the zero vector,
+# the last makes some beta prefix sums negative at k >= 2.
+_ALPHAS = ((), (Fraction(1, 2), Fraction(1, 3), 0), (-1, Fraction(5, 2), Fraction(-2, 7)),
+           (Fraction(7, 3), Fraction(-1, 5), 1), (Fraction(5, 2), 0, 0))
+
+
+@pytest.mark.usefixtures("patched_tables")
+class TestSearchTables:
+    """Each box is tabulated once per process; a warm search must equal a
+    cold one, whatever coefficients the table was first built for."""
+
+    def test_warm_search_equals_cold_search(self):
+        searched = 0
+        for pair, target, bound in _boxes(3, 4):
+            pairs = [new_pair(pair.m, pair.k, alphas[:pair.k]) for alphas in _ALPHAS]
+            cold = []
+            for each in pairs:
+                clear_caches()
+                cold.append(minimize_objective(each, target, bound))
+            clear_caches()
+            warm = [minimize_objective(each, target, bound) for each in pairs]
+            assert warm == cold, (pair, target, bound)
+            assert warm == [minimize_objective(each, target, bound) for each in reversed(pairs)][::-1]
+            for each, result in zip(pairs, warm):
+                assert (
+                    result.minimum, result.argmin, result.at_boundary, result.prefix_unbounded
+                ) == reference_search(each, target, bound)
+            searched += sum(not result.prefix_unbounded for result in warm)
+        assert searched > 300
+
+    def test_the_table_is_keyed_by_box(self):
+        clear_caches()
+        minimize_objective(new_pair(3, 2, [1]), LocusTarget(1), 3)
+        minimize_objective(new_pair(3, 2, [Fraction(1, 2)]), LocusTarget(1), 3)
+        minimize_objective(new_pair(3, 2, []), PointTarget(1), 3)
+        minimize_objective(new_pair(4, 2, []), PointTarget(1), 3)
+        minimize_objective(new_pair(4, 2, []), PointTarget(1), 2)
+        box = (3, 2, LocusTarget(1), 3)
+        assert set(oracle._TAIL_TABLE_CACHE) == {
+            box, (3, 2, PointTarget(1), 3), (4, 2, PointTarget(1), 3), (4, 2, PointTarget(1), 2)
+        }
+        table = oracle._TAIL_TABLE_CACHE[box]
+        pair = new_pair(3, 2, [])
+        assert [tail for tail, _, _ in table] == list(iter_tails(pair, LocusTarget(1), 3))
+        for tail, base, orders in table:
+            lam = full_partition(pair, tail)
+            assert base == orbit_codim(lam, pair) - nash_contact_order(lam, pair)
+            assert orders == tuple(contact_order_subvariety(lam, pair, i) for i in (1, 2))
+
+    def test_an_unbounded_pair_builds_no_table(self):
+        clear_caches()
+        assert minimize_objective(new_pair(3, 2, [Fraction(5, 2), 0]), PointTarget(0), 8).prefix_unbounded
+        assert not oracle._TAIL_TABLE_CACHE
+
+    def test_a_second_search_calls_no_formula_body(self, monkeypatch):
+        calls = []
+        for name in ("iter_tails", "_require_member", "_codim", "_codim_point",
+                     "_nash_contact_order", "_contact_orders"):
+            original = getattr(oracle, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        clear_caches()
+        for target in (PointTarget(1), LocusTarget(2)):
+            first = minimize_objective(new_pair(4, 3, [1, Fraction(1, 3)]), target, 4)
+            assert {"iter_tails", "_require_member", "_nash_contact_order", "_contact_orders"} <= set(calls)
+            calls.clear()
+            second = minimize_objective(new_pair(4, 3, [Fraction(-1, 2), 2]), target, 4)
+            again = minimize_objective(new_pair(4, 3, [1, Fraction(1, 3)]), target, 4)
+            assert calls == []
+            assert again == first and second != first
+            clear_caches()
+            assert minimize_objective(new_pair(4, 3, [Fraction(-1, 2), 2]), target, 4) == second
 
 
 class TestComparison:
@@ -659,6 +766,154 @@ class TestSeriesExpansionMatchesMinorByMinor:
             size = rng.randint(1, 5)
             expected = minor_by_minor_order(entries, 5, size, truncation)
             assert series_minor_order(entries, 5, size, truncation) == expected, (entries, size)
+
+
+def unpack(packed, bits, count):
+    """The count coefficients of a packed series, each read from its bit
+    field as a balanced digit in [-2**(bits-1), 2**(bits-1))."""
+    coeffs = []
+    for _ in range(count):
+        digit = packed & ((1 << bits) - 1)
+        if digit >= 1 << (bits - 1):
+            digit -= 1 << bits
+        coeffs.append(digit)
+        packed = (packed - digit) >> bits
+    assert packed == 0, "bits left above the truncation"
+    return coeffs
+
+
+def reference_minors(rows, m, size, truncation):
+    """{(rows, column mask): (order, coefficients)} of every nonzero size x size
+    minor of the series matrix given as `_series_rows` rows, each minor a
+    Leibniz polynomial evaluated by `substitute_series`."""
+    assignment = [[[0] * (truncation + 1) for _ in range(m)] for _ in range(m)]
+    for a, row in enumerate(rows):
+        for b, terms in row:
+            for e, x in terms:
+                assignment[a][b][e] += x
+    minors = {}
+    for rs in combinations(range(m), size):
+        for cs in combinations(range(m), size):
+            index = MinorIndex(tuple(r + 1 for r in rs), tuple(c + 1 for c in cs))
+            series = substitute_series(minor_poly(index, m), assignment, truncation)
+            assert all(c.denominator == 1 for c in series)
+            coeffs = [int(c) for c in series]
+            if any(coeffs):
+                order = next(i for i, c in enumerate(coeffs) if c)
+                minors[rs, sum(1 << c for c in cs)] = (order, coeffs)
+    return minors
+
+
+def unpacked_minors(rows, m, size, truncation):
+    """The packed kernel's minors in the form of `reference_minors`."""
+    bits, level = oracle._packed_minors(rows, m, size, truncation)
+    return {
+        (rs, cols): (order, unpack(packed, bits, truncation + 1))
+        for rs, minors in level.items()
+        for cols, (order, packed) in minors.items()
+    }
+
+
+def rows_of(matrix):
+    """`_series_rows` rows of a matrix of coefficient lists."""
+    return [
+        [(b, tuple((e, x) for e, x in enumerate(entry) if x)) for b, entry in enumerate(row) if any(entry)]
+        for row in matrix
+    ]
+
+
+class TestPackedSeries:
+    """The packed kernel keeps every minor as its exact truncated series."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_minor_is_its_truncated_series(self, m):
+        for entries in _partitions(m, 2) + [(3,) + (0,) * (m - 1)]:
+            truncation = max(sum(entries), 1)
+            for seed in (None, 0, 1):
+                rows = oracle._series_rows(entries, m, truncation, seed)
+                for size in range(1, m + 1):
+                    expected = reference_minors(rows, m, size, truncation)
+                    assert unpacked_minors(rows, m, size, truncation) == expected, (entries, size, seed)
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            # (1 + t) * 1 - 1 * 1 = t: the constant terms cancel
+            pytest.param([[[1, 1], [1]], [[1], [1]]], [0, 1], id="cancelling_constant"),
+            # 1 * 1 - (1 + t) * 1 = -t
+            pytest.param([[[1], [1, 1]], [[1], [1]]], [0, -1], id="negative_after_cancelling"),
+            # (1 - t)(1 + t) - 1 = -t**2, negative in the top field
+            pytest.param([[[1, -1], [1]], [[1], [1, 1, 0]]], [0, 0, -1], id="negative_top_field"),
+            # (2 - t)(2 + t) - 4 * 1 = -t**2: the largest coefficients cancel
+            pytest.param([[[2, -1], [4]], [[1], [2, 1, 0]]], [0, 0, -1], id="largest_cancel"),
+            # proportional rows: every coefficient cancels
+            pytest.param([[[1, -1, 1], [1, -1, 1]], [[-2, 2, -2], [-2, 2, -2]]], None, id="all_cancel"),
+            # row operations leave diag(t, 1, -t**3): -t**4, the first four fields cancel
+            pytest.param(
+                [[[1, 1], [1], [1]], [[1], [1], [1]], [[1], [1], [1, 0, 0, -1, 0]]],
+                [0, 0, 0, 0, -1],
+                id="size_three",
+            ),
+        ],
+    )
+    def test_negative_and_cancelling_low_coefficients(self, matrix, expected):
+        m = len(matrix)
+        truncation = max(len(entry) for row in matrix for entry in row) - 1
+        padded = [[entry + [0] * (truncation + 1 - len(entry)) for entry in row] for row in matrix]
+        rows = rows_of(padded)
+        got = unpacked_minors(rows, m, m, truncation)
+        assert got == reference_minors(rows, m, m, truncation)
+        if expected is None:
+            assert got == {}
+        else:
+            order = next(i for i, c in enumerate(expected) if c)
+            assert got == {(tuple(range(m)), (1 << m) - 1): (order, expected)}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_random_integer_matrices(self, m):
+        rng = random.Random(40 + m)
+        for _ in range(25):
+            truncation = rng.randint(0, 4)
+            top = rng.choice((1, 3, 40))
+            matrix = [
+                [[rng.randint(-top, top) if rng.random() < 0.6 else 0 for _ in range(truncation + 1)]
+                 for _ in range(m)]
+                for _ in range(m)
+            ]
+            rows = rows_of(matrix)
+            for size in range(1, m + 1):
+                assert unpacked_minors(rows, m, size, truncation) == reference_minors(
+                    rows, m, size, truncation
+                ), (matrix, size)
+
+    @pytest.mark.parametrize(
+        "m, sizes",
+        [(5, range(1, 6)), (6, range(1, 7)), (7, (1, 2, 3, 7)), (8, (1, 2))],
+    )
+    def test_seeded_large_matrices_match_minor_by_minor(self, m, sizes):
+        rng = random.Random(m)
+        for _ in range(2):
+            entries = tuple(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
+            truncation = sum(entries) + rng.randint(0, 1)
+            seed = rng.randrange(1000)
+            for size in sizes:
+                expected = minor_by_minor_order(entries, m, size, truncation, seed)
+                assert series_minor_order(entries, m, size, truncation, seed=seed) == expected
+                assert expected == sum(sorted(entries)[:size])
+
+    def test_widest_packing_matches_unseeded(self):
+        # (8, s, 64) with seeds: the widest fields and the longest series the
+        # bounds allow; the order is invariant under the conjugation
+        exponents = (7, 6, 5, 4, 3, 2, 1, 0)
+        for size in range(1, 9):
+            expected = series_minor_order(exponents, 8, size, MAX_TRUNCATION)
+            assert expected == sum(range(size))
+            for seed in (0, 7, 11):
+                assert series_minor_order(exponents, 8, size, MAX_TRUNCATION, seed=seed) == expected
+        infinite = (MAX_TRUNCATION + 1,) + exponents[1:]
+        for seed in (None, 7):
+            assert series_minor_order(infinite, 8, 7, MAX_TRUNCATION, seed=seed) == 21
+            assert series_minor_order(infinite, 8, 8, MAX_TRUNCATION, seed=seed) is ABOVE_TRUNCATION
 
 
 def laplace_det(mat):
