@@ -70,7 +70,7 @@ from .tableaux import (
 
 
 def clear_caches() -> None:
-    """Empty the module-level caches (minor polynomials, the standard
+    """Empty the module-level caches (the integer minor table, the standard
     tableaux of each content by shape, the packed-integer minors of the
     content-block columns, content blocks, the per-chart elimination
     numerators, each chart's pivot table of signed cofactor minors and the

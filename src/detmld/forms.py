@@ -45,11 +45,10 @@ import bisect
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import add
 from typing import Dict, Tuple
 
 from .core import PreconditionError, _as_tuple, _check_int, _check_type
-from .polynomials import Exponents, MultiPoly, _minor_poly
+from .polynomials import Exponents, MultiPoly, _minor_poly, _multiply_into
 from .tableaux import (
     DoubleTableau,
     Membership,
@@ -207,7 +206,7 @@ def _chart_steps(m: int, rows: tuple, cols: tuple) -> tuple:
                 cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
                 pivot_sign = cofactors.pop((i, j))[0]
                 steps[i, j] = [
-                    (pq, [(e, -pivot_sign * sign * int(c)) for e, c in _minor_poly(m, *sub).terms.items()])
+                    (pq, [(e, -pivot_sign * sign * c) for e, c in _minor_poly(m, *sub)])
                     for pq, (sign, *sub) in cofactors.items()
                 ]
         chart = (set(rows), set(cols), chart_variable_set(rows, cols, m), steps)
@@ -231,7 +230,7 @@ def _reduce_positions(
     together with whether any branch reached the chart set: B is the start
     wedge's bad count when one did, and 0 when every branch died on a
     repeated differential.  N(w) is the signed sum of cofactor * N(w') over
-    the branches (see `_chart_steps`), accumulated term by term into one dict.
+    the branches (see `_chart_steps`), summed into one dict by `_multiply_into`.
     Both orders return the same (N, B): a complete path is a bijection from
     the bad positions onto the missing chart positions whose swap signs
     multiply to its sign; with one memo for both, comparing them is vacuous.
@@ -253,7 +252,6 @@ def _reduce_positions(
             return result
         pivot = bad[0] if order == "lex" else bad[-1]
         acc: Dict[Exponents, int] = {}
-        get = acc.get
         reached = False
         for pq, terms in steps[pivot]:
             new_wedge, swap_sign = _replace_in_wedge(wedge, pivot, pq)
@@ -263,12 +261,7 @@ def _reduce_positions(
             if not sub_reached:
                 continue
             reached = True
-            sub_items = sub.items()
-            for e1, c1 in terms:
-                c1 *= swap_sign
-                for e2, c2 in sub_items:
-                    exp = tuple(map(add, e1, e2))
-                    acc[exp] = get(exp, 0) + c1 * c2
+            _multiply_into(acc, terms, sub.items(), swap_sign)
         memo[wedge] = result = ({exp: c for exp, c in acc.items() if c}, reached)
         return result
 

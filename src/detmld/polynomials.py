@@ -2,11 +2,13 @@
 
 The variable layout is fixed and row-major: x_ij sits at index (i-1)*m + (j-1)
 of the exponent vector, so monomial-basis linear algebra downstream is stable.
-Also provides determinant polynomials of submatrices (memoized Leibniz
-expansion, no division) and their evaluation on truncated power series given
-as coefficient lists, the reference the series oracle is tested against.
-Products are computed in integers over a common denominator; coefficients
-are `Fraction`s at the public boundary.
+Also provides determinant polynomials of submatrices (Leibniz expansion, no
+division, memoized once as immutable integer +1/-1 terms) and their
+evaluation on truncated power series given as coefficient lists, the
+reference the series oracle is tested against.  Products are computed in
+integers over a common denominator by one kernel, `_multiply_into`, which
+`tableaux` and `forms` share; coefficients are `Fraction`s at the public
+boundary.
 """
 
 from __future__ import annotations
@@ -140,12 +142,7 @@ class MultiPoly:
         self._check_layout(other)
         den1, ints1 = _integer_terms(self.terms)
         den2, ints2 = _integer_terms(other.terms)
-        acc: Dict[Exponents, int] = {}
-        get = acc.get
-        for e1, c1 in ints1:
-            for e2, c2 in ints2:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + c1 * c2
+        acc = _multiply_into({}, ints1, ints2)
         den = den1 * den2
         out = MultiPoly(self.m)
         out.terms = {exp: Fraction(c, den) for exp, c in acc.items() if c}
@@ -251,6 +248,19 @@ def _integer_terms(terms: Dict[Exponents, Fraction]) -> Tuple[int, List[Tuple[Ex
     return den, [(exp, c.numerator * (den // c.denominator)) for exp, c in terms.items()]
 
 
+def _multiply_into(acc: Dict[Exponents, int], left, right, scale: int = 1) -> Dict[Exponents, int]:
+    """Add scale * left * right into acc and return it; left and right are
+    iterables of (exponents, integer coefficient) pairs, right re-iterable.
+    This is the one loop that multiplies exponent-vector polynomials."""
+    get = acc.get
+    for e1, c1 in left:
+        c1 *= scale
+        for e2, c2 in right:
+            exp = tuple(map(add, e1, e2))
+            acc[exp] = get(exp, 0) + c1 * c2
+    return acc
+
+
 @dataclass(frozen=True)
 class MinorIndex:
     """Row and column index sets of a square submatrix, sorted and 1-based."""
@@ -276,21 +286,23 @@ class MinorIndex:
         return len(self.rows)
 
 
-_MINOR_CACHE: Dict[Tuple[int, tuple, tuple], MultiPoly] = {}
+_MINOR_CACHE: Dict[Tuple[int, tuple, tuple], tuple] = {}
 
 
 def minor_poly(idx: MinorIndex, m: int) -> MultiPoly:
-    """Determinant of the selected submatrix, by memoized Leibniz expansion."""
+    """Determinant of the selected submatrix (memoized Leibniz expansion), a new MultiPoly."""
     _check_int("m", m, 1)
     _check_type("minor", idx, MinorIndex)
     if idx.size == 0:
         raise PreconditionError("empty minor")
     if idx.rows[-1] > m or idx.cols[-1] > m:
         raise PreconditionError(f"minor {idx} does not fit in a {m}x{m} matrix")
-    return _minor_poly(m, idx.rows, idx.cols)
+    return MultiPoly(m, dict(_minor_poly(m, idx.rows, idx.cols)))
 
 
-def _minor_poly(m: int, rows: tuple, cols: tuple) -> MultiPoly:
+def _minor_poly(m: int, rows: tuple, cols: tuple) -> tuple:
+    """The minor on rows x cols as an immutable tuple of (exponents, +1 or -1)
+    pairs, built once per (m, rows, cols)."""
     key = (m, rows, cols)
     cached = _MINOR_CACHE.get(key)
     if cached is not None:
@@ -298,27 +310,24 @@ def _minor_poly(m: int, rows: tuple, cols: tuple) -> MultiPoly:
     # One signed monomial per permutation: distinct permutations never share one.
     n = m * m
     offsets = [(i - 1) * m - 1 for i in rows]
-    terms: Dict[Exponents, Fraction] = {}
+    terms = []
     for perm, sign in _signed_permutations(len(rows)):
         exp = [0] * n
         for offset, p in zip(offsets, perm):
             exp[offset + cols[p]] = 1
-        terms[tuple(exp)] = sign
-    result = MultiPoly(m)
-    result.terms = terms
-    _MINOR_CACHE[key] = result
+        terms.append((tuple(exp), sign))
+    _MINOR_CACHE[key] = result = tuple(terms)
     return result
 
 
 @cache
 def _signed_permutations(size: int) -> tuple:
-    """(permutation of range(size), its sign as a Fraction) for every permutation.
-
-    Cached, so all minors of one size share their +1 and -1 coefficients."""
+    """(permutation of range(size), its sign as the int +1 or -1) for every
+    permutation, shared by all minors of one size."""
     out = []
     for perm in permutations(range(size)):
         inversions = sum(a > b for pos, a in enumerate(perm) for b in perm[pos + 1:])
-        out.append((perm, Fraction((-1) ** inversions)))
+        out.append((perm, (-1) ** inversions))
     return tuple(out)
 
 

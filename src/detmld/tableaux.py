@@ -24,9 +24,9 @@ bideterminants, are multiplied out on packed monomials (one int each, so a
 product is one addition), and the monomials they reach are its rows: by the
 straightening law these are all the monomials of the content, so none is
 enumerated.  The input of `straighten`, and each content of
-`standard_coordinates`, is packed the same way; `bideterminant` and
-`StandardExpansion.to_poly` multiply the exponent-vector minors of
-`MultiPoly`, so re-expanding a result checks the packed route independently.
+`standard_coordinates`, is packed the same way; `StandardExpansion.to_poly`
+(and `bideterminant`, its one-term case) multiplies the integer minors of
+`polynomials`, so re-expanding a result checks the packed route independently.
 The standard tableaux of each content are enumerated once, every shape in
 one pass, and cached by shape.  Working modulo the ideal of (k+1)-minors is
 realized by dropping standard terms with a row longer than k.
@@ -44,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .core import PreconditionError, _as_tuple, _check_int, _check_type
 from .linalg import PreparedSolver
-from .polynomials import Exponents, MultiPoly, _minor_poly, _signed_permutations
+from .polynomials import Exponents, MultiPoly, _minor_poly, _multiply_into, _signed_permutations
 
 MAX_DEGREE = 6
 # Matrix sizes straighten accepts.  Blocks are built at the size of their
@@ -253,8 +252,8 @@ class StandardExpansion:
     def to_poly(self, m: int) -> MultiPoly:
         """The sum of the terms, collected in integers over the lcm of the
         coefficient denominators, as in `MultiPoly.__mul__`: each term's
-        scaled coefficient is multiplied by its rows' memoized minors, and
-        each output coefficient is one `Fraction`."""
+        scaled coefficient times its rows' integer minors goes through
+        `_multiply_into`, and each output coefficient is one `Fraction`."""
         _check_int("m", m, 1)
         den = lcm(*(coef.denominator for coef, _ in self.terms))
         acc: Dict[Exponents, int] = {}
@@ -263,14 +262,8 @@ class StandardExpansion:
             _check_rows(dt, m)
             product = {one: coef.numerator * (den // coef.denominator)}
             for lrow, rrow in zip(dt.left.rows, dt.right.rows):
-                minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow))).terms.items()
-                step: Dict[Exponents, int] = {}
-                get = step.get
-                for e1, c1 in product.items():
-                    for e2, c2 in minor:
-                        exp = tuple(map(add, e1, e2))
-                        step[exp] = get(exp, 0) + c1 * c2.numerator
-                product = step
+                minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
+                product = _multiply_into({}, product.items(), minor)
             get = acc.get
             for exp, c in product.items():
                 acc[exp] = get(exp, 0) + c
@@ -289,15 +282,10 @@ def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:
     """Product over rows of the minor with row set = left row, column set = right row.
 
     Rows are read as index sets, so the value is insensitive to the order of
-    entries within a row; repeated entries within a row are rejected.
+    entries within a row; repeated entries within a row are rejected.  This
+    is the one-term `StandardExpansion.to_poly`.
     """
-    _check_int("m", m, 1)
-    _check_rows(dt, m)
-    result = None
-    for lrow, rrow in zip(dt.left.rows, dt.right.rows):
-        minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
-        result = minor if result is None else result * minor
-    return MultiPoly.one(m) if result is None else result
+    return StandardExpansion(((Fraction(1), dt),)).to_poly(m)
 
 
 def _check_rows(dt: DoubleTableau, m: int) -> None:
@@ -476,7 +464,7 @@ def _packed_minor(m: int, bits: int, rows: tuple, cols: tuple) -> list:
     if minor is None:
         fields = [[((m - i) * m + m - j) * bits for j in cols] for i in rows]
         minor = [
-            (sum(1 << row[p] for row, p in zip(fields, perm)), int(sign))
+            (sum(1 << row[p] for row, p in zip(fields, perm)), sign)
             for perm, sign in _signed_permutations(len(rows))
         ]
         _PACKED_MINOR_CACHE[key] = minor

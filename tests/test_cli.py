@@ -143,6 +143,12 @@ class TestOrdCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "exceeds the supported" in err
 
+    @pytest.mark.parametrize("lam", ["3,2", "3,2,1,0"])
+    def test_exponent_count_exits_one(self, run_cli, lam):
+        code, out, err = run_cli(["ord", "--lambda", lam, "--m", "3", "--s", "1", "--N", "6"])
+        assert (code, out) == (1, "")
+        assert err == f"error: need m=3 exponents, got {len(lam.split(','))}\n"
+
     def test_largest_bounds_accepted(self, run_cli_json):
         out = run_cli_json(
             ["ord", "--lambda", ",".join(["1"] * 8), "--m", "8", "--s", "8", "--N", "64"]

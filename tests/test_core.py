@@ -40,6 +40,19 @@ class TestInfinity:
     def test_singleton(self):
         assert INF is type(INF)()
 
+    def test_hash_and_square(self):
+        assert hash(INF) == hash(type(INF)())
+        assert {INF: 1}[type(INF)()] == 1
+        assert INF * INF is INF
+
+    @pytest.mark.parametrize("other", [None, "1", 1.5, Fraction(1, 2)])
+    def test_foreign_operands_are_not_implemented(self, other):
+        assert INF.__add__(other) is NotImplemented
+        assert INF.__mul__(other) is NotImplemented
+        for op in (lambda: INF + other, lambda: other + INF, lambda: INF * other, lambda: other * INF):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestPair:
     def test_direct_construction(self):
@@ -137,6 +150,13 @@ class TestPartition:
     def test_all_zero(self):
         assert new_partition([0, 0]).entries == (0, 0)
 
+    def test_indexing(self):
+        lam = new_partition([INF, 2, 1])
+        assert (lam[0], lam[1], lam[-1]) == (INF, 2, 1)
+        assert lam[1:] == (2, 1)
+        with pytest.raises(IndexError):
+            lam[3]
+
     def test_negative_rejected(self):
         with pytest.raises(PreconditionError):
             new_partition([2, -1])
@@ -219,6 +239,29 @@ class TestMldValue:
         assert MldValue.finite(6).value == 6
         with pytest.raises(PreconditionError):
             MldValue.NEG_INFINITY.value
+
+    def test_finite_rejects_none(self):
+        with pytest.raises(PreconditionError, match="cannot be None"):
+            MldValue.finite(None)
+
+    def test_finite_not_below_neg_infinity(self):
+        assert not MldValue.finite(-(10**12)) < MldValue.NEG_INFINITY
+        assert MldValue.NEG_INFINITY != MldValue.finite(0)
+
+    def test_hash_and_repr(self):
+        half = MldValue.finite(Fraction(1, 2))
+        assert hash(half) == hash(MldValue.finite(Fraction(2, 4)))
+        assert hash(MldValue.NEG_INFINITY) == hash(MldValue(None))
+        assert len({half, MldValue.finite(Fraction(1, 2)), MldValue.NEG_INFINITY}) == 2
+        assert repr(half) == "MldValue(1/2)"
+        assert repr(MldValue.NEG_INFINITY) == "MldValue(-inf)"
+
+    def test_foreign_operands_are_not_implemented(self):
+        one = MldValue.finite(1)
+        assert one.__eq__(1) is NotImplemented and one.__lt__(1) is NotImplemented
+        assert one != 1 and not one == Fraction(1)
+        with pytest.raises(TypeError):
+            one < 1
 
 
 # Coefficients and mld values are exact: an int (not a bool) or a Fraction.

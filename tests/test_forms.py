@@ -835,6 +835,34 @@ class TestVerifyNash:
         assert _untimed_json(verify_nash(3, 2)) == warm
         assert all(_CACHES)
 
+    def test_edited_minor_results_do_not_reach_the_minor_table(self):
+        # minor_poly and a one-row bideterminant once returned the memoized
+        # minor itself, so editing their terms changed every later product
+        def double_tableau(rows, cols):
+            return tableaux.DoubleTableau(tableaux.Tableau((rows,)), tableaux.Tableau((cols,)))
+
+        entry, full = MinorIndex((2,), (2,)), MinorIndex((1, 2), (1, 2))
+        square = double_tableau((1, 2), (1, 2))
+        clear_caches()
+        cold = _untimed_json(verify_nash(2, 1))
+        expected = dict(tableaux.bideterminant(square, 2).terms)
+        assert dict(StandardExpansion(((Fraction(1), square),)).to_poly(2).terms) == expected
+        clear_caches()
+        try:
+            for poly in (
+                minor_poly(entry, 2),
+                minor_poly(full, 2),
+                tableaux.bideterminant(double_tableau((2,), (2,)), 2),
+                tableaux.bideterminant(square, 2),
+            ):
+                poly.terms[(0, 0, 0, 0)] = Fraction(1)
+            assert _untimed_json(verify_nash(2, 1)) == cold
+            assert tableaux.bideterminant(square, 2).terms == expected
+            assert StandardExpansion(((Fraction(1), square),)).to_poly(2).terms == expected
+            assert minor_poly(entry, 2) is not minor_poly(entry, 2)
+        finally:
+            clear_caches()
+
 
 @pytest.fixture(scope="module")
 def nash_report():

@@ -40,6 +40,13 @@ class TestBeta:
         assert betas.betas == (1, -HALF)
         assert betas.prefix_sums() == (1, HALF)
 
+    def test_indexing(self):
+        betas = beta_coefficients(new_pair(3, 2, [1, Fraction(7, 2)]), 2)
+        assert (betas[0], betas[1], betas[-1]) == (1, -HALF, -HALF)
+        assert betas[:1] == (1,)
+        with pytest.raises(IndexError):
+            betas[2]
+
 
 class TestLcAtRank:
     def test_boundary_equality_holds(self):
@@ -121,6 +128,7 @@ class TestTerminal:
         assert is_terminal(3, 2)
         assert is_terminal(2, 1)
         assert is_terminal(4, 4)
+        assert is_terminal(1, 1)
 
     def test_rejects_bad_range(self):
         with pytest.raises(PreconditionError):

@@ -1009,6 +1009,12 @@ class TestSeriesBounds:
         with pytest.raises(PreconditionError, match="exceeds the supported"):
             series_minor_order((1,), 1, 1, truncation)
 
+    @pytest.mark.parametrize("exponents", [(3, 2), (3, 2, 1, 0)])
+    def test_one_exponent_per_row(self, exponents):
+        message = f"need m=3 exponents, got {len(exponents)}"
+        with pytest.raises(PreconditionError, match=message):
+            series_minor_order(exponents, 3, 1, 6)
+
 
 _PAIR = new_pair(3, 2, (0, 0))
 

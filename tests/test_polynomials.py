@@ -52,6 +52,33 @@ class TestArithmetic:
         p = x(m, 1, 1) * x(m, 2, 2) - 3 * x(m, 2, 1)
         assert p + MultiPoly.zero(m) == p
 
+    def test_truth_value(self):
+        assert not MultiPoly.zero(2) and not bool(x(2, 1, 1) - x(2, 1, 1))
+        assert x(2, 1, 1) and MultiPoly.one(1)
+
+    def test_add_int(self):
+        m = 2
+        assert x(m, 1, 1) + 3 == x(m, 1, 1) + MultiPoly.constant(m, 3)
+        assert 3 + x(m, 1, 1) == x(m, 1, 1) + 3
+        assert (x(m, 1, 1) + 0).terms == x(m, 1, 1).terms
+        assert (MultiPoly.one(m) + -1).is_zero
+
+    def test_repr(self):
+        assert repr(MultiPoly.zero(2)) == "0"
+        assert repr(MultiPoly.one(2) * 0) == "0"
+        assert repr(x(2, 1, 2) * Fraction(-1, 2)) == "(-1/2)*x12"
+
+    @pytest.mark.parametrize("other", [None, "x", 1.5])
+    def test_foreign_operands_are_not_implemented(self, other):
+        p = x(2, 1, 1)
+        assert p.__eq__(other) is NotImplemented
+        assert p.__add__(other) is NotImplemented
+        assert p.__mul__(other) is NotImplemented
+        assert p != other
+        for op in (lambda: p + other, lambda: other + p, lambda: p * other, lambda: other * p):
+            with pytest.raises(TypeError):
+                op()
+
     def test_pow(self):
         m = 2
         assert x(m, 1, 1) ** 3 == x(m, 1, 1) * x(m, 1, 1) * x(m, 1, 1)

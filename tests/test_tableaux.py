@@ -143,6 +143,10 @@ class TestDiagrams:
         with pytest.raises(PreconditionError):
             YoungDiagram((0,))
 
+    def test_tableau_size_counts_boxes(self):
+        assert Tableau(((1, 2, 3), (2,), (3,))).size == 5
+        assert Tableau(()).size == 0
+
     def test_dominance(self):
         assert dominance_leq(YoungDiagram((1, 1)), YoungDiagram((2,)))
         assert not dominance_leq(YoungDiagram((2, 2)), YoungDiagram((3,)))
@@ -658,10 +662,15 @@ def _random_poly(rng, m, max_degree):
 
 
 def running_sum_to_poly(expansion, m):
-    """Reference re-expansion: one polynomial addition per term."""
+    """Reference re-expansion: one polynomial addition per term, each term a
+    chain of `MultiPoly` products of its row minors (`bideterminant` is the
+    one-term `to_poly`, so it is not used here)."""
     total = MultiPoly.zero(m)
     for coef, d in expansion:
-        total = total + coef * bideterminant(d, m)
+        term = MultiPoly.constant(m, coef)
+        for lrow, rrow in zip(d.left.rows, d.right.rows):
+            term = term * minor_poly(MinorIndex(lrow, rrow), m)
+        total = total + term
     return total
 
 
