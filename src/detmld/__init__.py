@@ -71,14 +71,16 @@ from .tableaux import (
 
 def clear_caches() -> None:
     """Empty the module-level caches (the integer minor table, the standard
-    tableaux of each content by shape, the packed-integer minors of the
-    content-block columns, content blocks, the per-chart elimination
-    numerators, each chart's pivot table of signed cofactor minors and the
-    orbit search's table of each box), so that the next computation starts
+    tableaux of each content by shape, the integer product of each standard
+    term's row minors, the packed-integer minors of the content-block
+    columns, content blocks, the per-chart elimination numerators, each
+    chart's bit-keyed pivot table of signed cofactor minors and the orbit
+    search's table of each box), so that the next computation starts
     cold."""
     for cache in (
         polynomials._MINOR_CACHE,
         tableaux._TABLEAU_CACHE,
+        tableaux._PRODUCT_CACHE,
         tableaux._PACKED_MINOR_CACHE,
         tableaux._BLOCK_CACHE,
         forms._ELIMINATION_CACHE,

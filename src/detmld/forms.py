@@ -21,19 +21,24 @@ the vanishing of d(minor) for each (k+1) x (k+1) minor (R | C).  Each
 coefficient there is a cofactor (R - p | C - q) with the parity sign of
 (p, q), read straight off the index sets; the pivot's is D.  Each chart
 tabulates its signed cofactors once, per pivot, for both elimination orders.
-Each step trades one such differential for one on the chart, so every wedge
-the elimination meets is a top-form of its own; its numerator, one dict of
-`int` coefficients, is memoized per wedge, per chart and per elimination
-order, and shared by every top-form that reaches it.  The elimination leaves
-N / D**B, the same (N, B) in both orders, as every complete path is a
-bijection from the bad positions onto the missing chart positions; the Nash
-check compares the two, with a memo per order, since a shared memo would
-make that vacuous.  The canonical generator is one global form, so F is
-resolved on the reference chart, whatever the chart asked for: there D is
-the leading minor (1..k | 1..k), and its power is cleared on N's standard
-coordinates modulo the (k+1)-minor ideal, where multiplying or dividing by
-D adds or strips the top row (1..k | 1..k) of each standard double
-tableau, so the division needs no solver of its own.  Another chart's own
+A wedge is the bit mask of its positions, (i, j) at bit (i-1)*m + j-1, the
+row-major exponent index, so lexicographic order is bit order: the bad set
+is the wedge masked by the chart's bad positions, the lex or revlex pivot is
+its lowest or highest bit, and moving a differential from one bit to another
+passes the wedge bits strictly between them, with the sign -1 to their
+number.  Each step trades one such differential for one on the chart, so
+every wedge the elimination meets is a top-form of its own; its numerator,
+one dict of `int` coefficients, is memoized per wedge, per chart and per
+elimination order, and shared by every top-form that reaches it.  The
+elimination leaves N / D**B, the same (N, B) in both orders, as every
+complete path is a bijection from the bad positions onto the missing chart
+positions; the Nash check compares the two, with a memo per order, since a
+shared memo would make that vacuous.  The canonical generator is one global
+form, so F is resolved on the reference chart, whatever the chart asked
+for: there D is the leading minor (1..k | 1..k), and its power is cleared on
+N's standard coordinates modulo the (k+1)-minor ideal, where multiplying or
+dividing by D adds or strips the top row (1..k | 1..k) of each standard
+double tableau, so the division needs no solver of its own.  Another chart's own
 elimination gives only its B.  No fraction fields appear anywhere, and the
 first `Fraction` is a standard coordinate.  `verify_nash` runs the steps of
 `reduce_top_form` itself, once each per subset.
@@ -41,7 +46,6 @@ first `Fraction` is a standard coordinate.  `verify_nash` runs the steps of
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -55,6 +59,7 @@ from .tableaux import (
     StandardExpansion,
     Tableau,
     _rectangular_membership,
+    _trusted_pair,
     _trusted_tableau,
     standard_coordinates,
 )
@@ -178,38 +183,33 @@ class ReductionResult:
     expansion: StandardExpansion
 
 
-def _replace_in_wedge(wedge: Wedge, old: IndexPair, new: IndexPair):
-    """Substitute one differential, with the sign of resorting; None on repeat."""
-    pos_old = wedge.index(old)
-    rest = wedge[:pos_old] + wedge[pos_old + 1:]
-    if new in rest:
-        return None, 0
-    pos_new = bisect.bisect_left(rest, new)
-    new_wedge = rest[:pos_new] + (new,) + rest[pos_new:]
-    return new_wedge, (-1) ** (pos_old + pos_new)
-
-
-_ELIMINATION_CACHE: Dict[tuple, Dict[Wedge, Tuple[Dict[Exponents, int], bool]]] = {}
+_ELIMINATION_CACHE: Dict[tuple, Dict[int, Tuple[Dict[Exponents, int], bool]]] = {}
 _CHART_CACHE: Dict[tuple, tuple] = {}
 
 
 def _chart_steps(m: int, rows: tuple, cols: tuple) -> tuple:
-    """A chart's good rows and columns, variable set and pivot table, built
-    once.  d(rows + i | cols + j) = 0 gives dx_ij = -sum(cofactor dx_pq) / delta
-    for each bad pivot (i, j), so steps[i, j] lists ((p, q), the cofactor's
-    (exponents, int) terms times -(pivot sign) * (its own sign))."""
+    """A chart's variable set and bad positions as bit masks, and its pivot
+    table, built once.  Position (i, j) is bit (i-1)*m + j-1, its row-major
+    exponent index.  d(rows + i | cols + j) = 0 gives dx_ij = -sum(cofactor
+    dx_pq) / delta for each bad pivot (i, j), so steps[bit of (i, j)] lists
+    (bit of (p, q), the cofactor's (exponents, int) terms times -(pivot
+    sign) * (its own sign))."""
     chart = _CHART_CACHE.get((m, rows, cols))
     if chart is None:
+        good = sum(1 << (i - 1) * m + j - 1 for i, j in chart_variable_set(rows, cols, m))
         steps = {}
         for i in set(range(1, m + 1)).difference(rows):
             for j in set(range(1, m + 1)).difference(cols):
                 cofactors = _cofactors(tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
                 pivot_sign = cofactors.pop((i, j))[0]
-                steps[i, j] = [
-                    (pq, [(e, -pivot_sign * sign * c) for e, c in _minor_poly(m, *sub)])
-                    for pq, (sign, *sub) in cofactors.items()
+                steps[(i - 1) * m + j - 1] = [
+                    (
+                        (p - 1) * m + q - 1,
+                        [(e, -pivot_sign * sign * c) for e, c in _minor_poly(m, *sub)],
+                    )
+                    for (p, q), (sign, *sub) in cofactors.items()
                 ]
-        chart = (set(rows), set(cols), chart_variable_set(rows, cols, m), steps)
+        chart = (good, ((1 << m * m) - 1) ^ good, steps)
         _CHART_CACHE[m, rows, cols] = chart
     return chart
 
@@ -221,57 +221,64 @@ def _reduce_positions(
 
     Returns (N, B) with  wedge(positions) = N / delta**B * wedge(S_chart),
     where delta is the chart minor; N is a polynomial with `int`
-    coefficients and B >= 0.
+    coefficients and B >= 0.  The positions are distinct.
 
-    A step trades the first (lex) or last (revlex) bad differential for one
-    sharing a row or column with the chart, so every wedge it meets is another
-    wedge of the same size with one bad differential fewer.  Its numerator
-    N(w) is memoized per chart and order as an {exponents: int} dict,
-    together with whether any branch reached the chart set: B is the start
-    wedge's bad count when one did, and 0 when every branch died on a
-    repeated differential.  N(w) is the signed sum of cofactor * N(w') over
-    the branches (see `_chart_steps`), summed into one dict by `_multiply_into`.
-    Both orders return the same (N, B): a complete path is a bijection from
-    the bad positions onto the missing chart positions whose swap signs
-    multiply to its sign; with one memo for both, comparing them is vacuous.
+    A wedge is a bit mask of its positions (see `_chart_steps`), so lex
+    order is bit order.  A step trades the lowest (lex) or highest (revlex)
+    bad bit p for a bit q sharing a row or column with the chart, so every
+    wedge it meets is another wedge of the same size with one bad
+    differential fewer; a q already in the wedge repeats a differential and
+    the branch dies.  Moving dx_q from p's place to its sorted place passes
+    the wedge bits strictly between p and q, and the swap sign is -1 to
+    their number.  The numerator N(w) is memoized per chart and order as an
+    {exponents: int} dict, together with whether any branch reached the
+    chart set: B is the start wedge's bad count when one did, and 0 when
+    every branch died on a repeated differential.  N(w) is the signed sum of
+    cofactor * N(w') over the branches, summed into one dict by
+    `_multiply_into`.  Both orders return the same (N, B): a complete path
+    is a bijection from the bad positions onto the missing chart positions
+    whose swap signs multiply to its sign; with one memo for both,
+    comparing them is vacuous.
     """
     if order not in ("lex", "revlex"):
         raise PreconditionError(f"unknown elimination order {order!r}")
-    good_rows, good_cols, full_good, steps = _chart_steps(m, rows, cols)
+    good, bad, steps = _chart_steps(m, rows, cols)
     memo = _ELIMINATION_CACHE.setdefault((m, rows, cols, order), {})
+    lex = order == "lex"
 
-    def numerator(wedge: Wedge) -> Tuple[Dict[Exponents, int], bool]:
+    def numerator(wedge: int) -> Tuple[Dict[Exponents, int], bool]:
         hit = memo.get(wedge)
         if hit is not None:
             return hit
-        bad = [pq for pq in wedge if pq[0] not in good_rows and pq[1] not in good_cols]
-        if not bad:
-            if wedge != full_good:
+        pending = wedge & bad
+        if not pending:
+            if wedge != good:
                 raise RuntimeError("terminal wedge differs from the chart variable set")
             memo[wedge] = result = ({(0,) * (m * m): 1}, True)
             return result
-        pivot = bad[0] if order == "lex" else bad[-1]
+        p = (pending & -pending if lex else pending).bit_length() - 1
+        rest = wedge ^ 1 << p
         acc: Dict[Exponents, int] = {}
         reached = False
-        for pq, terms in steps[pivot]:
-            new_wedge, swap_sign = _replace_in_wedge(wedge, pivot, pq)
-            if new_wedge is None:
+        for q, terms in steps[p]:
+            if rest >> q & 1:
                 continue
-            sub, sub_reached = numerator(new_wedge)
+            sub, sub_reached = numerator(rest | 1 << q)
             if not sub_reached:
                 continue
             reached = True
-            _multiply_into(acc, terms, sub.items(), swap_sign)
+            lo, hi = (p, q) if p < q else (q, p)
+            between = (rest & (1 << hi) - (2 << lo)).bit_count()
+            _multiply_into(acc, terms, sub.items(), -1 if between & 1 else 1)
         memo[wedge] = result = ({exp: c for exp, c in acc.items() if c}, reached)
         return result
 
-    start = tuple(sorted(positions))
+    start = sum(1 << (i - 1) * m + j - 1 for i, j in positions)
     terms, reached = numerator(start)
     del numerator  # the closure refers to itself: break the cycle
     total = MultiPoly(m)
     total.terms = terms  # empty, with B = 0, when no branch reached the chart set
-    bad = sum(1 for i, j in start if i not in good_rows and j not in good_cols)
-    return total, bad if reached else 0
+    return total, (start & bad).bit_count() if reached else 0
 
 
 def _resolve_coefficient(numerator: MultiPoly, bpow: int, m: int, k: int) -> StandardExpansion:
@@ -297,7 +304,7 @@ def _resolve_coefficient(numerator: MultiPoly, bpow: int, m: int, k: int) -> Sta
             left, right = left[-spare:], right[-spare:]
         else:
             raise RuntimeError("division by the chart minor failed; reduction is unsound")
-        terms.append((coef, DoubleTableau(_trusted_tableau(left), _trusted_tableau(right))))
+        terms.append((coef, _trusted_pair(_trusted_tableau(left), _trusted_tableau(right))))
     return StandardExpansion(tuple(terms))
 
 

@@ -25,8 +25,9 @@ product is one addition), and the monomials they reach are its rows: by the
 straightening law these are all the monomials of the content, so none is
 enumerated.  The input of `straighten`, and each content of
 `standard_coordinates`, is packed the same way; `StandardExpansion.to_poly`
-(and `bideterminant`, its one-term case) multiplies the integer minors of
-`polynomials`, so re-expanding a result checks the packed route independently.
+(and `bideterminant`, its one-term case) sums each term's product of the
+integer minors of `polynomials`, multiplied out once per process and
+memoized, so re-expanding a result checks the packed route independently.
 The standard tableaux of each content are enumerated once, every shape in
 one pass, and cached by shape.  Working modulo the ideal of (k+1)-minors is
 realized by dropping standard terms with a row longer than k.
@@ -251,22 +252,21 @@ class StandardExpansion:
 
     def to_poly(self, m: int) -> MultiPoly:
         """The sum of the terms, collected in integers over the lcm of the
-        coefficient denominators, as in `MultiPoly.__mul__`: each term's
-        scaled coefficient times its rows' integer minors goes through
-        `_multiply_into`, and each output coefficient is one `Fraction`."""
+        coefficient denominators, as in `MultiPoly.__mul__`: each term adds
+        its scaled coefficient times its memoized integer product (see
+        `_standard_product`), and each output coefficient is one `Fraction`.
+        Every term is checked before any product is read, and every call
+        returns a new polynomial."""
         _check_int("m", m, 1)
+        for _, dt in self.terms:
+            _check_rows(dt, m)
         den = lcm(*(coef.denominator for coef, _ in self.terms))
         acc: Dict[Exponents, int] = {}
-        one = (0,) * (m * m)
+        get = acc.get
         for coef, dt in self.terms:
-            _check_rows(dt, m)
-            product = {one: coef.numerator * (den // coef.denominator)}
-            for lrow, rrow in zip(dt.left.rows, dt.right.rows):
-                minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
-                product = _multiply_into({}, product.items(), minor)
-            get = acc.get
-            for exp, c in product.items():
-                acc[exp] = get(exp, 0) + c
+            scale = coef.numerator * (den // coef.denominator)
+            for exp, c in _standard_product(m, dt.left.rows, dt.right.rows):
+                acc[exp] = get(exp, 0) + scale * c
         out = MultiPoly(m)
         out.terms = {exp: Fraction(c, den) for exp, c in acc.items() if c}
         return out
@@ -276,6 +276,25 @@ class StandardExpansion:
             {"coef": str(coef), "left": dt.left.to_json(), "right": dt.right.to_json()}
             for coef, dt in self.terms
         ]
+
+
+_PRODUCT_CACHE: Dict[tuple, tuple] = {}
+
+
+def _standard_product(m: int, left_rows: tuple, right_rows: tuple) -> tuple:
+    """The product of the row minors (left row | right row), each row read
+    as a sorted index set, as (exponents, int) pairs with no zero
+    coefficient: multiplied out by `_multiply_into` once per (m, rows) and
+    memoized as an immutable tuple."""
+    key = (m, left_rows, right_rows)
+    product = _PRODUCT_CACHE.get(key)
+    if product is None:
+        acc = {(0,) * (m * m): 1}
+        for lrow, rrow in zip(left_rows, right_rows):
+            minor = _minor_poly(m, tuple(sorted(lrow)), tuple(sorted(rrow)))
+            acc = _multiply_into({}, acc.items(), minor)
+        product = _PRODUCT_CACHE[key] = tuple((exp, c) for exp, c in acc.items() if c)
+    return product
 
 
 def bideterminant(dt: DoubleTableau, m: int) -> MultiPoly:

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import gc
 import hashlib
@@ -63,12 +64,25 @@ _CACHES = tuple(
 )
 
 
-def tree_walk_reduce(positions, rows, cols, m, order):
+def _replace_in_wedge(wedge, old, new):
+    """Substitute one differential in a sorted tuple of positions, with the
+    sign of resorting; (None, 0) on a repeat."""
+    pos_old = wedge.index(old)
+    rest = wedge[:pos_old] + wedge[pos_old + 1:]
+    if new in rest:
+        return None, 0
+    pos_new = bisect.bisect_left(rest, new)
+    new_wedge = rest[:pos_new] + (new,) + rest[pos_new:]
+    return new_wedge, (-1) ** (pos_old + pos_new)
+
+
+def tree_walk_reduce(positions, rows, cols, m, order, visited=None):
     """Reference elimination: the path-sum walk over the elimination tree.
 
     Each path from the start wedge to the chart set carries the product of
     its coefficients and its depth; N sums the paths over delta to the
-    largest depth B.  Every wedge is walked afresh, with no sharing.
+    largest depth B.  Every wedge is walked afresh, with no sharing.  Each
+    wedge the walk meets is added to the set `visited`, when one is given.
     """
     good_rows, good_cols = set(rows), set(cols)
     delta = minor_poly(MinorIndex(rows, cols), m)
@@ -77,6 +91,8 @@ def tree_walk_reduce(positions, rows, cols, m, order):
     collected = []
     while stack:
         coeff, wedge, bpow = stack.pop()
+        if visited is not None:
+            visited.add(wedge)
         bad = [pq for pq in wedge if pq[0] not in good_rows and pq[1] not in good_cols]
         if not bad:
             assert wedge == full_good
@@ -93,7 +109,7 @@ def tree_walk_reduce(positions, rows, cols, m, order):
             for q in big_cols:
                 if (p, q) == (i, j):
                     continue
-                new_wedge, swap_sign = forms._replace_in_wedge(wedge, (i, j), (p, q))
+                new_wedge, swap_sign = _replace_in_wedge(wedge, (i, j), (p, q))
                 if new_wedge is not None:
                     comp = partial_derivative(big, m, p, q)
                     stack.append((-pivot_sign * swap_sign * (coeff * comp), new_wedge, bpow + 1))
@@ -442,16 +458,23 @@ class TestMemoizedElimination:
         # Every chart's table against the formal partials of each (k+1)-minor
         # (rows + i | cols + j): its partial at the bad pivot (i, j) is
         # +-delta, and the terms at (p, q) are -(that sign) * its partial there.
+        # The table and the masks are keyed by bit, decoded here to positions.
+        def position(b):
+            return b // m + 1, b % m + 1
+
         charts = list(combinations(range(1, m + 1), k))
         for rows in charts:
             for cols in charts:
-                good_rows, good_cols, full_good, steps = forms._chart_steps(m, rows, cols)
-                assert (good_rows, good_cols) == (set(rows), set(cols))
-                assert full_good == chart_variable_set(rows, cols, m)
+                good, bad, steps = forms._chart_steps(m, rows, cols)
+                full_good = chart_variable_set(rows, cols, m)
+                assert good == sum(1 << (i - 1) * m + j - 1 for i, j in full_good)
+                assert good | bad == (1 << m * m) - 1 and not good & bad
                 delta = minor_poly(MinorIndex(rows, cols), m)
                 everywhere = {(i, j) for i in range(1, m + 1) for j in range(1, m + 1)}
-                assert set(steps) == everywhere - set(full_good)
-                for (i, j), branches in steps.items():
+                assert set(map(position, steps)) == everywhere - set(full_good)
+                assert sum(1 << b for b in steps) == bad
+                for b, branches in steps.items():
+                    i, j = position(b)
                     big_rows, big_cols = sorted(rows + (i,)), sorted(cols + (j,))
                     big = minor_poly(MinorIndex(big_rows, big_cols), m)
                     pivot = partial_derivative(big, m, i, j)
@@ -460,8 +483,9 @@ class TestMemoizedElimination:
                     expected = {
                         (p, q) for p in big_rows for q in big_cols if (p, q) != (i, j)
                     }
-                    assert {pq for pq, _ in branches} == expected
-                    for (p, q), terms in branches:
+                    assert {position(bq) for bq, _ in branches} == expected
+                    for bq, terms in branches:
+                        p, q = position(bq)
                         assert all(type(c) is int for _, c in terms)
                         assert MultiPoly(m, dict(terms)) == (
                             -pivot_sign * partial_derivative(big, m, p, q)
@@ -487,6 +511,33 @@ class TestMemoizedElimination:
             assert forms._ELIMINATION_CACHE[chart + ("lex",)] is not (
                 forms._ELIMINATION_CACHE[chart + ("revlex",)]
             )
+
+    def test_memo_holds_the_wedges_of_its_own_pivot_order(self):
+        # The orders return the same (N, B), so only the wedges each memo
+        # holds tell the lowest bad bit (lex) from the highest (revlex): from
+        # a cold memo, a subset leaves exactly the wedges the tree walk meets
+        # in that order, as bit masks.  At (3, 1) many subsets have two or
+        # more bad positions, where the two orders meet different wedges.
+        m, k = 3, 1
+        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+        ref = reference_chart_indices(k)
+        differ = 0
+        try:
+            for subset in combinations(positions, k * (2 * m - k)):
+                held = {}
+                for order in ("lex", "revlex"):
+                    forms._ELIMINATION_CACHE.clear()
+                    forms._reduce_positions(subset, ref, ref, m, order)
+                    walked = set()
+                    tree_walk_reduce(subset, ref, ref, m, order, walked)
+                    held[order] = set(forms._ELIMINATION_CACHE[m, ref, ref, order])
+                    assert held[order] == {
+                        sum(1 << (i - 1) * m + j - 1 for i, j in wedge) for wedge in walked
+                    }, (subset, order)
+                differ += held["lex"] != held["revlex"]
+        finally:
+            clear_caches()
+        assert differ
 
 
 def _single_swap_pairs(chart_indices):
@@ -542,7 +593,7 @@ def _gluing_sign(rows1, cols1, rows2, cols2, m, k):
     wedge = chart_variable_set(rows2, cols2, m)
     eps = 1
     for cofactors, p1, p2 in _transition_minors(rows1, cols1, rows2, cols2, m, k):
-        wedge, resort = forms._replace_in_wedge(wedge, p1, p2)
+        wedge, resort = _replace_in_wedge(wedge, p1, p2)
         eps *= -cofactors[p1][0] * cofactors[p2][0] * resort
     return wedge, eps
 
@@ -860,6 +911,36 @@ class TestVerifyNash:
             assert tableaux.bideterminant(square, 2).terms == expected
             assert StandardExpansion(((Fraction(1), square),)).to_poly(2).terms == expected
             assert minor_poly(entry, 2) is not minor_poly(entry, 2)
+        finally:
+            clear_caches()
+
+        # The product table: edited to_poly and bideterminant results (one
+        # and two rows, at m = 3) reach neither a later bideterminant of the
+        # same tableau nor a warm verify_nash(3, 2), whose F terms include
+        # (12|12) and read its memoized product.
+        one_row = double_tableau((1, 2), (1, 2))
+        two_rows = tableaux.DoubleTableau(
+            tableaux.Tableau(((1, 2), (3,))), tableaux.Tableau(((1, 3), (2,)))
+        )
+        expansion = StandardExpansion(((Fraction(1), one_row), (Fraction(-1, 2), two_rows)))
+        warm = _untimed_json(verify_nash(3, 2))
+        expected = {
+            "one": dict(tableaux.bideterminant(one_row, 3).terms),
+            "two": dict(tableaux.bideterminant(two_rows, 3).terms),
+            "sum": dict(expansion.to_poly(3).terms),
+        }
+        try:
+            for poly in (
+                expansion.to_poly(3),
+                tableaux.bideterminant(one_row, 3),
+                tableaux.bideterminant(two_rows, 3),
+            ):
+                poly.terms[(0,) * 9] = Fraction(1)
+            assert _untimed_json(verify_nash(3, 2)) == warm
+            assert tableaux.bideterminant(one_row, 3).terms == expected["one"]
+            assert tableaux.bideterminant(two_rows, 3).terms == expected["two"]
+            assert expansion.to_poly(3).terms == expected["sum"]
+            assert expansion.to_poly(3) is not expansion.to_poly(3)
         finally:
             clear_caches()
 

@@ -272,6 +272,30 @@ class TestMinimize:
         assert result.minimum == MldValue.NEG_INFINITY
         assert result.argmin is None
 
+    def test_search_gives_johnsons_lct_at_full_rank(self):
+        # At k = m the pair with c on alphas[m - p], the coefficient of
+        # D^(p-1), carries the ideal of p-minors, whose log canonical
+        # threshold is Johnson's min over 0 <= t < p of (m - t)**2 / (p - t).
+        # The search is finite and >= 0 at that c, and certified -inf at
+        # c + 1/7, for every 1 <= p <= m <= 7.
+        cases = 0
+        for m in range(1, 8):
+            for p in range(1, m + 1):
+                lct = min(Fraction((m - t) ** 2, p - t) for t in range(p))
+                for c in (lct, lct + Fraction(1, 7)):
+                    alphas = [0] * m
+                    alphas[m - p] = c
+                    result = minimize_objective(new_pair(m, m, alphas), PointTarget(0), 2)
+                    if c == lct:
+                        assert result.minimum.is_finite, (m, p)
+                        assert result.minimum >= MldValue.finite(0), (m, p)
+                        assert not result.prefix_unbounded, (m, p)
+                    else:
+                        assert result.prefix_unbounded, (m, p)
+                        assert result.minimum == MldValue.NEG_INFINITY, (m, p)
+                cases += 1
+        assert cases == 28
+
     def test_locus_minimum(self):
         result = minimize_objective(new_pair(2, 1, []), LocusTarget(1), 3)
         assert result.minimum == MldValue.finite(2)
